@@ -1,13 +1,15 @@
-"""Multiprecision elimination on Hankel moment matrices, self-verified by a
-second run at ``verify_factor`` times the working precision.
+"""Verified multiprecision Hankel computations from a moment sequence, each
+run twice: once at the working precision and once at ``verify_factor`` times
+it.
 
 Two routes are kept deliberately distinct so they can cross-check each other:
 
-* ``hankel_determinant`` uses partially pivoted LU, good for any nonsingular
-  matrix and insensitive to pivot ordering;
-* ``hankel_pivots`` uses unpivoted elimination, valid because the moment
-  matrices of positive measures are positive definite, and returns the pivot
-  sequence d_k = D_{k+1}/D_k of leading-principal-minor ratios.
+* ``hankel_determinant`` uses partially pivoted LU on the Hankel matrix, good
+  for any nonsingular matrix and insensitive to pivot ordering;
+* ``hankel_pivots`` uses Chebyshev's algorithm on the moments themselves and
+  returns the norms h_k = D_{k+1}/D_k of the monic orthogonal polynomials,
+  the leading-principal-minor ratios of the Hankel matrix.  For the moments
+  of a positive measure every h_k is positive.
 """
 
 from __future__ import annotations
@@ -49,31 +51,40 @@ def _lu_det(a: List[List]):
     return det
 
 
-def _forward_pivots(a: List[List]) -> List:
-    """Pivots of unpivoted Gaussian elimination, at ambient precision.
+def _forward_pivots(moments: List) -> List:
+    """Norms h_0..h_{n-1} from mu_0..mu_{2n-2} by Chebyshev's algorithm
+    (W. Gautschi, SIAM J. Sci. Stat. Comput. 3 (1982) 289), in O(n^2)
+    operations of whatever arithmetic the moments carry.
 
-    Raises PrecisionFailureError on a non-positive pivot: the matrices fed in
-    here are moment matrices of positive measures, whose true pivots are all
-    positive, so a sign flip can only be numerical.
+    With sigma_{0,l} = mu_l and sigma_{-1,l} = 0, the mixed moments
+    sigma_{k,l} = sigma_{k-1,l+1} - alpha_{k-1} sigma_{k-1,l}
+    - beta_{k-1} sigma_{k-2,l} give h_k = sigma_{k,k} and the recurrence
+    coefficients alpha_k = sigma_{k,k+1}/h_k - sigma_{k-1,k}/h_{k-1},
+    beta_k = h_k/h_{k-1}.
+
+    Raises PrecisionFailureError on a non-positive h_k: the moments fed in
+    here are those of positive measures, whose norms are all positive, so a
+    sign flip can only be numerical.
     """
-    n = len(a)
-    pivots = []
-    for col in range(n):
-        p = a[col][col]
-        if not p > 0:
-            raise PrecisionFailureError(
-                f"non-positive pivot at index {col}; raise bits"
-            )
-        pivots.append(p)
-        inv = 1 / p
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f == 0:
-                continue
-            row_r, row_c = a[r], a[col]
-            for k in range(col + 1, n):
-                row_r[k] -= f * row_c[k]
-    return pivots
+    m = len(moments)
+    prev, row = [0] * m, list(moments)  # sigma_{k-1,l}, sigma_{k,l}
+    alpha = beta = ratio = 0
+    norms = []
+    for k in range((m + 1) // 2):
+        if k:
+            prev, row = row, [0] * k + [
+                row[l + 1] - alpha * row[l] - beta * prev[l] for l in range(k, m - k)
+            ]
+        h = row[k]
+        if not h > 0:
+            raise PrecisionFailureError(f"non-positive norm h_{k}; raise bits")
+        if k + 1 < m - k:  # sigma_{k,k+1} is known, so alpha_k is needed
+            last, ratio = ratio, row[k + 1] / h
+            alpha = ratio - last
+        if norms:
+            beta = h / norms[-1]
+        norms.append(h)
+    return norms
 
 
 def _check_agreement(base, guard, ctx: PrecisionContext, what: str):
@@ -105,15 +116,16 @@ def hankel_determinant(moments: Sequence, n: int, ctx: PrecisionContext):
 
 
 def hankel_pivots(moments: Sequence, n: int, ctx: PrecisionContext):
-    """Verified pivot sequence (leading-principal-minor ratios) of the n x n
-    Hankel matrix of ``moments``.  Each pivot must be positive and agree
+    """Verified norms h_0..h_{n-1} (leading-principal-minor ratios of the
+    n x n Hankel matrix) of ``moments``, from mu_0..mu_{2n-2} rounded to
+    ctx.bits and then to ctx.guard_bits.  Each h_k must be positive and agree
     between the base and guard runs to within 2^(-bits/2) relative."""
     if len(moments) < 2 * n - 1:
         raise ValueError(f"need moments up to order {2 * n - 2}, got {len(moments) - 1}")
     with mp.workprec(ctx.bits):
-        base = _forward_pivots(_hankel_matrix(moments, n))
+        base = _forward_pivots([+mu for mu in moments[: 2 * n - 1]])
     with mp.workprec(ctx.guard_bits):
-        guard = _forward_pivots(_hankel_matrix(moments, n))
+        guard = _forward_pivots([+mu for mu in moments[: 2 * n - 1]])
     for k, (b, g) in enumerate(zip(base, guard)):
         _check_agreement(b, g, ctx, f"Hankel pivot h_{k}")
     return guard

@@ -84,8 +84,10 @@ class RunConfig:
     def phase_params(self) -> PhaseParams:
         with self.context().guardprec():
             if self.phase.is_critical:
-                return PhaseParams(self.phase, alpha=mp.mpf(self.alpha))
-            return PhaseParams(self.phase, t=mp.mpf(self.t), gamma=mp.mpf(self.gamma))
+                return PhaseParams(self.phase, alpha=_parse_real(self.alpha, "alpha"))
+            return PhaseParams(
+                self.phase, t=_parse_real(self.t, "t"), gamma=_parse_real(self.gamma, "gamma")
+            )
 
 
 def _fraction_str(fr: Fraction, dps: int) -> str:
@@ -143,6 +145,17 @@ def _parse_weight(s: str, name: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterDomainError(f"--{name} must be a decimal literal: {exc}")
+
+
+def _parse_real(s: str, name: str):
+    """Finite mpf of a decimal literal, at ambient precision."""
+    try:
+        x = mp.mpf(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterDomainError(f"--{name} must be a decimal literal: {exc}")
+    if not mp.isfinite(x):
+        raise ParameterDomainError(f"--{name} must be finite, got {s!r}")
+    return x
 
 
 def cmd_phase(cfg: RunConfig, args) -> None:
@@ -226,7 +239,7 @@ def cmd_toda(cfg: RunConfig, args) -> None:
         raise ParameterDomainError("toda needs a bulk phase (t, gamma)")
     ctx = cfg.context()
     with ctx.guardprec():
-        step = mp.mpf(cfg.h)
+        step = _parse_real(cfg.h, "h")
     residual = hankel.toda_residual(params, cfg.n, step, ctx)
     _emit(
         cfg,
@@ -396,3 +409,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -141,14 +141,34 @@ def zn_ik(
     return ZnResult(n, zn, log_zn, p.phase, (p.t, p.gamma), ctx.bits, tau.verified, tau)
 
 
+def _zn_from_norms(base, norms, phase: Phase, params: Tuple, bits: int) -> List[ZnResult]:
+    """Z_n = base^(n^2) prod_{k<n} h_k / (prod_{k<n} k!)^2 for n = 1..len(norms),
+    at ambient precision, with the superfactorial divided out as an exact
+    integer.  ``base`` is ab in a bulk phase and (1+alpha)/2 on a critical
+    line; the norms must already be verified."""
+    out = []
+    log_base = mp.log(base)
+    tau = mp.mpf(1)
+    log_tau = mp.mpf(0)
+    for n, h in enumerate(norms, start=1):
+        tau *= h
+        log_tau += mp.log(h)
+        sf_sq = _superfactorial_sq(n)
+        zn = base ** (n * n) * tau / sf_sq
+        log_zn = n * n * log_base + log_tau - mp.log(sf_sq)
+        out.append(ZnResult(n, zn, log_zn, phase, params, bits, True))
+    return out
+
+
 def zn_series(
     p: PhaseParams, nmax: int, ctx: Optional[PrecisionContext] = None
 ) -> List[ZnResult]:
     """Z_1..Z_nmax in one pass.
 
-    Uses the verified pivot sequence of the nmax x nmax moment matrix: the
-    pivots are the orthogonal-polynomial norms h_k, and tau_n = prod_{k<n} h_k
-    recovers every leading determinant from a single elimination.
+    Uses the verified norms h_k of the orthogonal polynomials of the moments,
+    computed by Chebyshev's algorithm in O(nmax^2) operations; tau_n =
+    prod_{k<n} h_k recovers every leading Hankel determinant from that single
+    pass.
     """
     if p.phase.is_critical:
         raise ParameterDomainError(
@@ -159,26 +179,11 @@ def zn_series(
         raise ParameterDomainError(f"nmax >= 1 required, got {nmax}")
     ctx = ctx or default_context(nmax)
     moments = phi_derivatives(p, 2 * nmax - 2, ctx)
-    pivots = _linalg.hankel_pivots(moments.values, nmax, ctx)
+    norms = _linalg.hankel_pivots(moments.values, nmax, ctx)
     w = weights_from_params(p, ctx)
-    out = []
     with ctx.guardprec():
         ab = to_mpf(w.a) * to_mpf(w.b)
-        log_ab = mp.log(ab)
-        tau = mp.mpf(1)
-        log_tau = mp.mpf(0)
-        log_sf = mp.mpf(0)  # log prod_{k<n} k!
-        for n in range(1, nmax + 1):
-            tau *= pivots[n - 1]
-            log_tau += mp.log(pivots[n - 1])
-            if n >= 2:
-                log_sf += mp.log(mp.mpf(math.factorial(n - 1)))
-            zn = ab ** (n * n) * tau / mp.exp(2 * log_sf)
-            log_zn = n * n * log_ab + log_tau - 2 * log_sf
-            out.append(
-                ZnResult(n, zn, log_zn, p.phase, (p.t, p.gamma), ctx.bits, True)
-            )
-    return out
+        return _zn_from_norms(ab, norms, p.phase, (p.t, p.gamma), ctx.bits)
 
 
 def toda_residual(

@@ -3,23 +3,23 @@ sequences, Meixner closed forms, and the partition functions on the two
 critical lines.
 
 h_k = D_{k+1}/D_k, the ratio of leading principal minors of the moment
-Hankel matrix, so prod_{k<n} h_k telescopes to tau_n.  The minors come out
-of the same unpivoted elimination that computes the determinant, and their
-positivity doubles as a sanity check on the precision.
+Hankel matrix, so prod_{k<n} h_k telescopes to tau_n.  The norms come from
+Chebyshev's algorithm on the moments, in O(n^2) operations and without
+forming the matrix, and their positivity doubles as a sanity check on the
+precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Tuple
 
 from mpmath import mp
 
 from . import _linalg
 from .errors import ParameterDomainError
-from .hankel import ZnResult, default_context
+from .hankel import ZnResult, _zn_from_norms, default_context
 from .model import Phase, PrecisionContext, to_mpf
 from .specfun import (
     MomentFamily,
@@ -117,34 +117,6 @@ def meixner_ratio(k: int, t, gamma, ctx: Optional[PrecisionContext] = None):
     return meixner_ratios(k, t, gamma, ctx)[k]
 
 
-@lru_cache(maxsize=None)
-def _superfactorial(n: int) -> int:
-    p = 1
-    for k in range(n):
-        p *= math.factorial(k)
-    return p
-
-
-def _zn_critical(
-    phase: Phase, n: int, alpha, ctx: Optional[PrecisionContext]
-) -> ZnResult:
-    ctx = ctx or default_context(n)
-    if phase is Phase.CRITICAL_FD:
-        moments = crit_fd_moments(2 * n - 2, alpha, ctx)
-    else:
-        moments = crit_afd_moments(2 * n - 2, alpha, ctx)
-    norms = norms_from_moments(moments, n, ctx)
-    with ctx.guardprec():
-        base = (1 + to_mpf(alpha)) / 2  # b/c at the critical point
-        sf = mp.mpf(_superfactorial(n))
-        prod_h = mp.mpf(1)
-        for v in norms.h:
-            prod_h *= v
-        zn = base ** (n * n) * prod_h / (sf * sf)
-        log_zn = n * n * mp.log(base) + mp.log(prod_h) - 2 * mp.log(sf)
-    return ZnResult(n, zn, log_zn, phase, (alpha,), ctx.bits, norms.verified)
-
-
 def zn_crit_fd(n: int, alpha, ctx: Optional[PrecisionContext] = None) -> ZnResult:
     """Partition function on the ferroelectric-disordered critical line at
     normalized weights a/c = (alpha-1)/2, b/c = (alpha+1)/2, alpha > 1:
@@ -156,9 +128,7 @@ def zn_crit_fd(n: int, alpha, ctx: Optional[PrecisionContext] = None) -> ZnResul
     """
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
-    if not alpha > 1:
-        raise ParameterDomainError(f"alpha > 1 required, got {alpha}")
-    return _zn_critical(Phase.CRITICAL_FD, n, alpha, ctx)
+    return zn_crit_series(Phase.CRITICAL_FD, n, alpha, ctx)[-1]
 
 
 def zn_crit_afd(n: int, alpha, ctx: Optional[PrecisionContext] = None) -> ZnResult:
@@ -172,9 +142,7 @@ def zn_crit_afd(n: int, alpha, ctx: Optional[PrecisionContext] = None) -> ZnResu
     """
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
-    if not -1 < alpha < 1:
-        raise ParameterDomainError(f"-1 < alpha < 1 required, got {alpha}")
-    return _zn_critical(Phase.CRITICAL_AFD, n, alpha, ctx)
+    return zn_crit_series(Phase.CRITICAL_AFD, n, alpha, ctx)[-1]
 
 
 def zn_crit_series(
@@ -196,19 +164,6 @@ def zn_crit_series(
     ctx = ctx or default_context(nmax)
     moments = moments_of(2 * nmax - 2, alpha, ctx)
     norms = norms_from_moments(moments, nmax, ctx)
-    out = []
     with ctx.guardprec():
-        base = (1 + to_mpf(alpha)) / 2
-        log_base = mp.log(base)
-        prod_h = mp.mpf(1)
-        log_h = mp.mpf(0)
-        log_sf = mp.mpf(0)
-        for n in range(1, nmax + 1):
-            prod_h *= norms.h[n - 1]
-            log_h += mp.log(norms.h[n - 1])
-            if n >= 2:
-                log_sf += mp.log(mp.mpf(math.factorial(n - 1)))
-            zn = base ** (n * n) * prod_h / mp.exp(2 * log_sf)
-            log_zn = n * n * log_base + log_h - 2 * log_sf
-            out.append(ZnResult(n, zn, log_zn, phase, (alpha,), ctx.bits, True))
-    return out
+        base = (1 + to_mpf(alpha)) / 2  # b/c at the critical point
+        return _zn_from_norms(base, norms.h, phase, (alpha,), ctx.bits)

@@ -1,5 +1,6 @@
 """Brute-force oracles kept independent of the library code paths they check:
-truncated series summation, adaptive quadrature, and central differences.
+truncated series summation, adaptive quadrature, central differences, and
+O(n^3) elimination on the Hankel moment matrix.
 
 Parameters are converted to mpf inside the stated working precision, so pass
 exact values (ints, Fractions, decimal strings)."""
@@ -55,3 +56,25 @@ def central_diff(f, x, h, bits=1024):
     with mp.workprec(bits):
         x, h = to_mpf(x), to_mpf(h)
         return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def elimination_pivots(moments, n):
+    """Pivots of unpivoted Gaussian elimination on the n x n Hankel matrix of
+    ``moments``: the leading-principal-minor ratios D_{k+1}/D_k.
+
+    Runs in the arithmetic of the moments (exact for Fractions, ambient
+    precision for mpf) and in O(n^3) operations.
+    """
+    a = [[moments[i + k] for k in range(n)] for i in range(n)]
+    pivots = []
+    for col in range(n):
+        p = a[col][col]
+        pivots.append(p)
+        for r in range(col + 1, n):
+            f = a[r][col] / p
+            if f == 0:
+                continue
+            row_r, row_c = a[r], a[col]
+            for k in range(col + 1, n):
+                row_r[k] -= f * row_c[k]
+    return pivots

@@ -1,11 +1,20 @@
 """Command-line surface: outputs, formats, and exit codes."""
 
+import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp
 
+import sixvertex
 from sixvertex import cli
 
 
@@ -213,3 +222,62 @@ def test_csv_rejected_for_scalar_command(capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("--t", ["compare", "--phase", "disordered", "--t", "abc", "--gamma", "1",
+                 "--nmax", "3"]),
+        ("--gamma", ["fit", "--phase", "ferro", "--t", "2", "--gamma", "1/0", "--nmax", "3"]),
+        ("--alpha", ["norms", "--phase", "critical-fd", "--alpha", "nan", "--n", "2"]),
+        ("--h", ["toda", "--phase", "disordered", "--t", "0.1", "--gamma", "1", "--n", "2",
+                 "--h", "1e-8x"]),
+    ],
+)
+def test_exit_code_non_numeric_value(capsys, flag, argv):
+    assert cli.run(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith(flag)
+
+
+def test_module_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(sixvertex.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sixvertex.cli", "exact", "--n", "3", "--a", "1",
+         "--b", "1", "--c", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["zn"] == "7"
+
+
+NUMERIC_FLAG_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.floats().map(str),
+    st.fractions(max_denominator=50).map(str),
+)
+
+
+@given(
+    command=st.sampled_from(["compare", "fit", "norms", "toda"]),
+    phase=st.sampled_from(sorted(cli._PHASE_FLAGS)),
+    size=st.integers(min_value=1, max_value=4),
+    first=NUMERIC_FLAG_TEXT,
+    second=NUMERIC_FLAG_TEXT,
+    h=NUMERIC_FLAG_TEXT,
+)
+def test_exit_code_for_any_numeric_flag_value(command, phase, size, first, second, h):
+    size_flag = "--nmax" if command in ("compare", "fit") else "--n"
+    argv = [command, "--phase", phase, size_flag, str(size)]
+    if phase.startswith("critical"):
+        argv.append(f"--alpha={first}")
+    else:
+        argv += [f"--t={first}", f"--gamma={second}"]
+    if command == "toda":
+        argv.append(f"--h={h}")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert "error" in json.loads(err.getvalue())

@@ -130,6 +130,17 @@ def test_precision_failure_raises_and_names_bits():
         sv.hankel_det(ms, 20, ctx)
 
 
+def test_precision_failure_on_norms_path():
+    ctx = sv.PrecisionContext(64)
+    with ctx.guardprec():
+        p = sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf("0.4"), gamma=mp.mpf("1.2"))
+    ms = sv.phi_derivatives(p, 38, ctx)
+    with pytest.raises(PrecisionFailureError, match="bits"):
+        sv.norms_from_moments(ms, 20, ctx)
+    with pytest.raises(PrecisionFailureError, match="bits"):
+        sv.zn_series(p, 20, ctx)
+
+
 def test_toda_residual_n1_small(disordered_pi3):
     # tau_2 = phi phi'' - phi'^2 exactly, so the n=1 residual is pure stencil error
     with CTX512.guardprec():

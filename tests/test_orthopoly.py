@@ -1,14 +1,18 @@
 """Orthogonal-polynomial norms, Meixner closed forms, critical-line Z_n."""
 
 import json
+from fractions import Fraction
+from math import factorial
 
 import pytest
 from mpmath import mp
 
 import sixvertex as sv
+from sixvertex import _linalg
 from sixvertex.errors import ParameterDomainError
 
 from conftest import CTX256, CTX512, rel_to
+from oracles import elimination_pivots
 
 TOL30 = mp.mpf("1e-30")
 
@@ -170,3 +174,59 @@ def test_critical_domain_rejections():
         sv.zn_crit_afd(2, 1)
     with pytest.raises(ParameterDomainError):
         sv.zn_crit_series(sv.Phase.DISORDERED, 3, 2, CTX256)
+
+
+def family_moments(family, kmax, ctx):
+    """mu_0..mu_kmax of one point in each of the five moment families."""
+    with ctx.guardprec():
+        if family == "disordered-t0":
+            # gamma = pi/3, t = 0: the odd moments vanish, so every alpha_k is 0
+            p = sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf(0), gamma=mp.pi / 3)
+            return sv.phi_derivatives(p, kmax, ctx)
+        if family == "disordered":
+            p = sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf("0.4"), gamma=mp.mpf("1.2"))
+            return sv.phi_derivatives(p, kmax, ctx)
+    if family == "ferro":
+        return sv.ferro_moments(kmax, 2, 1, ctx)
+    if family == "af":
+        return sv.af_moments(kmax, Fraction(3, 10), 1, ctx)
+    if family == "critical-fd":
+        return sv.crit_fd_moments(kmax, 3, ctx)
+    return sv.crit_afd_moments(kmax, Fraction(1, 4), ctx)
+
+
+@pytest.mark.parametrize("n", [8, 24, 48])
+@pytest.mark.parametrize(
+    "family", ["disordered-t0", "disordered", "ferro", "af", "critical-fd", "critical-afd"]
+)
+def test_norms_match_elimination_oracle(family, n):
+    ctx = sv.default_context(n)
+    ms = family_moments(family, 2 * n - 2, ctx)
+    norms = sv.norms_from_moments(ms, n, ctx)
+    with ctx.guardprec():
+        ref = elimination_pivots(ms.values, n)
+    tol = ctx.verify_tolerance()
+    for h, r in zip(norms.h, ref):
+        assert rel_to(h, r) < tol
+
+
+def crit_fd_exact_moments(alpha: Fraction, kmax: int):
+    """mu_k = k! (1 - r^-(k+1)), r = (alpha+1)/(alpha-1), as Fractions."""
+    r = (alpha + 1) / (alpha - 1)
+    return [factorial(k) * (1 - r ** -(k + 1)) for k in range(kmax + 1)]
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3), Fraction(3, 2), Fraction(11, 9)])
+def test_norms_exact_over_fractions(alpha):
+    nmax = 12
+    mus = crit_fd_exact_moments(alpha, 2 * nmax - 2)
+    exact = elimination_pivots(mus, nmax)
+    assert all(isinstance(h, Fraction) and h > 0 for h in exact)
+    for n in range(1, nmax + 1):
+        assert _linalg._forward_pivots(mus[: 2 * n - 1]) == exact[:n]
+    # the verified mpf norms agree with the exact minor ratios
+    norms = sv.norms_from_moments(sv.crit_fd_moments(2 * nmax - 2, alpha, CTX256), nmax, CTX256)
+    tol = CTX256.verify_tolerance()
+    with mp.workprec(4096):
+        for h, e in zip(norms.h, exact):
+            assert rel_to(h, sv.to_mpf(e)) < tol
