@@ -79,9 +79,12 @@ class RunConfig:
             )
 
     def context(self) -> PrecisionContext:
-        return PrecisionContext(self.bits)
+        """Precision of the run: the default policy at its size (nmax or n)."""
+        return hankel.default_context(self.nmax or self.n or 0, self.bits)
 
     def phase_params(self) -> PhaseParams:
+        """The phase parameters, parsed at the guard precision of the run so
+        that a long literal keeps every digit the run can resolve."""
         with self.context().guardprec():
             if self.phase.is_critical:
                 return PhaseParams(self.phase, alpha=_parse_real(self.alpha, "alpha"))
@@ -193,7 +196,7 @@ def cmd_exact(cfg: RunConfig, args) -> None:
 
 
 def _zn_log_series(cfg: RunConfig, params: PhaseParams, nmax: int):
-    ctx = PrecisionContext(max(cfg.bits, 24 * nmax))
+    ctx = cfg.context()
     if params.phase.is_critical:
         return orthopoly.zn_crit_series(params.phase, nmax, params.alpha, ctx), ctx
     return hankel.zn_series(params, nmax, ctx), ctx
@@ -237,7 +240,8 @@ def cmd_toda(cfg: RunConfig, args) -> None:
     params = cfg.phase_params()
     if params.phase.is_critical:
         raise ParameterDomainError("toda needs a bulk phase (t, gamma)")
-    ctx = cfg.context()
+    # exactly --bits: the residual shows a too-small --bits as exit 3
+    ctx = PrecisionContext(cfg.bits)
     with ctx.guardprec():
         step = _parse_real(cfg.h, "h")
     residual = hankel.toda_residual(params, cfg.n, step, ctx)
@@ -287,7 +291,7 @@ def cmd_fit(cfg: RunConfig, args) -> None:
 
 def cmd_norms(cfg: RunConfig, args) -> None:
     params = cfg.phase_params()
-    ctx = PrecisionContext(max(cfg.bits, 24 * cfg.n))
+    ctx = cfg.context()
     kmax = 2 * cfg.n - 2
     if params.phase is Phase.DISORDERED:
         moments = specfun.phi_derivatives(params, kmax, ctx)

@@ -22,13 +22,13 @@ from .model import Phase, PhaseParams, PrecisionContext, to_mpf, weights_from_pa
 from .specfun import MomentSequence, phi_derivatives
 
 
-def default_context(n: int) -> PrecisionContext:
-    """Starting precision policy for size-n determinants: max(256, 24 n) bits.
+def default_context(n: int, bits: int = 256) -> PrecisionContext:
+    """Starting precision policy for size-n determinants: max(bits, 24 n) bits.
 
     Empirical headroom for the severe ill-conditioning of these moment
     matrices; the two-precision verification pass is the safety net behind it.
     """
-    return PrecisionContext(max(256, 24 * n))
+    return PrecisionContext(max(bits, 24 * n))
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,27 @@ def test_compare_json_matches_csv(capsys):
         assert [obj[k] for k in header] == row
 
 
+ASM_COUNTS = [1, 2, 7, 42, 429, 7436, 218348, 10850216, 911835460, 129534272700]
+
+
+def test_compare_parses_parameters_at_run_precision(tmp_path):
+    # At t = 0, gamma = pi/3 all three weights are sqrt(3)/2, so
+    # Z_n = A_n (3/4)^(n^2/2).  nmax 48 runs at 1152 bits; gamma must be
+    # parsed at that run's guard precision, not at the 512 bits of --bits.
+    with mp.workdps(820):
+        pi3 = mp.nstr(mp.pi / 3, 800)
+    out = tmp_path / "compare.csv"
+    argv = ["compare", "--phase", "disordered", "--t", "0", "--gamma", pi3,
+            "--nmax", "48", "--format", "csv", "--out", str(out)]
+    assert cli.run(argv) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+    with mp.workprec(4096):
+        tol = mp.mpf(2) ** -(1152 // 2)
+        for n, count in enumerate(ASM_COUNTS, start=1):
+            ref = count * (mp.mpf(3) / 4) ** (mp.mpf(n * n) / 2)
+            assert abs(mp.mpf(rows[n - 1][1]) - ref) / ref < tol, n
+
+
 def test_fit_disordered(capsys):
     out = run_json(
         capsys,
