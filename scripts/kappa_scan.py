@@ -23,7 +23,7 @@ def main():
     args = ap.parse_args()
     args.out.parent.mkdir(parents=True, exist_ok=True)
 
-    ctx = sv.PrecisionContext(max(256, 24 * args.nmax))
+    ctx = sv.default_context(args.nmax)
     rows = []
     for i in range(1, args.points + 1):
         with ctx.guardprec():

@@ -2,81 +2,61 @@
 """Sweep exact Z_n against the asymptotic predictor in every phase that has
 one and write per-phase comparison tables.
 
-Produces CSV files with columns n, zn, log_zn, log_prediction, ratio; the
-ratio column should drift toward the unknown constant C (disordered,
-antiferroelectric, critical FE-D) or toward 1 (ferroelectric, whose constant
-is predicted).
+Each table is one `sixvertex compare --format csv` run, with columns n, zn,
+log_zn, log_prediction, ratio; the ratio column should drift toward the
+unknown constant C (disordered, antiferroelectric, critical FE-D) or toward 1
+(ferroelectric, whose constant is predicted).
 """
 
 import argparse
 import csv
 import pathlib
+import sys
 
 from mpmath import mp
 
 import sixvertex as sv
+from sixvertex import cli
 
+PI_OVER_3 = "pi/3"  # replaced by a decimal literal good to the run's guard bits
 
 SWEEPS = [
-    ("disordered", dict(t="0", gamma_expr="pi/3"), 40),
-    ("ferro", dict(t="2", gamma_expr="1"), 12),
-    ("af", dict(t="0.3", gamma_expr="1"), 30),
-    ("critical-fd", dict(alpha="3"), 30),
+    ("disordered", ["--t", "0", "--gamma", PI_OVER_3], 40),
+    ("ferro", ["--t", "2", "--gamma", "1"], 12),
+    ("af", ["--t", "0.3", "--gamma", "1"], 30),
+    ("critical-fd", ["--alpha", "3"], 30),
 ]
 
 
-def run_sweep(name, spec, nmax, outdir, bits):
-    ctx = sv.PrecisionContext(max(bits, 24 * nmax))
-    with ctx.guardprec():
-        gamma = None
-        if "gamma_expr" in spec:
-            gamma = mp.pi / 3 if spec["gamma_expr"] == "pi/3" else mp.mpf(spec["gamma_expr"])
-        if name == "disordered":
-            params = sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf(spec["t"]), gamma=gamma)
-            series = sv.zn_series(params, nmax, ctx)
-            predict = lambda n: sv.predict_disordered(params.t, params.gamma, n, ctx)
-        elif name == "ferro":
-            params = sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.mpf(spec["t"]), gamma=gamma)
-            series = sv.zn_series(params, nmax, ctx)
-            predict = lambda n: sv.predict_ferro(params.t, params.gamma, n, ctx)
-        elif name == "af":
-            params = sv.PhaseParams(sv.Phase.ANTIFERROELECTRIC, t=mp.mpf(spec["t"]), gamma=gamma)
-            series = sv.zn_series(params, nmax, ctx)
-            predict = lambda n: sv.predict_af(params.t, params.gamma, n, ctx)
-        else:
-            alpha = mp.mpf(spec["alpha"])
-            series = sv.zn_crit_series(sv.Phase.CRITICAL_FD, nmax, alpha, ctx)
-            predict = lambda n: sv.predict_crit_fd(alpha, n, ctx)
+def pi_over_3(bits):
+    """pi/3 as a decimal literal that parses back to pi/3 at ``bits`` bits."""
+    with mp.workprec(bits + 32):
+        return mp.nstr(mp.pi / 3, int(bits * 0.30103) + 10)
 
+
+def run_sweep(name, params, nmax, outdir, bits):
+    ctx = sv.default_context(nmax, bits)
+    params = [pi_over_3(ctx.guard_bits) if p == PI_OVER_3 else p for p in params]
     path = outdir / f"compare_{name}.csv"
-    with ctx.guardprec(), open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "zn", "log_zn", "log_prediction", "ratio"])
-        for res in series:
-            pred = predict(res.n)
-            ratio = mp.exp(res.log_zn - pred.log_prediction)
-            writer.writerow(
-                [
-                    res.n,
-                    mp.nstr(res.zn, ctx.dps),
-                    mp.nstr(res.log_zn, ctx.dps),
-                    mp.nstr(pred.log_prediction, ctx.dps),
-                    mp.nstr(ratio, ctx.dps),
-                ]
-            )
-        final = mp.exp(series[-1].log_zn - predict(nmax).log_prediction)
+    argv = ["compare", "--phase", name, *params, "--nmax", str(nmax), "--bits", str(bits),
+            "--format", "csv", "--out", str(path)]
+    code = cli.run(argv)
+    if code:
+        sys.exit(code)
+    with open(path, newline="") as fh:
+        final = list(csv.reader(fh))[-1][-1]
     print(f"{name:12s} nmax={nmax:3d} bits={ctx.bits:5d} "
-          f"final ratio={mp.nstr(final, 10)} -> {path}")
+          f"final ratio={mp.nstr(mp.mpf(final), 10)} -> {path}")
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="out", type=pathlib.Path)
     ap.add_argument("--bits", default=256, type=int)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
-    for name, spec, nmax in SWEEPS:
-        run_sweep(name, spec, nmax, args.outdir, args.bits)
+    for name, params, nmax in SWEEPS:
+        run_sweep(name, params, nmax, args.outdir, args.bits)
 
 
 if __name__ == "__main__":

@@ -19,10 +19,11 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from mpmath import mp
 
@@ -37,18 +38,63 @@ from .model import (
     to_mpf,
 )
 
-_PHASE_FLAGS = {
-    "disordered": Phase.DISORDERED,
-    "ferro": Phase.FERROELECTRIC,
-    "af": Phase.ANTIFERROELECTRIC,
-    "critical-fd": Phase.CRITICAL_FD,
-    "critical-afd": Phase.CRITICAL_AFD,
+
+@dataclass(frozen=True)
+class _PhaseEntry:
+    """Everything the CLI does differently per phase.  Each callable goes
+    through the module attribute, so a wrapper bound there sees the call."""
+
+    flag: str
+    moments: Callable  # (params, kmax, ctx): moments of the orthogonality weight
+    series: Callable  # (params, nmax, ctx): Z_1..Z_nmax
+    predict: Optional[Callable]  # (params, n, ctx): large-n law, if one is known
+    fits_kappa: bool  # the law has an n^kappa factor for fit to regress
+
+
+_PHASES = {
+    Phase.DISORDERED: _PhaseEntry(
+        "disordered",
+        lambda p, k, ctx: specfun.phi_derivatives(p, k, ctx),
+        lambda p, n, ctx: hankel.zn_series(p, n, ctx),
+        lambda p, n, ctx: asymptotics.predict_disordered(p.t, p.gamma, n, ctx),
+        fits_kappa=True,
+    ),
+    Phase.FERROELECTRIC: _PhaseEntry(
+        "ferro",
+        lambda p, k, ctx: specfun.ferro_moments(k, p.t, p.gamma, ctx),
+        lambda p, n, ctx: hankel.zn_series(p, n, ctx),
+        lambda p, n, ctx: asymptotics.predict_ferro(p.t, p.gamma, n, ctx),
+        fits_kappa=False,
+    ),
+    Phase.ANTIFERROELECTRIC: _PhaseEntry(
+        "af",
+        lambda p, k, ctx: specfun.af_moments(k, p.t, p.gamma, ctx),
+        lambda p, n, ctx: hankel.zn_series(p, n, ctx),
+        lambda p, n, ctx: asymptotics.predict_af(p.t, p.gamma, n, ctx),
+        fits_kappa=False,
+    ),
+    Phase.CRITICAL_FD: _PhaseEntry(
+        "critical-fd",
+        lambda p, k, ctx: specfun.crit_fd_moments(k, p.alpha, ctx),
+        lambda p, n, ctx: orthopoly.zn_crit_series(p.phase, n, p.alpha, ctx),
+        lambda p, n, ctx: asymptotics.predict_crit_fd(p.alpha, n, ctx),
+        fits_kappa=True,
+    ),
+    Phase.CRITICAL_AFD: _PhaseEntry(
+        "critical-afd",
+        lambda p, k, ctx: specfun.crit_afd_moments(k, p.alpha, ctx),
+        lambda p, n, ctx: orthopoly.zn_crit_series(p.phase, n, p.alpha, ctx),
+        None,
+        fits_kappa=False,
+    ),
 }
+
+_PHASE_FLAGS = {entry.flag: phase for phase, entry in _PHASES.items()}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated bundle of one CLI invocation."""
+    """Bundle of one CLI invocation."""
 
     command: str
     phase: Optional[Phase] = None
@@ -63,21 +109,6 @@ class RunConfig:
     fmt: str = "json"
     out: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.phase is None:
-            return
-        has_tg = self.t is not None and self.gamma is not None
-        has_alpha = self.alpha is not None
-        if self.phase.is_critical:
-            if not has_alpha or self.t is not None or self.gamma is not None:
-                raise ParameterDomainError(
-                    f"--phase {self.phase.value} takes --alpha only"
-                )
-        elif not has_tg or has_alpha:
-            raise ParameterDomainError(
-                f"--phase {self.phase.value} takes --t and --gamma (not --alpha)"
-            )
-
     def context(self) -> PrecisionContext:
         """Precision of the run: the default policy at its size (nmax or n)."""
         return hankel.default_context(self.nmax or self.n or 0, self.bits)
@@ -85,11 +116,10 @@ class RunConfig:
     def phase_params(self) -> PhaseParams:
         """The phase parameters, parsed at the guard precision of the run so
         that a long literal keeps every digit the run can resolve."""
+        given = {k: getattr(self, k) for k in ("t", "gamma", "alpha")}
         with self.context().guardprec():
-            if self.phase.is_critical:
-                return PhaseParams(self.phase, alpha=_parse_real(self.alpha, "alpha"))
             return PhaseParams(
-                self.phase, t=_parse_real(self.t, "t"), gamma=_parse_real(self.gamma, "gamma")
+                self.phase, **{k: _parse_real(s, k) for k, s in given.items() if s is not None}
             )
 
 
@@ -108,11 +138,20 @@ def _fraction_str(fr: Fraction, dps: int) -> str:
     if d == 1:
         k = max(twos, fives)
         digits = abs(fr.numerator) * 10**k // den
-        s = str(digits).rjust(k + 1, "0")
+        s = _exact_str(digits).rjust(k + 1, "0")
         sign = "-" if fr < 0 else ""
         return sign + (s[:-k] + "." + s[-k:] if k else s)
     with mp.workprec(int(dps * 3.33) + 16):
         return mp.nstr(to_mpf(fr), dps)
+
+
+def _exact_str(x) -> str:
+    """Decimal digits of an exact int or Fraction, which must not exceed the
+    interpreter's int -> str digit limit."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise ParameterDomainError(f"exact value too long to print: {exc}")
 
 
 def _nstr(x, ctx: PrecisionContext) -> str:
@@ -143,7 +182,18 @@ def _emit(cfg: RunConfig, obj=None, rows=None, fieldnames=None) -> None:
         sys.stdout.write(text)
 
 
+# Python's default limit on int <-> str conversion (sys.get_int_max_str_digits)
+_MAX_DIGITS = 4300
+
+
 def _parse_weight(s: str, name: str) -> Fraction:
+    """Exact rational of a decimal literal.  An exponent past the digit limit
+    is refused before Fraction builds that power of ten."""
+    exponent = re.search(r"[eE][-+]?0*(\d+(?:_\d+)*)\s*$", s)
+    if exponent and (len(exponent[1]) > 9 or int(exponent[1]) > _MAX_DIGITS):
+        raise ParameterDomainError(
+            f"--{name} exponent must not exceed {_MAX_DIGITS}, got {s!r}"
+        )
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -162,9 +212,7 @@ def _parse_real(s: str, name: str):
 
 
 def cmd_phase(cfg: RunConfig, args) -> None:
-    w = Weights(
-        _parse_weight(args.a, "a"), _parse_weight(args.b, "b"), _parse_weight(args.c, "c")
-    )
+    w = Weights(*(_parse_weight(getattr(args, k), k) for k in "abc"))
     ctx = cfg.context()
     res = classify(w, ctx)
     _emit(
@@ -181,48 +229,31 @@ def cmd_phase(cfg: RunConfig, args) -> None:
 
 
 def cmd_exact(cfg: RunConfig, args) -> None:
-    w = Weights(
-        _parse_weight(args.a, "a"), _parse_weight(args.b, "b"), _parse_weight(args.c, "c")
-    )
+    w = Weights(*(_parse_weight(getattr(args, k), k) for k in "abc"))
     if args.method == "transfer":
         z = lattice.transfer_matrix_zn(cfg.n, w, exact=True)
         count = None
     else:
         z, count = lattice.enumerate_dfs(cfg.n, w, exact=True)
-    obj = {"n": cfg.n, "method": args.method, "zn": str(z)}
+    obj = {"n": cfg.n, "method": args.method, "zn": _exact_str(z)}
     if count is not None:
         obj["count"] = count
     _emit(cfg, obj=obj)
 
 
-def _zn_log_series(cfg: RunConfig, params: PhaseParams, nmax: int):
-    ctx = cfg.context()
-    if params.phase.is_critical:
-        return orthopoly.zn_crit_series(params.phase, nmax, params.alpha, ctx), ctx
-    return hankel.zn_series(params, nmax, ctx), ctx
-
-
-def _predictor(params: PhaseParams, n: int, ctx: PrecisionContext):
-    if params.phase is Phase.DISORDERED:
-        return asymptotics.predict_disordered(params.t, params.gamma, n, ctx)
-    if params.phase is Phase.FERROELECTRIC:
-        return asymptotics.predict_ferro(params.t, params.gamma, n, ctx)
-    if params.phase is Phase.ANTIFERROELECTRIC:
-        return asymptotics.predict_af(params.t, params.gamma, n, ctx)
-    if params.phase is Phase.CRITICAL_FD:
-        return asymptotics.predict_crit_fd(params.alpha, n, ctx)
-    raise ParameterDomainError(
-        "no asymptotic predictor for critical-afd; use compare on a bulk phase"
-    )
-
-
 def cmd_compare(cfg: RunConfig, args) -> None:
     params = cfg.phase_params()
-    series, ctx = _zn_log_series(cfg, params, cfg.nmax)
+    entry = _PHASES[params.phase]
+    if entry.predict is None:
+        raise ParameterDomainError(
+            f"no asymptotic predictor for {params.phase.value}; use compare on a bulk phase"
+        )
+    ctx = cfg.context()
+    series = entry.series(params, cfg.nmax, ctx)
     rows = []
     with ctx.guardprec():
         for res in series:
-            pred = _predictor(params, res.n, ctx)
+            pred = entry.predict(params, res.n, ctx)
             ratio = mp.exp(res.log_zn - pred.log_prediction)
             rows.append(
                 [
@@ -261,7 +292,9 @@ def cmd_toda(cfg: RunConfig, args) -> None:
 
 def cmd_fit(cfg: RunConfig, args) -> None:
     params = cfg.phase_params()
-    series, ctx = _zn_log_series(cfg, params, cfg.nmax)
+    entry = _PHASES[params.phase]
+    ctx = cfg.context()
+    series = entry.series(params, cfg.nmax, ctx)
     pts = [(r.n, r.log_zn) for r in series]
     f_fit = asymptotics.fit_free_energy(pts, window=cfg.window)
     obj = {
@@ -272,8 +305,8 @@ def cmd_fit(cfg: RunConfig, args) -> None:
     }
     # kappa regression against log n applies where the predictor has n^kappa;
     # the theorem value of log F is used so the n^2 term cancels cleanly.
-    if params.phase in (Phase.DISORDERED, Phase.CRITICAL_FD):
-        pred = _predictor(params, cfg.nmax, ctx)
+    if entry.fits_kappa:
+        pred = entry.predict(params, cfg.nmax, ctx)
         with ctx.guardprec():
             log_f = mp.log(pred.f)
             log_g = mp.log(pred.g) if pred.g is not None else None
@@ -292,17 +325,7 @@ def cmd_fit(cfg: RunConfig, args) -> None:
 def cmd_norms(cfg: RunConfig, args) -> None:
     params = cfg.phase_params()
     ctx = cfg.context()
-    kmax = 2 * cfg.n - 2
-    if params.phase is Phase.DISORDERED:
-        moments = specfun.phi_derivatives(params, kmax, ctx)
-    elif params.phase is Phase.FERROELECTRIC:
-        moments = specfun.ferro_moments(kmax, params.t, params.gamma, ctx)
-    elif params.phase is Phase.ANTIFERROELECTRIC:
-        moments = specfun.af_moments(kmax, params.t, params.gamma, ctx)
-    elif params.phase is Phase.CRITICAL_FD:
-        moments = specfun.crit_fd_moments(kmax, params.alpha, ctx)
-    else:
-        moments = specfun.crit_afd_moments(kmax, params.alpha, ctx)
+    moments = _PHASES[params.phase].moments(params, 2 * cfg.n - 2, ctx)
     norms = orthopoly.norms_from_moments(moments, cfg.n, ctx)
     ratios = orthopoly.recurrence_r(norms)
     _emit(
@@ -387,27 +410,18 @@ _HANDLERS = {
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        given = vars(args)  # each subcommand defines only its own flags
         cfg = RunConfig(
             command=args.command,
-            phase=_PHASE_FLAGS.get(getattr(args, "phase", None)),
-            t=getattr(args, "t", None),
-            gamma=getattr(args, "gamma", None),
-            alpha=getattr(args, "alpha", None),
-            n=getattr(args, "n", None),
-            nmax=getattr(args, "nmax", None),
-            bits=args.bits,
-            h=getattr(args, "h", None),
-            window=getattr(args, "window", None),
+            phase=_PHASE_FLAGS.get(given.get("phase")),
             fmt=args.format,
-            out=args.out,
+            **{k: given.get(k) for k in ("t", "gamma", "alpha", "n", "nmax", "bits", "h",
+                                         "window", "out")},
         )
         _HANDLERS[args.command](cfg, args)
-    except ParameterDomainError as exc:
+    except (ParameterDomainError, PrecisionFailureError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except PrecisionFailureError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ParameterDomainError) else 3
     return 0
 
 

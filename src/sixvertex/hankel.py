@@ -37,16 +37,14 @@ class HankelResult:
     tau: object
     log_tau: object
     precision_used: int
-    verified: bool
 
     def to_json(self) -> dict:
-        dps = int(self.precision_used * 0.30103) + 2
+        dps = PrecisionContext(self.precision_used).dps
         return {
             "n": self.n,
             "tau": mp.nstr(self.tau, dps),
             "log_tau": mp.nstr(self.log_tau, dps),
             "precision_used": self.precision_used,
-            "verified": self.verified,
         }
 
 
@@ -60,11 +58,10 @@ class ZnResult:
     phase: Phase
     params: Tuple
     bits: int
-    verified: bool
     tau: Optional[HankelResult] = None
 
     def to_json(self) -> dict:
-        dps = int(self.bits * 0.30103) + 2
+        dps = PrecisionContext(self.bits).dps
         out = {
             "n": self.n,
             "zn": mp.nstr(self.zn, dps),
@@ -72,7 +69,6 @@ class ZnResult:
             "phase": self.phase.value,
             "params": [mp.nstr(to_mpf(p), dps) for p in self.params],
             "bits": self.bits,
-            "verified": self.verified,
         }
         if self.tau is not None:
             out["tau"] = self.tau.to_json()
@@ -107,7 +103,7 @@ def hankel_det(
         )
     with ctx.guardprec():
         log_tau = mp.log(tau)
-    return HankelResult(n, tau, log_tau, ctx.bits, True)
+    return HankelResult(n, tau, log_tau, ctx.bits)
 
 
 def zn_ik(
@@ -121,11 +117,6 @@ def zn_ik(
     ``moments`` may carry a precomputed phi-derivative sequence (order at
     least 2n-2) to share across a sweep in n.
     """
-    if p.phase.is_critical:
-        raise ParameterDomainError(
-            "Izergin-Korepin evaluation needs a bulk phase; "
-            "use the critical-line partition functions"
-        )
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
     ctx = ctx or default_context(n)
@@ -138,7 +129,7 @@ def zn_ik(
         denom = mp.mpf(_superfactorial_sq(n))
         zn = ab ** (n * n) * tau.tau / denom
         log_zn = n * n * mp.log(ab) + tau.log_tau - mp.log(denom)
-    return ZnResult(n, zn, log_zn, p.phase, (p.t, p.gamma), ctx.bits, tau.verified, tau)
+    return ZnResult(n, zn, log_zn, p.phase, (p.t, p.gamma), ctx.bits, tau)
 
 
 def _zn_from_norms(base, norms, phase: Phase, params: Tuple, bits: int) -> List[ZnResult]:
@@ -156,7 +147,7 @@ def _zn_from_norms(base, norms, phase: Phase, params: Tuple, bits: int) -> List[
         sf_sq = _superfactorial_sq(n)
         zn = base ** (n * n) * tau / sf_sq
         log_zn = n * n * log_base + log_tau - mp.log(sf_sq)
-        out.append(ZnResult(n, zn, log_zn, phase, params, bits, True))
+        out.append(ZnResult(n, zn, log_zn, phase, params, bits))
     return out
 
 
@@ -170,11 +161,6 @@ def zn_series(
     prod_{k<n} h_k recovers every leading Hankel determinant from that single
     pass.
     """
-    if p.phase.is_critical:
-        raise ParameterDomainError(
-            "Izergin-Korepin evaluation needs a bulk phase; "
-            "use the critical-line partition functions"
-        )
     if nmax < 1:
         raise ParameterDomainError(f"nmax >= 1 required, got {nmax}")
     ctx = ctx or default_context(nmax)

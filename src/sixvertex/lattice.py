@@ -17,6 +17,7 @@ Domain wall boundaries: top and bottom vertical edges point into the square
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
@@ -130,41 +131,55 @@ class VertexCounts:
         return sum(self.as_tuple())
 
 
-def _check_enum_guard(n: int) -> None:
+def _vertex_moves(last_column: bool, top_row: bool) -> dict:
+    """(left, bottom) -> [(right, top, weight class), ...] allowed by the ice
+    rule and, on the last column or the top row, by the domain wall; ordered
+    by right, then top."""
+    moves = {}
+    for (left, right, bottom, top), vt in sorted(_VERTEX_TYPE.items()):
+        if not (last_column and right != RIGHT or top_row and top != DOWN):
+            moves.setdefault((left, bottom), []).append((right, top, _WEIGHT_CLASS[vt]))
+    return moves
+
+
+_MOVES = {(col, row): _vertex_moves(col, row) for col in (False, True) for row in (False, True)}
+
+
+def _walk(n: int):
+    """Depth-first walk over all DWBC configurations, vertices in row-major
+    order.  Yields the live (h, v, tallies) at each configuration: the edge
+    lists as laid out in Configuration and the per-class tallies
+    [N_a, N_b, N_c].  The lists change as the walk goes on."""
     if not 1 <= n <= MAX_ENUM_N:
         raise ParameterDomainError(
             f"enumeration supports 1 <= n <= {MAX_ENUM_N} (got {n}); "
             "use the transfer matrix for larger n"
         )
+    h = [[LEFT] + [None] * n for _ in range(n)]
+    v = [[UP] * n] + [[None] * n for _ in range(n)]
+    tallies = [0, 0, 0]
+    cells = [(i, j, _MOVES[j == n - 1, i == n - 1]) for i in range(n) for j in range(n)]
+    last = n * n - 1
+
+    def rec(idx: int):
+        i, j, moves = cells[idx]
+        for right, top, cls in moves.get((h[i][j], v[i][j]), ()):
+            h[i][j + 1] = right
+            v[i + 1][j] = top
+            tallies[cls] += 1
+            if idx == last:
+                yield h, v, tallies
+            else:
+                yield from rec(idx + 1)
+            tallies[cls] -= 1
+
+    return rec(0)
 
 
 def enumerate_configurations(n: int) -> Iterator[Configuration]:
     """All DWBC configurations, DFS over vertices in row-major order."""
-    _check_enum_guard(n)
-    h = [[LEFT] + [None] * n for _ in range(n)]
-    v = [[UP] * n] + [[None] * n for _ in range(n)]
-
-    def rec(idx: int) -> Iterator[Configuration]:
-        if idx == n * n:
-            yield Configuration(
-                n, tuple(tuple(r) for r in h), tuple(tuple(r) for r in v)
-            )
-            return
-        i, j = divmod(idx, n)
-        left, bottom = h[i][j], v[i][j]
-        for right in (LEFT, RIGHT):
-            if j == n - 1 and right != RIGHT:
-                continue
-            for top in (DOWN, UP):
-                if i == n - 1 and top != DOWN:
-                    continue
-                if (left, right, bottom, top) not in _VERTEX_TYPE:
-                    continue
-                h[i][j + 1] = right
-                v[i + 1][j] = top
-                yield from rec(idx + 1)
-
-    yield from rec(0)
+    for h, v, _ in _walk(n):
+        yield Configuration(n, tuple(tuple(r) for r in h), tuple(tuple(r) for r in v))
 
 
 def _prepare_weights(w: Weights, exact: Optional[bool], ctx: PrecisionContext):
@@ -188,50 +203,16 @@ def enumerate_dfs(
     exact: Optional[bool] = None,
     ctx: Optional[PrecisionContext] = None,
 ):
-    """Z_n by explicit configuration enumeration.  Returns (Z_n, count)."""
-    _check_enum_guard(n)
+    """Z_n by explicit configuration enumeration.  Returns (Z_n, count).
+
+    The walk counts the configurations with each tally (N_a, N_b, N_c) in
+    integers; the weights are applied once per tally."""
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         a, b, c, zero = _prepare_weights(w, exact, ctx)
-        # DFS with incremental per-class tallies; weights applied at the leaves
-        # through precomputed power tables.
-        pow_a = [a**k for k in range(n * n + 1)]
-        pow_b = [b**k for k in range(n * n + 1)]
-        pow_c = [c**k for k in range(n * n + 1)]
-        h = [[LEFT] + [None] * n for _ in range(n)]
-        v = [[UP] * n] + [[None] * n for _ in range(n)]
-        total = zero
-        count = 0
-        tallies = [0, 0, 0]
-        get_class = _WEIGHT_CLASS
-        get_type = _VERTEX_TYPE.get
-
-        def rec(idx: int) -> None:
-            nonlocal total, count
-            if idx == n * n:
-                total += pow_a[tallies[0]] * pow_b[tallies[1]] * pow_c[tallies[2]]
-                count += 1
-                return
-            i, j = divmod(idx, n)
-            left, bottom = h[i][j], v[i][j]
-            for right in (LEFT, RIGHT):
-                if j == n - 1 and right != RIGHT:
-                    continue
-                for top in (DOWN, UP):
-                    if i == n - 1 and top != DOWN:
-                        continue
-                    vt = get_type((left, right, bottom, top))
-                    if vt is None:
-                        continue
-                    cls = get_class[vt]
-                    h[i][j + 1] = right
-                    v[i + 1][j] = top
-                    tallies[cls] += 1
-                    rec(idx + 1)
-                    tallies[cls] -= 1
-
-        rec(0)
-        return total, count
+        counts = Counter(tuple(t) for _, _, t in _walk(n))
+        total = sum((k * a**na * b**nb * c**nc for (na, nb, nc), k in counts.items()), zero)
+        return total, sum(counts.values())
 
 
 def transfer_matrix_zn(
@@ -254,10 +235,13 @@ def transfer_matrix_zn(
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         a, b, c, zero = _prepare_weights(w, exact, ctx)
-        value = {1: a, 2: a, 3: b, 4: b, 5: c, 6: c}
-        cell = {}  # (left, bottom) -> list of (right, top, weight)
-        for (l, r, bo, t), vt in _VERTEX_TYPE.items():
-            cell.setdefault((l, bo), []).append((r, t, value[vt]))
+        weight = (a, b, c)
+        # (left, bottom) -> [(right, top, weight)] in an inner and in the last column
+        cell_of = {
+            last: {key: [(r, t, weight[cls]) for r, t, cls in moves]
+                   for key, moves in _MOVES[last, False].items()}
+            for last in (False, True)
+        }
 
         one = Fraction(1) if isinstance(a, Fraction) else mp.mpf(1)
         frontier = {(1 << n) - 1: one}  # bottom boundary: all Up
@@ -266,11 +250,10 @@ def transfer_matrix_zn(
             for j in range(n):
                 nxt = {}
                 bit = 1 << j
+                cell = cell_of[j == n - 1]
                 for (mask, carry), wt in states.items():
                     bottom = UP if mask & bit else DOWN
                     for right, top, val in cell.get((carry, bottom), ()):
-                        if j == n - 1 and right != RIGHT:
-                            continue
                         nmask = mask | bit if top == UP else mask & ~bit
                         key = (nmask, right)
                         acc = nxt.get(key)
@@ -294,12 +277,9 @@ def vertex_counts(cfg: Configuration) -> VertexCounts:
 def configuration_weight(cfg: Configuration, w: Weights, ctx: Optional[PrecisionContext] = None):
     """Product of vertex weights of one configuration."""
     vc = vertex_counts(cfg)
-    if w.is_rational:
-        a, b, c = Fraction(w.a), Fraction(w.b), Fraction(w.c)
-        return a ** (vc.n1 + vc.n2) * b ** (vc.n3 + vc.n4) * c ** (vc.n5 + vc.n6)
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
-        a, b, c = w.as_mpf()
+        a, b, c, _ = _prepare_weights(w, None, ctx)
         return a ** (vc.n1 + vc.n2) * b ** (vc.n3 + vc.n4) * c ** (vc.n5 + vc.n6)
 
 

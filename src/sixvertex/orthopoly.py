@@ -39,7 +39,6 @@ class NormSequence:
     h: Tuple
     bits: int
     guard_bits: int
-    verified: bool
 
     def __len__(self) -> int:
         return len(self.h)
@@ -48,12 +47,11 @@ class NormSequence:
         return self.h[k]
 
     def to_json(self) -> dict:
-        dps = int(self.bits * 0.30103) + 2
+        dps = PrecisionContext(self.bits).dps
         return {
             "family": self.family.value,
             "params": [mp.nstr(to_mpf(p), dps) for p in self.params],
             "bits": self.bits,
-            "verified": self.verified,
             "h": [mp.nstr(v, dps) for v in self.h],
         }
 
@@ -67,9 +65,7 @@ def norms_from_moments(
         raise ParameterDomainError(f"n >= 1 required, got {n}")
     ctx = ctx or m.context()
     pivots = _linalg.hankel_pivots(m.values, n, ctx)
-    return NormSequence(
-        m.family, m.params, tuple(pivots), ctx.bits, ctx.guard_bits, True
-    )
+    return NormSequence(m.family, m.params, tuple(pivots), ctx.bits, ctx.guard_bits)
 
 
 def recurrence_r(ns: NormSequence) -> Tuple:
@@ -150,12 +146,8 @@ def zn_crit_series(
 ):
     """Z_1..Z_nmax on a critical line from a single norms pass."""
     if phase is Phase.CRITICAL_FD:
-        if not alpha > 1:
-            raise ParameterDomainError(f"alpha > 1 required, got {alpha}")
         moments_of = crit_fd_moments
     elif phase is Phase.CRITICAL_AFD:
-        if not -1 < alpha < 1:
-            raise ParameterDomainError(f"-1 < alpha < 1 required, got {alpha}")
         moments_of = crit_afd_moments
     else:
         raise ParameterDomainError(f"{phase.value} is not a critical line")

@@ -72,7 +72,7 @@ class MomentSequence:
         return PrecisionContext(self.bits, max(2, self.guard_bits // self.bits))
 
     def to_json(self) -> dict:
-        dps = int(self.bits * 0.30103) + 2
+        dps = self.context().dps
         return {
             "family": self.family.value,
             "params": [mp.nstr(to_mpf(p), dps) for p in self.params],
@@ -146,26 +146,18 @@ def phi_derivatives(
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         t, g = to_mpf(p.t), to_mpf(p.gamma)
-        values = []
+        ferro = p.phase is Phase.FERROELECTRIC
         if p.phase is Phase.DISORDERED:
-            xm, xp = mp.cot(g - t), mp.cot(g + t)
-            for k in range(kmax + 1):
-                c = _cot_poly(k)
-                v = _poly_eval(c, xp)
-                vm = _poly_eval(c, xm)
-                values.append(v + vm if k % 2 == 0 else v - vm)
-        elif p.phase is Phase.FERROELECTRIC:
-            xm, xp = mp.coth(t - g), mp.coth(t + g)
-            for k in range(kmax + 1):
-                c = _coth_poly(k)
-                values.append(_poly_eval(c, xm) - _poly_eval(c, xp))
+            poly, xm, xp = _cot_poly, mp.cot(g - t), mp.cot(g + t)
+        elif ferro:
+            poly, xm, xp = _coth_poly, mp.coth(t - g), mp.coth(t + g)
         else:
-            xm, xp = mp.coth(g - t), mp.coth(g + t)
-            for k in range(kmax + 1):
-                c = _coth_poly(k)
-                v = _poly_eval(c, xp)
-                vm = _poly_eval(c, xm)
-                values.append(v + vm if k % 2 == 0 else v - vm)
+            poly, xm, xp = _coth_poly, mp.coth(g - t), mp.coth(g + t)
+        values = []
+        for k in range(kmax + 1):
+            v, vm = _poly_eval(poly(k), xp), _poly_eval(poly(k), xm)
+            # each t-derivative of a function of gamma - t brings a factor -1
+            values.append(vm - v if ferro else v + vm if k % 2 == 0 else v - vm)
     return MomentSequence(
         _PHI_FAMILY[p.phase], (p.t, p.gamma), tuple(values), ctx.bits, ctx.guard_bits
     )
@@ -201,17 +193,12 @@ def polylog_neg(k: int, q, ctx: Optional[PrecisionContext] = None):
         raise ParameterDomainError(f"order k >= 0 required, got {k}")
     if not 0 < q < 1:
         raise ParameterDomainError(f"polylog_neg requires 0 < q < 1, got {q}")
-    if isinstance(q, Fraction):
-        if k == 0:
-            return q / (1 - q)
-        num = sum(a * q ** (j + 1) for j, a in enumerate(_eulerian_row(k)))
-        return num / (1 - q) ** (k + 1)
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
-        qq = to_mpf(q)
+        qq = q if isinstance(q, Fraction) else to_mpf(q)
         if k == 0:
             return qq / (1 - qq)
-        num = mp.mpf(0)
+        num = 0 * qq
         for a in reversed(_eulerian_row(k)):
             num = (num + a) * qq
         return num / (1 - qq) ** (k + 1)
@@ -272,44 +259,37 @@ def crit_afd_moment(k: int, alpha, ctx: Optional[PrecisionContext] = None):
         return mp.mpf(math.factorial(k)) * (1 + sign * r ** (-(k + 1)))
 
 
+def _moment_sequence(
+    family: MomentFamily, params: Tuple, moment, kmax: int, ctx: Optional[PrecisionContext]
+) -> MomentSequence:
+    """mu_0..mu_kmax of a closed-form family, mu_k = moment(k, *params, ctx)."""
+    ctx = ctx or DEFAULT_CONTEXT
+    vals = tuple(moment(k, *params, ctx) for k in range(kmax + 1))
+    return MomentSequence(family, params, vals, ctx.bits, ctx.guard_bits)
+
+
 def ferro_moments(
     kmax: int, t, gamma, ctx: Optional[PrecisionContext] = None
 ) -> MomentSequence:
-    ctx = ctx or DEFAULT_CONTEXT
-    vals = tuple(ferro_moment(k, t, gamma, ctx) for k in range(kmax + 1))
-    return MomentSequence(
-        MomentFamily.FERRO_DISCRETE, (t, gamma), vals, ctx.bits, ctx.guard_bits
-    )
+    return _moment_sequence(MomentFamily.FERRO_DISCRETE, (t, gamma), ferro_moment, kmax, ctx)
 
 
 def af_moments(
     kmax: int, t, gamma, ctx: Optional[PrecisionContext] = None
 ) -> MomentSequence:
-    ctx = ctx or DEFAULT_CONTEXT
-    vals = tuple(af_moment(k, t, gamma, ctx) for k in range(kmax + 1))
-    return MomentSequence(
-        MomentFamily.AF_DISCRETE, (t, gamma), vals, ctx.bits, ctx.guard_bits
-    )
+    return _moment_sequence(MomentFamily.AF_DISCRETE, (t, gamma), af_moment, kmax, ctx)
 
 
 def crit_fd_moments(
     kmax: int, alpha, ctx: Optional[PrecisionContext] = None
 ) -> MomentSequence:
-    ctx = ctx or DEFAULT_CONTEXT
-    vals = tuple(crit_fd_moment(k, alpha, ctx) for k in range(kmax + 1))
-    return MomentSequence(
-        MomentFamily.CRIT_FD, (alpha,), vals, ctx.bits, ctx.guard_bits
-    )
+    return _moment_sequence(MomentFamily.CRIT_FD, (alpha,), crit_fd_moment, kmax, ctx)
 
 
 def crit_afd_moments(
     kmax: int, alpha, ctx: Optional[PrecisionContext] = None
 ) -> MomentSequence:
-    ctx = ctx or DEFAULT_CONTEXT
-    vals = tuple(crit_afd_moment(k, alpha, ctx) for k in range(kmax + 1))
-    return MomentSequence(
-        MomentFamily.CRIT_AFD, (alpha,), vals, ctx.bits, ctx.guard_bits
-    )
+    return _moment_sequence(MomentFamily.CRIT_AFD, (alpha,), crit_afd_moment, kmax, ctx)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -333,24 +313,36 @@ def _check_nome(q) -> None:
 _THETA_MAX_TERMS = 10_000
 
 
+def _alternating_sum(s, k0: int, mag, wave, ctx: PrecisionContext, floor, running=False):
+    """s + sum_{k>=k0} (-1)^k mag(k) wave(k) at ambient precision, with mag(k)
+    the magnitude bound of term k, computed once.  Stops after term k once
+    mag(k+1) < 2^(-bits-8) max(floor, |s|), or with ``running`` once it is
+    below 2^(-bits-8) times the largest of floor and every partial |s|."""
+    thresh = mp.mpf(2) ** (-(ctx.bits + 8))
+    scale = floor
+    m = mag(k0)
+    for k in range(k0, _THETA_MAX_TERMS):
+        term = m * wave(k)
+        s += term if k % 2 == 0 else -term
+        scale = max(scale if running else floor, abs(s))
+        m = mag(k + 1)
+        if m < thresh * scale:
+            return s
+    raise PrecisionFailureError("theta series did not converge")  # pragma: no cover
+
+
 def theta1(z, q, ctx: Optional[PrecisionContext] = None):
     """theta_1(z) = 2 sum_{k>=0} (-1)^k q^((k+1/2)^2) sin((2k+1) z)."""
     _check_nome(q)
     ctx = ctx or DEFAULT_CONTEXT
     with mp.workprec(ctx.guard_bits + 32):
         zz, qq = to_mpf(z), to_mpf(q)
-        thresh = mp.mpf(2) ** (-(ctx.bits + 8))
-        scale = 2 * qq ** mp.mpf(0.25)
-        s = mp.mpf(0)
-        for k in range(_THETA_MAX_TERMS):
-            mag = 2 * qq ** (mp.mpf(2 * k + 1) ** 2 / 4)
-            term = mag * mp.sin((2 * k + 1) * zz)
-            s += term if k % 2 == 0 else -term
-            scale = max(scale, abs(s))
-            nxt = 2 * qq ** (mp.mpf(2 * k + 3) ** 2 / 4)
-            if nxt < thresh * scale:
-                return s
-    raise PrecisionFailureError("theta series did not converge")  # pragma: no cover
+        return _alternating_sum(
+            mp.mpf(0), 0,
+            lambda k: 2 * qq ** (mp.mpf(2 * k + 1) ** 2 / 4),
+            lambda k: mp.sin((2 * k + 1) * zz),
+            ctx, floor=2 * qq ** mp.mpf(0.25), running=True,
+        )
 
 
 def theta4(z, q, ctx: Optional[PrecisionContext] = None):
@@ -359,15 +351,12 @@ def theta4(z, q, ctx: Optional[PrecisionContext] = None):
     ctx = ctx or DEFAULT_CONTEXT
     with mp.workprec(ctx.guard_bits + 32):
         zz, qq = to_mpf(z), to_mpf(q)
-        thresh = mp.mpf(2) ** (-(ctx.bits + 8))
-        s = mp.mpf(1)
-        for k in range(1, _THETA_MAX_TERMS):
-            term = 2 * qq ** (k * k) * mp.cos(2 * k * zz)
-            s += term if k % 2 == 0 else -term
-            nxt = 2 * qq ** ((k + 1) * (k + 1))
-            if nxt < thresh * max(mp.mpf(1), abs(s)):
-                return s
-    raise PrecisionFailureError("theta series did not converge")  # pragma: no cover
+        return _alternating_sum(
+            mp.mpf(1), 1,
+            lambda k: 2 * qq ** (k * k),
+            lambda k: mp.cos(2 * k * zz),
+            ctx, floor=mp.mpf(1),
+        )
 
 
 def theta1_prime0(q, ctx: Optional[PrecisionContext] = None):
@@ -376,15 +365,12 @@ def theta1_prime0(q, ctx: Optional[PrecisionContext] = None):
     ctx = ctx or DEFAULT_CONTEXT
     with mp.workprec(ctx.guard_bits + 32):
         qq = to_mpf(q)
-        thresh = mp.mpf(2) ** (-(ctx.bits + 8))
-        s = mp.mpf(0)
-        for k in range(_THETA_MAX_TERMS):
-            term = 2 * (2 * k + 1) * qq ** (mp.mpf(2 * k + 1) ** 2 / 4)
-            s += term if k % 2 == 0 else -term
-            nxt = 2 * (2 * k + 3) * qq ** (mp.mpf(2 * k + 3) ** 2 / 4)
-            if nxt < thresh * abs(s):
-                return s
-    raise PrecisionFailureError("theta series did not converge")  # pragma: no cover
+        return _alternating_sum(
+            mp.mpf(0), 0,
+            lambda k: 2 * (2 * k + 1) * qq ** (mp.mpf(2 * k + 1) ** 2 / 4),
+            lambda k: 1,
+            ctx, floor=0,
+        )
 
 
 # ---------------------------------------------------------------------------

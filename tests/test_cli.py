@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -181,6 +181,13 @@ def test_fit_disordered(capsys):
         assert abs(got - mp.log(mp.mpf(9) / 8)) < mp.mpf("1e-2")
 
 
+def test_fit_critical_afd_reports_free_energy_only(capsys):
+    # no large-n law is known on the critical-afd line, so nothing to regress
+    out = run_json(capsys, ["fit", "--phase", "critical-afd", "--alpha", "0.2", "--nmax", "8"])
+    assert out["free_energy"]["target"] == "F"
+    assert "kappa" not in out and "predicted" not in out
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code = cli.run(
@@ -276,26 +283,38 @@ NUMERIC_FLAG_TEXT = st.one_of(
     st.text(max_size=12),
     st.floats().map(str),
     st.fractions(max_denominator=50).map(str),
+    st.integers(min_value=-6000, max_value=6000).map(lambda e: f"1e{e}"),
 )
 
 
 @given(
-    command=st.sampled_from(["compare", "fit", "norms", "toda"]),
+    command=st.sampled_from(["compare", "fit", "norms", "toda", "phase", "exact"]),
     phase=st.sampled_from(sorted(cli._PHASE_FLAGS)),
+    method=st.sampled_from(["dfs", "transfer"]),
     size=st.integers(min_value=1, max_value=4),
     first=NUMERIC_FLAG_TEXT,
     second=NUMERIC_FLAG_TEXT,
     h=NUMERIC_FLAG_TEXT,
 )
-def test_exit_code_for_any_numeric_flag_value(command, phase, size, first, second, h):
-    size_flag = "--nmax" if command in ("compare", "fit") else "--n"
-    argv = [command, "--phase", phase, size_flag, str(size)]
-    if phase.startswith("critical"):
-        argv.append(f"--alpha={first}")
+# weight literals whose digits pass Python's int -> str limit
+@example(command="phase", phase="af", method="dfs", size=1, first="1e5000", second="1", h="1")
+@example(command="phase", phase="af", method="dfs", size=1, first="1e300000", second="1", h="1")
+@example(command="exact", phase="af", method="transfer", size=4, first="1e400", second="1",
+         h="1")
+def test_exit_code_for_any_numeric_flag_value(command, phase, method, size, first, second, h):
+    if command in ("phase", "exact"):
+        argv = [command, f"--a={first}", f"--b={second}", f"--c={h}"]
+        if command == "exact":
+            argv += ["--n", str(size), "--method", method]
     else:
-        argv += [f"--t={first}", f"--gamma={second}"]
-    if command == "toda":
-        argv.append(f"--h={h}")
+        size_flag = "--nmax" if command in ("compare", "fit") else "--n"
+        argv = [command, "--phase", phase, size_flag, str(size)]
+        if phase.startswith("critical"):
+            argv.append(f"--alpha={first}")
+        else:
+            argv += [f"--t={first}", f"--gamma={second}"]
+        if command == "toda":
+            argv.append(f"--h={h}")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.run(argv)
