@@ -2,7 +2,6 @@
 scripts."""
 
 import csv
-import importlib
 import importlib.util
 import math
 import sys
