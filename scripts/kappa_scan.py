@@ -15,12 +15,12 @@ from mpmath import mp
 import sixvertex as sv
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--nmax", default=32, type=int)
     ap.add_argument("--points", default=9, type=int, help="gamma grid size")
     ap.add_argument("--out", default="out/kappa_scan.csv", type=pathlib.Path)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     args.out.parent.mkdir(parents=True, exist_ok=True)
 
     ctx = sv.default_context(args.nmax)

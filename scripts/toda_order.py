@@ -10,13 +10,13 @@ from mpmath import mp
 import sixvertex as sv
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--gamma", default="1.2")
     ap.add_argument("--t", default="0.4")
     ap.add_argument("--n", default=3, type=int)
     ap.add_argument("--bits", default=512, type=int)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     ctx = sv.PrecisionContext(args.bits)
     with ctx.guardprec():

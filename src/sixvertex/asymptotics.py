@@ -78,7 +78,7 @@ class FitResult:
 
 
 def predict_disordered(
-    t, gamma, n: int, ctx: Optional[PrecisionContext] = None, log_c=None
+    t, gamma, n: int, ctx: Optional[PrecisionContext] = None
 ) -> AsymptoticPrediction:
     """F = pi a b / (2 gamma cos(pi t / (2 gamma))),
     kappa = 1/12 - 2 gamma^2 / (3 pi (pi - 2 gamma))."""
@@ -90,12 +90,7 @@ def predict_disordered(
         f = mp.pi * a * b / (2 * g * mp.cos(mp.pi * tt / (2 * g)))
         kappa = mp.mpf(1) / 12 - 2 * g * g / (3 * mp.pi * (mp.pi - 2 * g))
         log_pred = n * n * mp.log(f) + kappa * mp.log(n)
-        if log_c is not None:
-            log_pred += to_mpf(log_c)
-        c = mp.exp(to_mpf(log_c)) if log_c is not None else None
-    return AsymptoticPrediction(
-        Phase.DISORDERED, n, f, log_pred, kappa=kappa, c=c
-    )
+    return AsymptoticPrediction(Phase.DISORDERED, n, f, log_pred, kappa=kappa)
 
 
 def _ferro_constant(g, bits: int):
@@ -134,7 +129,7 @@ def predict_ferro(
 
 
 def predict_crit_fd(
-    alpha, n: int, ctx: Optional[PrecisionContext] = None, log_c=None
+    alpha, n: int, ctx: Optional[PrecisionContext] = None
 ) -> AsymptoticPrediction:
     """kappa = 1/4, G = exp(-zeta(3/2) sqrt(a/pi)), F = b, with the critical
     point a = (alpha-1)/2, b = (alpha+1)/2."""
@@ -148,16 +143,13 @@ def predict_crit_fd(
         gg = mp.exp(-zeta_three_halves(ctx) * mp.sqrt(a / mp.pi))
         kappa = mp.mpf(1) / 4
         log_pred = n * n * mp.log(f) + mp.sqrt(n) * mp.log(gg) + kappa * mp.log(n)
-        if log_c is not None:
-            log_pred += to_mpf(log_c)
-        c = mp.exp(to_mpf(log_c)) if log_c is not None else None
     return AsymptoticPrediction(
-        Phase.CRITICAL_FD, n, f, log_pred, kappa=kappa, g=gg, g_mode="sqrt_n", c=c
+        Phase.CRITICAL_FD, n, f, log_pred, kappa=kappa, g=gg, g_mode="sqrt_n"
     )
 
 
 def predict_af(
-    t, gamma, n: int, ctx: Optional[PrecisionContext] = None, log_c=None
+    t, gamma, n: int, ctx: Optional[PrecisionContext] = None
 ) -> AsymptoticPrediction:
     """F = pi a b theta1'(0) / (2 gamma theta1(omega)) with nome
     q = e^(-pi^2 / (2 gamma)) and omega = (pi/2)(1 + t/gamma); the oscillating
@@ -172,12 +164,7 @@ def predict_af(
         f = mp.pi * a * b * theta1_prime0(q, ctx) / (2 * g * theta1(omega, q, ctx))
         tf = theta4(n * omega, q, ctx)
         log_pred = n * n * mp.log(f) + mp.log(tf)
-        if log_c is not None:
-            log_pred += to_mpf(log_c)
-        c = mp.exp(to_mpf(log_c)) if log_c is not None else None
-    return AsymptoticPrediction(
-        Phase.ANTIFERROELECTRIC, n, f, log_pred, c=c, theta_factor=tf
-    )
+    return AsymptoticPrediction(Phase.ANTIFERROELECTRIC, n, f, log_pred, theta_factor=tf)
 
 
 # ---------------------------------------------------------------------------

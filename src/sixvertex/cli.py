@@ -46,7 +46,6 @@ class _PhaseEntry:
 
     flag: str
     moments: Callable  # (params, kmax, ctx): moments of the orthogonality weight
-    series: Callable  # (params, nmax, ctx): Z_1..Z_nmax
     predict: Optional[Callable]  # (params, n, ctx): large-n law, if one is known
     fits_kappa: bool  # the law has an n^kappa factor for fit to regress
 
@@ -55,35 +54,30 @@ _PHASES = {
     Phase.DISORDERED: _PhaseEntry(
         "disordered",
         lambda p, k, ctx: specfun.phi_derivatives(p, k, ctx),
-        lambda p, n, ctx: hankel.zn_series(p, n, ctx),
         lambda p, n, ctx: asymptotics.predict_disordered(p.t, p.gamma, n, ctx),
         fits_kappa=True,
     ),
     Phase.FERROELECTRIC: _PhaseEntry(
         "ferro",
         lambda p, k, ctx: specfun.ferro_moments(k, p.t, p.gamma, ctx),
-        lambda p, n, ctx: hankel.zn_series(p, n, ctx),
         lambda p, n, ctx: asymptotics.predict_ferro(p.t, p.gamma, n, ctx),
         fits_kappa=False,
     ),
     Phase.ANTIFERROELECTRIC: _PhaseEntry(
         "af",
         lambda p, k, ctx: specfun.af_moments(k, p.t, p.gamma, ctx),
-        lambda p, n, ctx: hankel.zn_series(p, n, ctx),
         lambda p, n, ctx: asymptotics.predict_af(p.t, p.gamma, n, ctx),
         fits_kappa=False,
     ),
     Phase.CRITICAL_FD: _PhaseEntry(
         "critical-fd",
         lambda p, k, ctx: specfun.crit_fd_moments(k, p.alpha, ctx),
-        lambda p, n, ctx: orthopoly.zn_crit_series(p.phase, n, p.alpha, ctx),
         lambda p, n, ctx: asymptotics.predict_crit_fd(p.alpha, n, ctx),
         fits_kappa=True,
     ),
     Phase.CRITICAL_AFD: _PhaseEntry(
         "critical-afd",
         lambda p, k, ctx: specfun.crit_afd_moments(k, p.alpha, ctx),
-        lambda p, n, ctx: orthopoly.zn_crit_series(p.phase, n, p.alpha, ctx),
         None,
         fits_kappa=False,
     ),
@@ -92,35 +86,21 @@ _PHASES = {
 _PHASE_FLAGS = {entry.flag: phase for phase, entry in _PHASES.items()}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Bundle of one CLI invocation."""
+def _context(args) -> PrecisionContext:
+    """Precision of the run: the default policy at its size (nmax or n)."""
+    given = vars(args)  # each subcommand defines only its own flags
+    return hankel.default_context(given.get("nmax") or given.get("n") or 0, args.bits)
 
-    command: str
-    phase: Optional[Phase] = None
-    t: Optional[str] = None
-    gamma: Optional[str] = None
-    alpha: Optional[str] = None
-    n: Optional[int] = None
-    nmax: Optional[int] = None
-    bits: int = 256
-    h: Optional[str] = None
-    window: Optional[int] = None
-    fmt: str = "json"
-    out: Optional[str] = None
 
-    def context(self) -> PrecisionContext:
-        """Precision of the run: the default policy at its size (nmax or n)."""
-        return hankel.default_context(self.nmax or self.n or 0, self.bits)
-
-    def phase_params(self) -> PhaseParams:
-        """The phase parameters, parsed at the guard precision of the run so
-        that a long literal keeps every digit the run can resolve."""
-        given = {k: getattr(self, k) for k in ("t", "gamma", "alpha")}
-        with self.context().guardprec():
-            return PhaseParams(
-                self.phase, **{k: _parse_real(s, k) for k, s in given.items() if s is not None}
-            )
+def _phase_params(args) -> PhaseParams:
+    """The phase parameters, parsed at the guard precision of the run so
+    that a long literal keeps every digit the run can resolve."""
+    given = {k: getattr(args, k) for k in ("t", "gamma", "alpha")}
+    with _context(args).guardprec():
+        return PhaseParams(
+            _PHASE_FLAGS[args.phase],
+            **{k: _parse_real(s, k) for k, s in given.items() if s is not None},
+        )
 
 
 def _fraction_str(fr: Fraction, dps: int) -> str:
@@ -159,12 +139,12 @@ def _nstr(x, ctx: PrecisionContext) -> str:
         return mp.nstr(mp.mpf(x), ctx.dps)
 
 
-def _emit(cfg: RunConfig, obj=None, rows=None, fieldnames=None) -> None:
+def _emit(args, obj=None, rows=None, fieldnames=None) -> None:
     """Write the JSON object or the CSV table (rows of string cells)."""
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         if rows is None:
             raise ParameterDomainError(
-                f"command {cfg.command!r} has no tabular form; use --format json"
+                f"command {args.command!r} has no tabular form; use --format json"
             )
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -175,8 +155,8 @@ def _emit(cfg: RunConfig, obj=None, rows=None, fieldnames=None) -> None:
         if obj is None:
             obj = [dict(zip(fieldnames, r)) for r in rows]
         text = json.dumps(obj, indent=2) + "\n"
-    if cfg.out and cfg.out != "-":
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    if args.out and args.out != "-":
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -211,12 +191,12 @@ def _parse_real(s: str, name: str):
     return x
 
 
-def cmd_phase(cfg: RunConfig, args) -> None:
+def cmd_phase(args) -> None:
     w = Weights(*(_parse_weight(getattr(args, k), k) for k in "abc"))
-    ctx = cfg.context()
+    ctx = _context(args)
     res = classify(w, ctx)
     _emit(
-        cfg,
+        args,
         obj={
             "a": _fraction_str(Fraction(w.a), ctx.dps),
             "b": _fraction_str(Fraction(w.b), ctx.dps),
@@ -228,28 +208,28 @@ def cmd_phase(cfg: RunConfig, args) -> None:
     )
 
 
-def cmd_exact(cfg: RunConfig, args) -> None:
+def cmd_exact(args) -> None:
     w = Weights(*(_parse_weight(getattr(args, k), k) for k in "abc"))
     if args.method == "transfer":
-        z = lattice.transfer_matrix_zn(cfg.n, w, exact=True)
+        z = lattice.transfer_matrix_zn(args.n, w, exact=True)
         count = None
     else:
-        z, count = lattice.enumerate_dfs(cfg.n, w, exact=True)
-    obj = {"n": cfg.n, "method": args.method, "zn": _exact_str(z)}
+        z, count = lattice.enumerate_dfs(args.n, w, exact=True)
+    obj = {"n": args.n, "method": args.method, "zn": _exact_str(z)}
     if count is not None:
         obj["count"] = count
-    _emit(cfg, obj=obj)
+    _emit(args, obj=obj)
 
 
-def cmd_compare(cfg: RunConfig, args) -> None:
-    params = cfg.phase_params()
+def cmd_compare(args) -> None:
+    params = _phase_params(args)
     entry = _PHASES[params.phase]
     if entry.predict is None:
         raise ParameterDomainError(
             f"no asymptotic predictor for {params.phase.value}; use compare on a bulk phase"
         )
-    ctx = cfg.context()
-    series = entry.series(params, cfg.nmax, ctx)
+    ctx = _context(args)
+    series = hankel.zn_series(params, args.nmax, ctx)
     rows = []
     with ctx.guardprec():
         for res in series:
@@ -264,49 +244,49 @@ def cmd_compare(cfg: RunConfig, args) -> None:
                     _nstr(ratio, ctx),
                 ]
             )
-    _emit(cfg, rows=rows, fieldnames=["n", "zn", "log_zn", "log_prediction", "ratio"])
+    _emit(args, rows=rows, fieldnames=["n", "zn", "log_zn", "log_prediction", "ratio"])
 
 
-def cmd_toda(cfg: RunConfig, args) -> None:
-    params = cfg.phase_params()
+def cmd_toda(args) -> None:
+    params = _phase_params(args)
     if params.phase.is_critical:
         raise ParameterDomainError("toda needs a bulk phase (t, gamma)")
     # exactly --bits: the residual shows a too-small --bits as exit 3
-    ctx = PrecisionContext(cfg.bits)
+    ctx = PrecisionContext(args.bits)
     with ctx.guardprec():
-        step = _parse_real(cfg.h, "h")
-    residual = hankel.toda_residual(params, cfg.n, step, ctx)
+        step = _parse_real(args.h, "h")
+    residual = hankel.toda_residual(params, args.n, step, ctx)
     _emit(
-        cfg,
+        args,
         obj={
             "phase": params.phase.value,
-            "t": cfg.t,
-            "gamma": cfg.gamma,
-            "n": cfg.n,
-            "h": cfg.h,
-            "bits": cfg.bits,
+            "t": args.t,
+            "gamma": args.gamma,
+            "n": args.n,
+            "h": args.h,
+            "bits": args.bits,
             "residual": _nstr(residual, ctx),
         },
     )
 
 
-def cmd_fit(cfg: RunConfig, args) -> None:
-    params = cfg.phase_params()
+def cmd_fit(args) -> None:
+    params = _phase_params(args)
     entry = _PHASES[params.phase]
-    ctx = cfg.context()
-    series = entry.series(params, cfg.nmax, ctx)
+    ctx = _context(args)
+    series = hankel.zn_series(params, args.nmax, ctx)
     pts = [(r.n, r.log_zn) for r in series]
-    f_fit = asymptotics.fit_free_energy(pts, window=cfg.window)
+    f_fit = asymptotics.fit_free_energy(pts, window=args.window)
     obj = {
         "phase": params.phase.value,
-        "nmax": cfg.nmax,
+        "nmax": args.nmax,
         "bits": ctx.bits,
         "free_energy": f_fit.to_json(ctx.dps),
     }
     # kappa regression against log n applies where the predictor has n^kappa;
     # the theorem value of log F is used so the n^2 term cancels cleanly.
     if entry.fits_kappa:
-        pred = entry.predict(params, cfg.nmax, ctx)
+        pred = entry.predict(params, args.nmax, ctx)
         with ctx.guardprec():
             log_f = mp.log(pred.f)
             log_g = mp.log(pred.g) if pred.g is not None else None
@@ -315,25 +295,25 @@ def cmd_fit(cfg: RunConfig, args) -> None:
             log_f,
             log_g=log_g,
             g_mode=pred.g_mode or "n",
-            window=cfg.window,
+            window=args.window,
         )
         obj["kappa"] = k_fit.to_json(ctx.dps)
         obj["predicted"] = pred.to_json(ctx.dps)
-    _emit(cfg, obj=obj)
+    _emit(args, obj=obj)
 
 
-def cmd_norms(cfg: RunConfig, args) -> None:
-    params = cfg.phase_params()
-    ctx = cfg.context()
-    moments = _PHASES[params.phase].moments(params, 2 * cfg.n - 2, ctx)
-    norms = orthopoly.norms_from_moments(moments, cfg.n, ctx)
+def cmd_norms(args) -> None:
+    params = _phase_params(args)
+    ctx = _context(args)
+    moments = _PHASES[params.phase].moments(params, 2 * args.n - 2, ctx)
+    norms = orthopoly.norms_from_moments(moments, args.n, ctx)
     ratios = orthopoly.recurrence_r(norms)
     _emit(
-        cfg,
+        args,
         obj={
             "phase": params.phase.value,
             "family": norms.family.value,
-            "n": cfg.n,
+            "n": args.n,
             "bits": ctx.bits,
             "h": [_nstr(v, ctx) for v in norms.h],
             "r": [_nstr(v, ctx) for v in ratios],
@@ -410,15 +390,7 @@ _HANDLERS = {
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        given = vars(args)  # each subcommand defines only its own flags
-        cfg = RunConfig(
-            command=args.command,
-            phase=_PHASE_FLAGS.get(given.get("phase")),
-            fmt=args.format,
-            **{k: given.get(k) for k in ("t", "gamma", "alpha", "n", "nmax", "bits", "h",
-                                         "window", "out")},
-        )
-        _HANDLERS[args.command](cfg, args)
+        _HANDLERS[args.command](args)
     except (ParameterDomainError, PrecisionFailureError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2 if isinstance(exc, ParameterDomainError) else 3

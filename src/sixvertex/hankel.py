@@ -1,10 +1,12 @@
 """Hankel determinants of moment sequences, the Izergin-Korepin partition
-function, and the Toda-equation residual check.
+function, the Z_n series of all five phases, and the Toda-equation residual
+check.
 
 Z_n = (ab)^(n^2) tau_n / (prod_{k<n} k!)^2 with tau_n the n x n Hankel
-determinant of the derivatives of phi(t) = c/(ab).  tau_0 is defined as 1 so
-the Toda relation tau_n tau_n'' - (tau_n')^2 = tau_{n+1} tau_{n-1} is
-meaningful from n = 1.
+determinant of the derivatives of phi(t) = c/(ab); on the critical lines the
+moments are those of the critical weight and b/c replaces ab.  tau_0 is
+defined as 1 so the Toda relation tau_n tau_n'' - (tau_n')^2 = tau_{n+1}
+tau_{n-1} is meaningful from n = 1.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from mpmath import mp
 from . import _linalg
 from .errors import ParameterDomainError, PrecisionFailureError
 from .model import Phase, PhaseParams, PrecisionContext, to_mpf, weights_from_params
-from .specfun import MomentSequence, phi_derivatives
+from .specfun import MomentSequence, crit_afd_moments, crit_fd_moments, phi_derivatives
 
 
 def default_context(n: int, bits: int = 256) -> PrecisionContext:
@@ -132,44 +134,43 @@ def zn_ik(
     return ZnResult(n, zn, log_zn, p.phase, (p.t, p.gamma), ctx.bits, tau)
 
 
-def _zn_from_norms(base, norms, phase: Phase, params: Tuple, bits: int) -> List[ZnResult]:
-    """Z_n = base^(n^2) prod_{k<n} h_k / (prod_{k<n} k!)^2 for n = 1..len(norms),
-    at ambient precision, with the superfactorial divided out as an exact
-    integer.  ``base`` is ab in a bulk phase and (1+alpha)/2 on a critical
-    line; the norms must already be verified."""
-    out = []
-    log_base = mp.log(base)
-    tau = mp.mpf(1)
-    log_tau = mp.mpf(0)
-    for n, h in enumerate(norms, start=1):
-        tau *= h
-        log_tau += mp.log(h)
-        sf_sq = _superfactorial_sq(n)
-        zn = base ** (n * n) * tau / sf_sq
-        log_zn = n * n * log_base + log_tau - mp.log(sf_sq)
-        out.append(ZnResult(n, zn, log_zn, phase, params, bits))
-    return out
-
-
 def zn_series(
     p: PhaseParams, nmax: int, ctx: Optional[PrecisionContext] = None
 ) -> List[ZnResult]:
-    """Z_1..Z_nmax in one pass.
+    """Z_1..Z_nmax in one pass, in any of the five phases:
 
-    Uses the verified norms h_k of the orthogonal polynomials of the moments,
-    computed by Chebyshev's algorithm in O(nmax^2) operations; tau_n =
-    prod_{k<n} h_k recovers every leading Hankel determinant from that single
-    pass.
+        Z_n = base^(n^2) prod_{k<n} h_k / (prod_{k<n} k!)^2
+
+    with h_k the verified norms of the orthogonal polynomials of the phase's
+    moments, computed by Chebyshev's algorithm in O(nmax^2) operations.  In a
+    bulk phase the moments are the phi-derivatives and base = ab; on a
+    critical line they are the crit_fd/crit_afd moments and base = b/c =
+    (1+alpha)/2.  The superfactorial is divided out as an exact integer.
     """
     if nmax < 1:
         raise ParameterDomainError(f"nmax >= 1 required, got {nmax}")
     ctx = ctx or default_context(nmax)
-    moments = phi_derivatives(p, 2 * nmax - 2, ctx)
+    if p.phase.is_critical:
+        moments_of = crit_fd_moments if p.phase is Phase.CRITICAL_FD else crit_afd_moments
+        moments = moments_of(2 * nmax - 2, p.alpha, ctx)
+    else:
+        moments = phi_derivatives(p, 2 * nmax - 2, ctx)
+        w = weights_from_params(p, ctx)
     norms = _linalg.hankel_pivots(moments.values, nmax, ctx)
-    w = weights_from_params(p, ctx)
+    out = []
     with ctx.guardprec():
-        ab = to_mpf(w.a) * to_mpf(w.b)
-        return _zn_from_norms(ab, norms, p.phase, (p.t, p.gamma), ctx.bits)
+        base = (1 + to_mpf(p.alpha)) / 2 if p.phase.is_critical else w.a * w.b
+        log_base = mp.log(base)
+        tau = mp.mpf(1)
+        log_tau = mp.mpf(0)
+        for n, h in enumerate(norms, start=1):
+            tau *= h
+            log_tau += mp.log(h)
+            sf_sq = _superfactorial_sq(n)
+            zn = base ** (n * n) * tau / sf_sq
+            log_zn = n * n * log_base + log_tau - mp.log(sf_sq)
+            out.append(ZnResult(n, zn, log_zn, p.phase, moments.params, ctx.bits))
+    return out
 
 
 def toda_residual(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from mpmath import mp
 
@@ -230,10 +230,41 @@ class PhaseParams:
         return PhaseParams(self.phase, t=to_mpf(self.t) + dt, gamma=self.gamma)
 
 
+class BulkChart(NamedTuple):
+    """The (t, gamma) chart of one bulk phase:
+
+        a = s f(gamma - t),  b = f(gamma + t),  c = f(2 gamma)
+
+    with f = sin or sinh, x = f'/f = cot or coth obeying x' = sigma - x^2, and
+    s = -1 only on the ferroelectric (b > a + c) branch.  Then
+    phi = c/(ab) = s (x(gamma - t) + x(gamma + t)).
+    """
+
+    f: Callable
+    x: Callable
+    sigma: int
+    s: int
+
+
+_BULK_CHARTS = {
+    Phase.DISORDERED: BulkChart(mp.sin, mp.cot, -1, 1),
+    Phase.FERROELECTRIC: BulkChart(mp.sinh, mp.coth, 1, -1),
+    Phase.ANTIFERROELECTRIC: BulkChart(mp.sinh, mp.coth, 1, 1),
+}
+
+
+def bulk_chart(p: PhaseParams) -> BulkChart:
+    """The chart of p's bulk phase; the critical lines have none."""
+    if p.phase.is_critical:
+        raise ParameterDomainError(f"{p.phase.value} has no (t, gamma) weight chart")
+    return _BULK_CHARTS[p.phase]
+
+
 def weights_from_params(
     p: PhaseParams, ctx: Optional[PrecisionContext] = None
 ) -> Weights:
-    """Weights of the standard parameterization for the bulk phases.
+    """Weights of the standard parameterization for the bulk phases
+    (see ``BulkChart``):
 
     disordered          a = sin(gamma - t),  b = sin(gamma + t),  c = sin(2 gamma)
     ferroelectric       a = sinh(t - gamma), b = sinh(t + gamma), c = sinh(2 gamma)
@@ -242,19 +273,11 @@ def weights_from_params(
     The critical lines have no finite (t, gamma) chart; use the dedicated
     critical-line partition functions instead.
     """
-    if p.phase.is_critical:
-        raise ParameterDomainError(
-            f"{p.phase.value} has no (t, gamma) weight chart; "
-            "use the critical-line partition functions"
-        )
+    chart = bulk_chart(p)
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         t, g = to_mpf(p.t), to_mpf(p.gamma)
-        if p.phase is Phase.DISORDERED:
-            return Weights(mp.sin(g - t), mp.sin(g + t), mp.sin(2 * g))
-        if p.phase is Phase.FERROELECTRIC:
-            return Weights(mp.sinh(t - g), mp.sinh(t + g), mp.sinh(2 * g))
-        return Weights(mp.sinh(g - t), mp.sinh(g + t), mp.sinh(2 * g))
+        return Weights(chart.s * chart.f(g - t), chart.f(g + t), chart.f(2 * g))
 
 
 def normalize(w: Weights, ctx: Optional[PrecisionContext] = None):

@@ -1,6 +1,6 @@
 """Orthogonal-polynomial norms h_k and recurrence ratios from moment
 sequences, Meixner closed forms, and the partition functions on the two
-critical lines.
+critical lines (reads of ``hankel.zn_series``).
 
 h_k = D_{k+1}/D_k, the ratio of leading principal minors of the moment
 Hankel matrix, so prod_{k<n} h_k telescopes to tau_n.  The norms come from
@@ -19,13 +19,11 @@ from mpmath import mp
 
 from . import _linalg
 from .errors import ParameterDomainError
-from .hankel import ZnResult, _zn_from_norms, default_context
-from .model import Phase, PrecisionContext, to_mpf
+from .hankel import ZnResult, default_context, zn_series
+from .model import Phase, PhaseParams, PrecisionContext, to_mpf
 from .specfun import (
     MomentFamily,
     MomentSequence,
-    crit_afd_moments,
-    crit_fd_moments,
     ferro_moments,
 )
 
@@ -144,18 +142,5 @@ def zn_crit_afd(n: int, alpha, ctx: Optional[PrecisionContext] = None) -> ZnResu
 def zn_crit_series(
     phase: Phase, nmax: int, alpha, ctx: Optional[PrecisionContext] = None
 ):
-    """Z_1..Z_nmax on a critical line from a single norms pass."""
-    if phase is Phase.CRITICAL_FD:
-        moments_of = crit_fd_moments
-    elif phase is Phase.CRITICAL_AFD:
-        moments_of = crit_afd_moments
-    else:
-        raise ParameterDomainError(f"{phase.value} is not a critical line")
-    if nmax < 1:
-        raise ParameterDomainError(f"nmax >= 1 required, got {nmax}")
-    ctx = ctx or default_context(nmax)
-    moments = moments_of(2 * nmax - 2, alpha, ctx)
-    norms = norms_from_moments(moments, nmax, ctx)
-    with ctx.guardprec():
-        base = (1 + to_mpf(alpha)) / 2  # b/c at the critical point
-        return _zn_from_norms(base, norms.h, phase, (alpha,), ctx.bits)
+    """Z_1..Z_nmax on a critical line: ``zn_series`` of PhaseParams(phase, alpha=alpha)."""
+    return zn_series(PhaseParams(phase, alpha=alpha), nmax, ctx)

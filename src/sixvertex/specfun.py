@@ -2,10 +2,11 @@
 function phi, negative-order polylogarithms, Jacobi theta series, zeta(3/2),
 and closed-form moment sequences for all five weight families.
 
-Derivatives of phi are generated exactly through the decompositions
+Derivatives of phi are generated exactly through the decomposition
+phi = s (x(gamma - t) + x(gamma + t)) of the bulk chart (``model.BulkChart``):
 
     disordered          phi = cot(gamma - t)  + cot(gamma + t)
-    ferroelectric       phi = coth(t - gamma) - coth(t + gamma)
+    ferroelectric       phi = -coth(gamma - t) - coth(gamma + t)
     antiferroelectric   phi = coth(gamma - t) + coth(gamma + t)
 
 so the k-th derivative is an integer-coefficient polynomial in cot/coth of
@@ -24,7 +25,7 @@ from typing import Optional, Tuple
 from mpmath import mp
 
 from .errors import ParameterDomainError, PrecisionFailureError
-from .model import DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, to_mpf
+from .model import DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, bulk_chart, to_mpf
 
 
 class MomentFamily(str, Enum):
@@ -83,37 +84,21 @@ class MomentSequence:
 
 
 # ---------------------------------------------------------------------------
-# Integer-coefficient derivative polynomials for cot and coth.
-# p_0(x) = x and p_{k+1} = -(1 + x^2) p_k'   gives (d/du)^k cot u = p_k(cot u);
-# q_0(x) = x and q_{k+1} =  (1 - x^2) q_k'   gives (d/du)^k coth u = q_k(coth u).
+# Integer-coefficient derivative polynomials of x = cot or coth, which obey
+# x' = sigma - x^2 (sigma = -1 for cot, +1 for coth): r_0(x) = x and
+# r_{k+1} = (sigma - x^2) r_k' give (d/du)^k x(u) = r_k(x(u)).
 # Coefficient tuples are lowest-degree first.
 
 
-def _poly_diff(c: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple((i + 1) * c[i + 1] for i in range(len(c) - 1))
-
-
 @lru_cache(maxsize=None)
-def _cot_poly(k: int) -> Tuple[int, ...]:
+def _deriv_poly(k: int, sigma: int) -> Tuple[int, ...]:
     if k == 0:
         return (0, 1)
-    d = _poly_diff(_cot_poly(k - 1))
-    out = [0] * (len(d) + 2)
-    for i, ci in enumerate(d):
-        out[i] -= ci
-        out[i + 2] -= ci
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _coth_poly(k: int) -> Tuple[int, ...]:
-    if k == 0:
-        return (0, 1)
-    d = _poly_diff(_coth_poly(k - 1))
-    out = [0] * (len(d) + 2)
-    for i, ci in enumerate(d):
-        out[i] += ci
-        out[i + 2] -= ci
+    prev = _deriv_poly(k - 1, sigma)
+    out = [0] * (len(prev) + 1)
+    for i in range(1, len(prev)):
+        out[i - 1] += sigma * i * prev[i]
+        out[i + 1] -= i * prev[i]
     return tuple(out)
 
 
@@ -137,27 +122,19 @@ def phi_derivatives(
     These are precisely the moments of the (phase-dependent) measure whose
     Laplace transform is phi, so they feed the Hankel determinant directly.
     """
-    if p.phase.is_critical:
-        raise ParameterDomainError(
-            f"phi is defined on the bulk phases, not {p.phase.value}"
-        )
+    chart = bulk_chart(p)
     if kmax < 0:
         raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         t, g = to_mpf(p.t), to_mpf(p.gamma)
-        ferro = p.phase is Phase.FERROELECTRIC
-        if p.phase is Phase.DISORDERED:
-            poly, xm, xp = _cot_poly, mp.cot(g - t), mp.cot(g + t)
-        elif ferro:
-            poly, xm, xp = _coth_poly, mp.coth(t - g), mp.coth(t + g)
-        else:
-            poly, xm, xp = _coth_poly, mp.coth(g - t), mp.coth(g + t)
+        xm, xp = chart.x(g - t), chart.x(g + t)
         values = []
         for k in range(kmax + 1):
-            v, vm = _poly_eval(poly(k), xp), _poly_eval(poly(k), xm)
+            poly = _deriv_poly(k, chart.sigma)
+            v, vm = _poly_eval(poly, xp), _poly_eval(poly, xm)
             # each t-derivative of a function of gamma - t brings a factor -1
-            values.append(vm - v if ferro else v + vm if k % 2 == 0 else v - vm)
+            values.append(chart.s * (v + vm if k % 2 == 0 else v - vm))
     return MomentSequence(
         _PHI_FAMILY[p.phase], (p.t, p.gamma), tuple(values), ctx.bits, ctx.guard_bits
     )
@@ -376,8 +353,10 @@ def theta1_prime0(q, ctx: Optional[PrecisionContext] = None):
 # ---------------------------------------------------------------------------
 # zeta(3/2) through the alternating (eta) series with the Cohen / Rodriguez
 # Villegas / Zagier Chebyshev acceleration: error ~ (3 + sqrt 8)^(-terms).
+# Cached per context: every n of a critical-fd prediction needs the same value.
 
 
+@lru_cache(maxsize=None)
 def zeta_three_halves(ctx: Optional[PrecisionContext] = None):
     ctx = ctx or DEFAULT_CONTEXT
     with mp.workprec(ctx.guard_bits + 32):

@@ -165,6 +165,18 @@ def test_compare_parses_parameters_at_run_precision(tmp_path):
             assert abs(mp.mpf(rows[n - 1][1]) - ref) / ref < tol, n
 
 
+def test_compare_critical_fd_evaluates_zeta_once_per_precision(capsys):
+    # every n of the critical-fd law needs the same zeta(3/2)
+    zeta = sixvertex.specfun.zeta_three_halves
+    zeta.cache_clear()
+    assert cli.run(["compare", "--phase", "critical-fd", "--alpha", "3", "--nmax", "6"]) == 0
+    capsys.readouterr()
+    info = zeta.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    ctx = sixvertex.default_context(6)
+    assert zeta(ctx)._mpf_ == zeta.__wrapped__(ctx)._mpf_
+
+
 def test_fit_disordered(capsys):
     out = run_json(
         capsys,

@@ -1,6 +1,7 @@
 """Hankel determinants, the Izergin-Korepin formula, and the Toda check."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -94,6 +95,27 @@ def test_zn_result_json(ferro_21):
     with CTX256.guardprec():
         assert rel_to(mp.mpf(blob["zn"]), res.zn, prec=512) < mp.mpf("1e-70")
         assert rel_to(mp.mpf(blob["log_zn"]), res.log_zn, prec=512) < mp.mpf("1e-70")
+
+
+@pytest.mark.parametrize(
+    "phase,alpha",
+    [
+        (sv.Phase.CRITICAL_FD, Fraction(3)),
+        (sv.Phase.CRITICAL_FD, Fraction(7, 3)),
+        (sv.Phase.CRITICAL_AFD, Fraction(1, 3)),
+        (sv.Phase.CRITICAL_AFD, Fraction(-1, 2)),
+    ],
+)
+def test_zn_series_on_critical_lines_matches_transfer_matrix(phase, alpha):
+    # the weights (|alpha-1|/2, (1+alpha)/2, 1) lie on the critical line
+    w = sv.Weights(abs(alpha - 1) / 2, (1 + alpha) / 2, Fraction(1))
+    assert sv.classify_phase(w) is phase
+    series = sv.zn_series(sv.PhaseParams(phase, alpha=alpha), 8, CTX256)
+    assert [r.n for r in series] == list(range(1, 9))
+    for res in series:
+        with mp.workprec(4096):
+            exact = sv.to_mpf(sv.transfer_matrix_zn(res.n, w, exact=True))
+        assert rel_to(res.zn, exact) < CTX256.verify_tolerance(), res.n
 
 
 def test_zn_series_matches_zn_ik(af_031):

@@ -29,6 +29,27 @@ def test_phi_disordered_values():
         assert rel_to(sv.phi(p3, CTX512), 2 / mp.sqrt(3)) < TOL30
 
 
+@given(
+    phase=st.sampled_from(
+        [sv.Phase.DISORDERED, sv.Phase.FERROELECTRIC, sv.Phase.ANTIFERROELECTRIC]
+    ),
+    gamma=st.floats(min_value=0.01, max_value=1.5),
+    u=st.floats(min_value=-0.99, max_value=0.99),
+    bits=st.sampled_from([64, 256, 1024]),
+)
+def test_phi_is_c_over_ab_of_the_weight_chart(phase, gamma, u, bits):
+    ctx = sv.PrecisionContext(bits)
+    with ctx.guardprec():
+        g = mp.mpf(gamma)
+        # |t| < gamma, or gamma < t < 3 gamma on the ferroelectric branch
+        t = g * (2 + u) if phase is sv.Phase.FERROELECTRIC else g * u
+        p = sv.PhaseParams(phase, t=t, gamma=g)
+    w = sv.weights_from_params(p, ctx)
+    with ctx.guardprec():
+        ref = w.c / (w.a * w.b)
+    assert rel_to(sv.phi(p, ctx), ref) < ctx.verify_tolerance()
+
+
 def test_phi_ferro_value():
     with CTX512.guardprec():
         p = sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.mpf(2), gamma=mp.mpf(1))

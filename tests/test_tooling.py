@@ -91,3 +91,28 @@ def test_theorem_sweep_writes_four_tables(tmp_path, capsys):
             n = int(row[0])
             ref = asm_count(n) * (mp.mpf(3) / 4) ** (mp.mpf(n * n) / 2)
             assert abs(mp.mpf(row[1]) - ref) / ref < tol, n
+
+
+def test_kappa_scan_smoke(tmp_path, capsys):
+    scan = load_file(ROOT / "scripts" / "kappa_scan.py", "kappa_scan")
+    out = tmp_path / "kappa.csv"
+    scan.main(["--nmax", "8", "--points", "2", "--out", str(out)])
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["gamma", "kappa_formula", "kappa_fit", "error"]
+    # gamma = pi/6 and pi/3, where kappa = 1/18 and -5/36
+    assert [row[0][:8] for row in rows[1:]] == ["0.523598", "1.047197"]
+    for row, kappa in zip(rows[1:], (mp.mpf(1) / 18, mp.mpf(-5) / 36)):
+        assert abs(mp.mpf(row[1]) - kappa) < 1e-11
+        assert abs(mp.mpf(row[3])) < 0.01  # the fit at nmax 8 is rough
+
+
+def test_toda_order_smoke(capsys):
+    toda = load_file(ROOT / "scripts" / "toda_order.py", "toda_order")
+    toda.main(["--n", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["0.001", "0.0001"] + [f"1.0e-{k}" for k in range(5, 11)]
+    # central differences: the residual falls as h^2
+    assert all(abs(float(row[2]) - 2) < 0.05 for row in rows[1:])
