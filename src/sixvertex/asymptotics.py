@@ -15,6 +15,7 @@ The constants C are never predicted, only fitted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from mpmath import mp
@@ -85,12 +86,20 @@ def predict_disordered(
     PhaseParams(Phase.DISORDERED, t=t, gamma=gamma)
     ctx = ctx or default_context(n)
     with ctx.guardprec():
-        tt, g = to_mpf(t), to_mpf(gamma)
+        f, log_f, kappa = _disordered_law(to_mpf(t), to_mpf(gamma), ctx)
+        log_pred = n * n * log_f + kappa * mp.log(n)
+    return AsymptoticPrediction(Phase.DISORDERED, n, f, log_pred, kappa=kappa)
+
+
+@lru_cache(maxsize=None)
+def _disordered_law(tt, g, ctx: PrecisionContext):
+    """(F, log F, kappa) at the mpf point (tt, g).  None depends on n, so
+    they are computed once per (t, gamma, ctx) for a whole series."""
+    with ctx.guardprec():
         a, b = mp.sin(g - tt), mp.sin(g + tt)
         f = mp.pi * a * b / (2 * g * mp.cos(mp.pi * tt / (2 * g)))
         kappa = mp.mpf(1) / 12 - 2 * g * g / (3 * mp.pi * (mp.pi - 2 * g))
-        log_pred = n * n * mp.log(f) + kappa * mp.log(n)
-    return AsymptoticPrediction(Phase.DISORDERED, n, f, log_pred, kappa=kappa)
+        return f, mp.log(f), kappa
 
 
 def _ferro_constant(g, bits: int):
@@ -157,14 +166,23 @@ def predict_af(
     PhaseParams(Phase.ANTIFERROELECTRIC, t=t, gamma=gamma)
     ctx = ctx or default_context(n)
     with ctx.guardprec():
-        tt, g = to_mpf(t), to_mpf(gamma)
+        q, omega, f, log_f = _af_law(to_mpf(t), to_mpf(gamma), ctx)
+        tf = theta4(n * omega, q, ctx)
+        log_pred = n * n * log_f + mp.log(tf)
+    return AsymptoticPrediction(Phase.ANTIFERROELECTRIC, n, f, log_pred, theta_factor=tf)
+
+
+@lru_cache(maxsize=None)
+def _af_law(tt, g, ctx: PrecisionContext):
+    """(q, omega, F, log F) at the mpf point (tt, g).  None depends on n, so
+    the theta1 and theta1'(0) kernels run once per (t, gamma, ctx) for a
+    whole series."""
+    with ctx.guardprec():
         q = mp.exp(-mp.pi**2 / (2 * g))
         omega = mp.pi / 2 * (1 + tt / g)
         a, b = mp.sinh(g - tt), mp.sinh(g + tt)
         f = mp.pi * a * b * theta1_prime0(q, ctx) / (2 * g * theta1(omega, q, ctx))
-        tf = theta4(n * omega, q, ctx)
-        log_pred = n * n * mp.log(f) + mp.log(tf)
-    return AsymptoticPrediction(Phase.ANTIFERROELECTRIC, n, f, log_pred, theta_factor=tf)
+        return q, omega, f, mp.log(f)
 
 
 # ---------------------------------------------------------------------------

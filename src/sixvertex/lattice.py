@@ -2,6 +2,12 @@
 configuration enumeration (DFS) and a 2^n-state transfer-matrix dynamic
 program.  Rational weights give exact rational results.
 
+Every DWBC configuration has exactly n^2 vertices, so Z_n is homogeneous of
+degree n^2 in (a, b, c): Z_n(a, b, c) = Z_n(Da, Db, Dc) / D^(n^2).  In exact
+mode the weights are scaled by D, the lcm of their denominators, to the
+integers Da, Db, Dc; every sum and product then runs over Python ints, and
+the result is one Fraction division by D^(n^2).
+
 Edge encoding: horizontal arrows are 0=Left / 1=Right, vertical arrows are
 0=Down / 1=Up.  A vertex sees (left, right, bottom, top) incident edges; the
 ice rule demands exactly two arrows in and two out.  Type assignment:
@@ -20,9 +26,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional, Tuple
-
-from mpmath import mp
 
 from .errors import ParameterDomainError
 from .model import DEFAULT_CONTEXT, PrecisionContext, Weights
@@ -183,8 +188,9 @@ def enumerate_configurations(n: int) -> Iterator[Configuration]:
 
 
 def _prepare_weights(w: Weights, exact: Optional[bool], ctx: PrecisionContext):
-    """Weight values in the arithmetic picked by ``exact`` (None = rational
-    inputs decide)."""
+    """(a, b, c, d): the weights in the arithmetic picked by ``exact`` (None =
+    rational inputs decide).  Exact: the integers Da, Db, Dc and D, the lcm of
+    the three denominators; see _rescale.  Float: the mpf weights and None."""
     if exact is None:
         exact = w.is_rational
     if exact:
@@ -192,9 +198,17 @@ def _prepare_weights(w: Weights, exact: Optional[bool], ctx: PrecisionContext):
             raise ParameterDomainError(
                 "exact mode needs rational weights (int or Fraction)"
             )
-        return Fraction(w.a), Fraction(w.b), Fraction(w.c), Fraction(0)
-    a, b, c = w.as_mpf()
-    return a, b, c, mp.mpf(0)
+        fracs = [Fraction(x) for x in (w.a, w.b, w.c)]
+        d = lcm(*(x.denominator for x in fracs))
+        return (*(x.numerator * (d // x.denominator) for x in fracs), d)
+    return (*w.as_mpf(), None)
+
+
+def _rescale(total, d: Optional[int], n: int):
+    """A sum of products of n^2 weights from _prepare_weights on the scale of
+    the given weights: the Fraction total / D^(n^2) in lowest terms in exact
+    mode, the mpf total unchanged otherwise."""
+    return total if d is None else Fraction(total, d ** (n * n))
 
 
 def enumerate_dfs(
@@ -209,10 +223,10 @@ def enumerate_dfs(
     integers; the weights are applied once per tally."""
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
-        a, b, c, zero = _prepare_weights(w, exact, ctx)
+        a, b, c, d = _prepare_weights(w, exact, ctx)
         counts = Counter(tuple(t) for _, _, t in _walk(n))
-        total = sum((k * a**na * b**nb * c**nc for (na, nb, nc), k in counts.items()), zero)
-        return total, sum(counts.values())
+        total = sum(k * a**na * b**nb * c**nc for (na, nb, nc), k in counts.items())
+        return _rescale(total, d, n), sum(counts.values())
 
 
 def transfer_matrix_zn(
@@ -225,7 +239,10 @@ def transfer_matrix_zn(
 
     The frontier maps (vertical-edge bitmask, carried horizontal edge) to the
     accumulated weight; bit j set means the active vertical edge in column j
-    points Up.  Agrees exactly with enumerate_dfs in rational mode.
+    points Up.  In exact mode the weights are the integers Da, Db, Dc, so
+    every multiply-add is an int operation, and the final weight is divided
+    once by D^(n^2) into a Fraction in lowest terms.  Agrees exactly with
+    enumerate_dfs in rational mode.
     """
     if not 1 <= n <= MAX_TRANSFER_N:
         raise ParameterDomainError(
@@ -234,7 +251,7 @@ def transfer_matrix_zn(
         )
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
-        a, b, c, zero = _prepare_weights(w, exact, ctx)
+        a, b, c, d = _prepare_weights(w, exact, ctx)
         weight = (a, b, c)
         # (left, bottom) -> [(right, top, weight)] in an inner and in the last column
         cell_of = {
@@ -243,8 +260,7 @@ def transfer_matrix_zn(
             for last in (False, True)
         }
 
-        one = Fraction(1) if isinstance(a, Fraction) else mp.mpf(1)
-        frontier = {(1 << n) - 1: one}  # bottom boundary: all Up
+        frontier = {(1 << n) - 1: 1}  # bottom boundary: all Up
         for _ in range(n):
             states = {(mask, LEFT): wt for mask, wt in frontier.items()}
             for j in range(n):
@@ -260,7 +276,7 @@ def transfer_matrix_zn(
                         nxt[key] = wt * val if acc is None else acc + wt * val
                 states = nxt
             frontier = {mask: wt for (mask, carry), wt in states.items()}
-        return frontier.get(0, zero)  # top boundary: all Down
+        return _rescale(frontier[0], d, n)  # top boundary: all Down
 
 
 def vertex_counts(cfg: Configuration) -> VertexCounts:
@@ -279,8 +295,9 @@ def configuration_weight(cfg: Configuration, w: Weights, ctx: Optional[Precision
     vc = vertex_counts(cfg)
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
-        a, b, c, _ = _prepare_weights(w, None, ctx)
-        return a ** (vc.n1 + vc.n2) * b ** (vc.n3 + vc.n4) * c ** (vc.n5 + vc.n6)
+        a, b, c, d = _prepare_weights(w, None, ctx)
+        weight = a ** (vc.n1 + vc.n2) * b ** (vc.n3 + vc.n4) * c ** (vc.n5 + vc.n6)
+        return _rescale(weight, d, cfg.n)
 
 
 def gibbs_probability(

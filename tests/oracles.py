@@ -1,9 +1,13 @@
 """Brute-force oracles kept independent of the library code paths they check:
-truncated series summation, adaptive quadrature, central differences, and
-O(n^3) elimination on the Hankel moment matrix.
+truncated series summation, adaptive quadrature, central differences,
+O(n^3) elimination on the Hankel moment matrix, closed-form exact moments of
+the critical lines, and the ASM count.
 
 Parameters are converted to mpf inside the stated working precision, so pass
 exact values (ints, Fractions, decimal strings)."""
+
+from fractions import Fraction
+from math import factorial
 
 from mpmath import mp
 
@@ -78,3 +82,25 @@ def elimination_pivots(moments, n):
             for k in range(col + 1, n):
                 row_r[k] -= f * row_c[k]
     return pivots
+
+
+def crit_fd_exact_moments(alpha: Fraction, kmax: int):
+    """mu_k = k! (1 - r^-(k+1)), r = (alpha+1)/(alpha-1), as Fractions."""
+    r = (alpha + 1) / (alpha - 1)
+    return [factorial(k) * (1 - r ** -(k + 1)) for k in range(kmax + 1)]
+
+
+def crit_afd_exact_moments(alpha: Fraction, kmax: int):
+    """mu_k = k! (1 + (-1)^k r^-(k+1)), r = (1+alpha)/(1-alpha), as Fractions:
+    int_0^inf x^k e^-x dx plus int_-inf^0 x^k e^(rx) dx."""
+    r = (1 + alpha) / (1 - alpha)
+    return [factorial(k) * (1 + (-1) ** k * r ** -(k + 1)) for k in range(kmax + 1)]
+
+
+def asm_count(n: int) -> int:
+    """A_n = prod_{k<n} (3k+1)! / (n+k)!, the number of n x n ASMs."""
+    num = den = 1
+    for k in range(n):
+        num *= factorial(3 * k + 1)
+        den *= factorial(n + k)
+    return num // den

@@ -2,16 +2,18 @@
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
 import sixvertex as sv
-from sixvertex.lattice import DOWN, LEFT, RIGHT, UP
+from sixvertex.lattice import DOWN, LEFT, RIGHT, UP, configuration_weight
 from sixvertex.errors import ParameterDomainError
 
 from conftest import rational_weights
+from oracles import asm_count
 
 
 def test_vertex_type_examples():
@@ -161,3 +163,57 @@ def test_reflection_symmetry_n5():
     w1 = rational_weights(2, 3, 5)
     w2 = rational_weights(3, 2, 5)
     assert sv.transfer_matrix_zn(5, w1) == sv.transfer_matrix_zn(5, w2)
+
+
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(2, 3)])
+def test_transfer_matrix_ice_point_is_asm_count(a):
+    # a = b = c: every configuration weighs a^(n^2), and there are A_n of them
+    for n in range(1, 14):
+        assert sv.transfer_matrix_zn(n, sv.Weights(a, a, a), exact=True) == asm_count(n) * a ** (n * n)
+
+
+@pytest.mark.parametrize("a, b", [(Fraction(3, 5), Fraction(4, 5)), (Fraction(20, 29), Fraction(21, 29))])
+def test_transfer_matrix_free_fermion_is_one(a, b):
+    # a^2 + b^2 = c^2 = 1: Z_n = c^(n^2) = 1
+    for n in range(1, 13):
+        assert sv.transfer_matrix_zn(n, sv.Weights(a, b, Fraction(1)), exact=True) == 1
+
+
+fractions_to_1e6 = st.builds(
+    Fraction, st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6)
+)
+
+
+@settings(max_examples=10)
+@given(st.tuples(fractions_to_1e6, fractions_to_1e6, fractions_to_1e6), st.sampled_from([5, 6]))
+@example((Fraction(1, 999983), Fraction(2, 999979), Fraction(3, 999961)), 6)
+def test_dfs_equals_transfer_matrix_coprime_denominators(tr, n):
+    # the DP scales by D = lcm of the denominators, here up to about 10^18
+    d1, d2, d3 = (x.denominator for x in tr)
+    assume(gcd(d1, d2) == gcd(d2, d3) == gcd(d1, d3) == 1)
+    w = sv.Weights(*tr)
+    assert sv.enumerate_dfs(n, w)[0] == sv.transfer_matrix_zn(n, w)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        sv.Weights(2, 3, 5),
+        sv.Weights(2, Fraction(1, 2), 3),
+        sv.Weights(Fraction(6, 4), Fraction(10, 15), Fraction(9, 6)),
+    ],
+)
+def test_exact_results_are_fractions_in_lowest_terms(w):
+    # a configuration with all three weight classes: N_a = 2, N_b = 4, N_c = 3
+    cfg = next(c for c in sv.enumerate_configurations(3) if sv.vertex_counts(c).n1 == 1)
+    values = [
+        sv.transfer_matrix_zn(3, w),
+        sv.enumerate_dfs(3, w)[0],
+        configuration_weight(cfg, w),
+        sv.gibbs_probability(cfg, w),
+    ]
+    for z in values:
+        assert type(z) is Fraction
+        assert z.denominator > 0 and gcd(z.numerator, z.denominator) == 1
+    a, b, c = (Fraction(x) for x in (w.a, w.b, w.c))
+    assert values[2] == a**2 * b**4 * c**3

@@ -12,7 +12,7 @@ from sixvertex import _linalg
 from sixvertex.errors import ParameterDomainError
 
 from conftest import CTX256, CTX512, rel_to
-from oracles import elimination_pivots
+from oracles import crit_afd_exact_moments, crit_fd_exact_moments, elimination_pivots
 
 TOL30 = mp.mpf("1e-30")
 
@@ -210,12 +210,6 @@ def test_norms_match_elimination_oracle(family, n):
         assert rel_to(h, r) < tol
 
 
-def crit_fd_exact_moments(alpha: Fraction, kmax: int):
-    """mu_k = k! (1 - r^-(k+1)), r = (alpha+1)/(alpha-1), as Fractions."""
-    r = (alpha + 1) / (alpha - 1)
-    return [factorial(k) * (1 - r ** -(k + 1)) for k in range(kmax + 1)]
-
-
 @pytest.mark.parametrize("alpha", [Fraction(3), Fraction(3, 2), Fraction(11, 9)])
 def test_norms_exact_over_fractions(alpha):
     nmax = 12
@@ -230,3 +224,26 @@ def test_norms_exact_over_fractions(alpha):
     with mp.workprec(4096):
         for h, e in zip(norms.h, exact):
             assert rel_to(h, sv.to_mpf(e)) < tol
+
+
+@pytest.mark.parametrize(
+    "moments_of, alpha",
+    [
+        (crit_fd_exact_moments, Fraction(3)),
+        (crit_fd_exact_moments, Fraction(7, 3)),
+        (crit_afd_exact_moments, Fraction(1, 3)),
+        (crit_afd_exact_moments, Fraction(-1, 2)),
+    ],
+)
+def test_exact_norms_give_lattice_zn_on_critical_lines(moments_of, alpha):
+    # Z_n = ((1+alpha)/2)^(n^2) prod h_k / (prod k!)^2 over Fractions is the
+    # exact lattice Z_n at (|alpha-1|/2, (1+alpha)/2, 1), both sides exact
+    nmax = 12
+    norms = _linalg._forward_pivots(moments_of(alpha, 2 * nmax - 2))
+    w = sv.Weights(abs(alpha - 1) / 2, (1 + alpha) / 2, Fraction(1))
+    tau, superfactorial = Fraction(1), 1
+    for n in range(1, nmax + 1):
+        tau *= norms[n - 1]
+        superfactorial *= factorial(n - 1)
+        zn = ((1 + alpha) / 2) ** (n * n) * tau / superfactorial**2
+        assert zn == sv.transfer_matrix_zn(n, w, exact=True), n

@@ -3,14 +3,17 @@ scripts."""
 
 import csv
 import importlib.util
-import math
+import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from mpmath import mp
 
-from sixvertex import cli
+from sixvertex import Weights, cli, transfer_matrix_zn
+
+from oracles import asm_count
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def load_file(path: Path, name: str):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
@@ -61,13 +65,24 @@ def test_traced_compare_reaches_every_layer(tracer, capsys, params):
         assert tracer.counts[counter] > 0, counter
 
 
-def asm_count(n: int) -> int:
-    """A_n = prod_{k<n} (3k+1)! / (n+k)!, the number of n x n ASMs."""
-    num = den = 1
-    for k in range(n):
-        num *= math.factorial(3 * k + 1)
-        den *= math.factorial(n + k)
-    return num // den
+def test_exact_lattice_jobs_through_cli(capsys):
+    # the exact jobs of the benchmark's exact-lattice workload, probes included
+    workloads = load_file(ROOT / "perfbench" / "workloads.py", "perfbench_workloads")
+    jobs = [job for job in workloads.build("exact-lattice", 1) if job.command == "exact"]
+    assert {job.method for job in jobs} == {"transfer", "dfs"}
+    for job in jobs:
+        assert cli.run(job.argv) == 0, job.argv
+        out = json.loads(capsys.readouterr().out)
+        n, zn = job.size, Fraction(out["zn"])
+        a, b, c = (Fraction(x) for x in job.weights)
+        if job.method == "dfs":
+            assert out["count"] == asm_count(n)
+            assert zn == transfer_matrix_zn(n, Weights(a, b, c), exact=True), job.argv
+        elif a == b == c:
+            assert zn == asm_count(n) * a ** (n * n), job.argv
+        else:
+            assert a * a + b * b == c * c  # free-fermion point
+            assert zn == c ** (n * n), job.argv
 
 
 def test_theorem_sweep_writes_four_tables(tmp_path, capsys):
