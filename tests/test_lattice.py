@@ -168,11 +168,14 @@ def test_reflection_symmetry_n5():
 @pytest.mark.parametrize("a", [Fraction(1), Fraction(2, 3)])
 def test_transfer_matrix_ice_point_is_asm_count(a):
     # a = b = c: every configuration weighs a^(n^2), and there are A_n of them
+    w = sv.Weights(a, a, a)
     for n in range(1, 14):
-        assert sv.transfer_matrix_zn(n, sv.Weights(a, a, a), exact=True) == asm_count(n) * a ** (n * n)
+        assert sv.transfer_matrix_zn(n, w, exact=True) == asm_count(n) * a ** (n * n)
 
 
-@pytest.mark.parametrize("a, b", [(Fraction(3, 5), Fraction(4, 5)), (Fraction(20, 29), Fraction(21, 29))])
+@pytest.mark.parametrize(
+    "a, b", [(Fraction(3, 5), Fraction(4, 5)), (Fraction(20, 29), Fraction(21, 29))]
+)
 def test_transfer_matrix_free_fermion_is_one(a, b):
     # a^2 + b^2 = c^2 = 1: Z_n = c^(n^2) = 1
     for n in range(1, 13):
