@@ -18,7 +18,7 @@ from mpmath import mp
 import sixvertex as sv
 from sixvertex import cli
 
-PI_OVER_3 = "pi/3"  # replaced by a decimal literal good to the run's guard bits
+PI_OVER_3 = "pi/3"  # replaced by a decimal literal good to every rung's guard bits
 
 SWEEPS = [
     ("disordered", ["--t", "0", "--gamma", PI_OVER_3], 40),
@@ -35,8 +35,9 @@ def pi_over_3(bits):
 
 
 def run_sweep(name, params, nmax, outdir, bits):
-    ctx = sv.default_context(nmax, bits)
-    params = [pi_over_3(ctx.guard_bits) if p == PI_OVER_3 else p for p in params]
+    # compare may climb its precision ladder; the literal serves the top rung
+    top = list(sv.contexts(nmax, bits))[-1]
+    params = [pi_over_3(top.guard_bits) if p == PI_OVER_3 else p for p in params]
     path = outdir / f"compare_{name}.csv"
     argv = ["compare", "--phase", name, *params, "--nmax", str(nmax), "--bits", str(bits),
             "--format", "csv", "--out", str(path)]
@@ -45,7 +46,7 @@ def run_sweep(name, params, nmax, outdir, bits):
         sys.exit(code)
     with open(path, newline="") as fh:
         final = list(csv.reader(fh))[-1][-1]
-    print(f"{name:12s} nmax={nmax:3d} bits={ctx.bits:5d} "
+    print(f"{name:12s} nmax={nmax:3d} bits>={sv.default_context(nmax, bits).bits:5d} "
           f"final ratio={mp.nstr(mp.mpf(final), 10)} -> {path}")
 
 

@@ -50,8 +50,10 @@ from .specfun import (
 from .hankel import (
     HankelResult,
     ZnResult,
+    contexts,
     default_context,
     hankel_det,
+    on_ladder,
     toda_residual,
     zn_ik,
     zn_series,

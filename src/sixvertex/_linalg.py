@@ -87,15 +87,23 @@ def _forward_pivots(moments: List) -> List:
     return norms
 
 
-def _check_agreement(base, guard, ctx: PrecisionContext, what: str):
+def _check_agreement(base, guard, ctx: PrecisionContext, what: str) -> int:
+    """Bits on which the base and guard values agree, floor(-log2 of
+    |base - guard| / |guard|) and at most ctx.bits.  Raises
+    PrecisionFailureError when they differ by more than 2^(-bits/2)."""
     tol = ctx.verify_tolerance()
     with mp.workprec(ctx.guard_bits):
         scale = abs(guard)
-        if scale == 0 or abs(base - guard) > tol * scale:
+        diff = abs(base - guard)
+        if scale == 0 or diff > tol * scale:
             raise PrecisionFailureError(
                 f"{what} failed verification at {ctx.bits} bits "
                 f"(guard rerun at {ctx.guard_bits} bits disagrees); raise bits"
             )
+        if diff == 0:
+            return ctx.bits
+        mant, exp = mp.frexp(diff / scale)  # 1/2 <= mant < 1
+    return min(ctx.bits, -exp + (mant == 0.5))
 
 
 def hankel_determinant(moments: Sequence, n: int, ctx: PrecisionContext):
@@ -103,7 +111,7 @@ def hankel_determinant(moments: Sequence, n: int, ctx: PrecisionContext):
 
     Computed once at ctx.bits (entries rounded to ctx.bits) and once at
     ctx.guard_bits; relative agreement within 2^(-bits/2) is required.
-    Returns the guard-precision value.
+    Returns the guard-precision value and the bits on which the two agree.
     """
     if len(moments) < 2 * n - 1:
         raise ValueError(f"need moments up to order {2 * n - 2}, got {len(moments) - 1}")
@@ -111,21 +119,24 @@ def hankel_determinant(moments: Sequence, n: int, ctx: PrecisionContext):
         base = _lu_det(_hankel_matrix(moments, n))
     with mp.workprec(ctx.guard_bits):
         guard = _lu_det(_hankel_matrix(moments, n))
-    _check_agreement(base, guard, ctx, f"Hankel determinant (n={n})")
-    return guard
+    return guard, _check_agreement(base, guard, ctx, f"Hankel determinant (n={n})")
 
 
 def hankel_pivots(moments: Sequence, n: int, ctx: PrecisionContext):
     """Verified norms h_0..h_{n-1} (leading-principal-minor ratios of the
     n x n Hankel matrix) of ``moments``, from mu_0..mu_{2n-2} rounded to
     ctx.bits and then to ctx.guard_bits.  Each h_k must be positive and agree
-    between the base and guard runs to within 2^(-bits/2) relative."""
+    between the base and guard runs to within 2^(-bits/2) relative.  Returns
+    the guard-precision norms and, for each, the bits on which the runs
+    agree."""
     if len(moments) < 2 * n - 1:
         raise ValueError(f"need moments up to order {2 * n - 2}, got {len(moments) - 1}")
     with mp.workprec(ctx.bits):
         base = _forward_pivots([+mu for mu in moments[: 2 * n - 1]])
     with mp.workprec(ctx.guard_bits):
         guard = _forward_pivots([+mu for mu in moments[: 2 * n - 1]])
-    for k, (b, g) in enumerate(zip(base, guard)):
+    agreement = [
         _check_agreement(b, g, ctx, f"Hankel pivot h_{k}")
-    return guard
+        for k, (b, g) in enumerate(zip(base, guard))
+    ]
+    return guard, agreement

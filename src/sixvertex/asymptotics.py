@@ -127,14 +127,23 @@ def predict_ferro(
     PhaseParams(Phase.FERROELECTRIC, t=t, gamma=gamma)
     ctx = ctx or default_context(n)
     with ctx.guardprec():
-        tt, g = to_mpf(t), to_mpf(gamma)
-        f = mp.sinh(tt + g)
-        gg = mp.exp(g - tt)
-        c = _ferro_constant(g, ctx.bits)
-        log_pred = n * n * mp.log(f) + n * mp.log(gg) + mp.log(c)
+        f, log_f, gg, log_g, c, log_c = _ferro_law(to_mpf(t), to_mpf(gamma), ctx)
+        log_pred = n * n * log_f + n * log_g + log_c
     return AsymptoticPrediction(
         Phase.FERROELECTRIC, n, f, log_pred, g=gg, g_mode="n", c=c
     )
+
+
+@lru_cache(maxsize=None)
+def _ferro_law(tt, g, ctx: PrecisionContext):
+    """(F, log F, G, log G, C, log C) at the mpf point (tt, g).  None depends
+    on n, so the Euler product runs once per (t, gamma, ctx) for a whole
+    series."""
+    with ctx.guardprec():
+        f = mp.sinh(tt + g)
+        gg = mp.exp(g - tt)
+        c = _ferro_constant(g, ctx.bits)
+        return f, mp.log(f), gg, g - tt, c, mp.log(c)
 
 
 def predict_crit_fd(

@@ -9,7 +9,14 @@ Commands:
   fit       free-energy and exponent fits from a log Z_n series
   norms     orthogonal-polynomial norms h_k and ratios R_k
 
-All numeric output is emitted as decimal strings at the requested precision.
+compare, fit and norms run on the precision ladder ``hankel.contexts(size,
+--bits)``: a run that fails its base/guard check is repeated at twice the
+bits, up to the first rung at or above max(--bits, 24 size), and exits 3 only
+when that rung fails too.  fit and norms report the bits of the rung that
+passed and the bits on which its base and guard runs agreed; toda runs at
+exactly --bits.
+
+All numeric output is emitted as decimal strings at the run's precision.
 Exit codes: 0 success, 2 parameter-domain error, 3 precision failure.
 """
 
@@ -86,17 +93,22 @@ _PHASES = {
 _PHASE_FLAGS = {entry.flag: phase for phase, entry in _PHASES.items()}
 
 
-def _context(args) -> PrecisionContext:
-    """Precision of the run: the default policy at its size (nmax or n)."""
+def _on_ladder(args, body: Callable):
+    """body(args, params, ctx) on the precision ladder of the command's size
+    (nmax or n) and --bits.  Each rung parses the phase parameters again at
+    its own guard precision, so that a long literal keeps every digit that
+    rung can resolve."""
     given = vars(args)  # each subcommand defines only its own flags
-    return hankel.default_context(given.get("nmax") or given.get("n") or 0, args.bits)
+    size = given.get("nmax") or given.get("n") or 0
+    return hankel.on_ladder(
+        size, args.bits, lambda ctx: body(args, _phase_params(args, ctx), ctx)
+    )
 
 
-def _phase_params(args) -> PhaseParams:
-    """The phase parameters, parsed at the guard precision of the run so
-    that a long literal keeps every digit the run can resolve."""
+def _phase_params(args, ctx: PrecisionContext) -> PhaseParams:
+    """The phase parameters, parsed at the guard precision of ctx."""
     given = {k: getattr(args, k) for k in ("t", "gamma", "alpha")}
-    with _context(args).guardprec():
+    with ctx.guardprec():
         return PhaseParams(
             _PHASE_FLAGS[args.phase],
             **{k: _parse_real(s, k) for k, s in given.items() if s is not None},
@@ -193,7 +205,7 @@ def _parse_real(s: str, name: str):
 
 def cmd_phase(args) -> None:
     w = Weights(*(_parse_weight(getattr(args, k), k) for k in "abc"))
-    ctx = _context(args)
+    ctx = PrecisionContext(args.bits)
     res = classify(w, ctx)
     _emit(
         args,
@@ -222,13 +234,16 @@ def cmd_exact(args) -> None:
 
 
 def cmd_compare(args) -> None:
-    params = _phase_params(args)
+    rows = _on_ladder(args, _compare_rows)
+    _emit(args, rows=rows, fieldnames=["n", "zn", "log_zn", "log_prediction", "ratio"])
+
+
+def _compare_rows(args, params: PhaseParams, ctx: PrecisionContext) -> list:
     entry = _PHASES[params.phase]
     if entry.predict is None:
         raise ParameterDomainError(
             f"no asymptotic predictor for {params.phase.value}; use compare on a bulk phase"
         )
-    ctx = _context(args)
     series = hankel.zn_series(params, args.nmax, ctx)
     rows = []
     with ctx.guardprec():
@@ -244,15 +259,15 @@ def cmd_compare(args) -> None:
                     _nstr(ratio, ctx),
                 ]
             )
-    _emit(args, rows=rows, fieldnames=["n", "zn", "log_zn", "log_prediction", "ratio"])
+    return rows
 
 
 def cmd_toda(args) -> None:
-    params = _phase_params(args)
-    if params.phase.is_critical:
-        raise ParameterDomainError("toda needs a bulk phase (t, gamma)")
     # exactly --bits: the residual shows a too-small --bits as exit 3
     ctx = PrecisionContext(args.bits)
+    params = _phase_params(args, ctx)
+    if params.phase.is_critical:
+        raise ParameterDomainError("toda needs a bulk phase (t, gamma)")
     with ctx.guardprec():
         step = _parse_real(args.h, "h")
     residual = hankel.toda_residual(params, args.n, step, ctx)
@@ -271,9 +286,11 @@ def cmd_toda(args) -> None:
 
 
 def cmd_fit(args) -> None:
-    params = _phase_params(args)
+    _emit(args, obj=_on_ladder(args, _fit_report))
+
+
+def _fit_report(args, params: PhaseParams, ctx: PrecisionContext) -> dict:
     entry = _PHASES[params.phase]
-    ctx = _context(args)
     series = hankel.zn_series(params, args.nmax, ctx)
     pts = [(r.n, r.log_zn) for r in series]
     f_fit = asymptotics.fit_free_energy(pts, window=args.window)
@@ -281,6 +298,7 @@ def cmd_fit(args) -> None:
         "phase": params.phase.value,
         "nmax": args.nmax,
         "bits": ctx.bits,
+        "agreement_bits": series[-1].agreement_bits,
         "free_energy": f_fit.to_json(ctx.dps),
     }
     # kappa regression against log n applies where the predictor has n^kappa;
@@ -299,26 +317,26 @@ def cmd_fit(args) -> None:
         )
         obj["kappa"] = k_fit.to_json(ctx.dps)
         obj["predicted"] = pred.to_json(ctx.dps)
-    _emit(args, obj=obj)
+    return obj
 
 
 def cmd_norms(args) -> None:
-    params = _phase_params(args)
-    ctx = _context(args)
+    _emit(args, obj=_on_ladder(args, _norms_report))
+
+
+def _norms_report(args, params: PhaseParams, ctx: PrecisionContext) -> dict:
     moments = _PHASES[params.phase].moments(params, 2 * args.n - 2, ctx)
     norms = orthopoly.norms_from_moments(moments, args.n, ctx)
     ratios = orthopoly.recurrence_r(norms)
-    _emit(
-        args,
-        obj={
-            "phase": params.phase.value,
-            "family": norms.family.value,
-            "n": args.n,
-            "bits": ctx.bits,
-            "h": [_nstr(v, ctx) for v in norms.h],
-            "r": [_nstr(v, ctx) for v in ratios],
-        },
-    )
+    return {
+        "phase": params.phase.value,
+        "family": norms.family.value,
+        "n": args.n,
+        "bits": ctx.bits,
+        "agreement_bits": norms.agreement_bits,
+        "h": [_nstr(v, ctx) for v in norms.h],
+        "r": [_nstr(v, ctx) for v in ratios],
+    }
 
 
 def _build_parser() -> argparse.ArgumentParser:

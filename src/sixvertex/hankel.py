@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from mpmath import mp
 
@@ -25,12 +25,39 @@ from .specfun import MomentSequence, crit_afd_moments, crit_fd_moments, phi_deri
 
 
 def default_context(n: int, bits: int = 256) -> PrecisionContext:
-    """Starting precision policy for size-n determinants: max(bits, 24 n) bits.
+    """First rung of the precision ladder for size-n determinants:
+    max(bits, 10 n + 64) bits.
 
-    Empirical headroom for the severe ill-conditioning of these moment
-    matrices; the two-precision verification pass is the safety net behind it.
+    The Chebyshev norms of the moment families this package builds lose
+    about n to 11 n bits to the ill-conditioning of their Hankel matrices
+    (measured as working bits minus base/guard agreement), and a run passes
+    its check when half its bits cover that loss.  ``contexts`` doubles
+    from here when a run does not pass.
     """
-    return PrecisionContext(max(bits, 24 * n))
+    return PrecisionContext(max(bits, 10 * n + 64))
+
+
+def contexts(n: int, bits: int = 256) -> Iterator[PrecisionContext]:
+    """The precision ladder for size-n determinants: ``default_context(n,
+    bits)``, then twice, four times ... its bits, ending with the first rung
+    at or above max(bits, 24 n)."""
+    ctx = default_context(n, bits)
+    yield ctx
+    while ctx.bits < max(bits, 24 * n):
+        ctx = PrecisionContext(2 * ctx.bits)
+        yield ctx
+
+
+def on_ladder(n: int, bits: int, run: Callable):
+    """run(ctx) at each rung of ``contexts(n, bits)`` in turn until a rung
+    does not raise PrecisionFailureError; the last rung's failure
+    propagates."""
+    for ctx in contexts(n, bits):
+        try:
+            return run(ctx)
+        except PrecisionFailureError as exc:
+            failure = exc
+    raise failure
 
 
 @dataclass(frozen=True)
@@ -39,6 +66,7 @@ class HankelResult:
     tau: object
     log_tau: object
     precision_used: int
+    agreement_bits: int  # base/guard agreement of tau
 
     def to_json(self) -> dict:
         dps = PrecisionContext(self.precision_used).dps
@@ -47,12 +75,15 @@ class HankelResult:
             "tau": mp.nstr(self.tau, dps),
             "log_tau": mp.nstr(self.log_tau, dps),
             "precision_used": self.precision_used,
+            "agreement_bits": self.agreement_bits,
         }
 
 
 @dataclass(frozen=True)
 class ZnResult:
-    """Partition function value with its log, provenance, and precision."""
+    """Partition function value with its log, provenance, and precision:
+    the bits of the run and the fewest bits on which the base and guard runs
+    agreed over the determinant or norms behind it."""
 
     n: int
     zn: object
@@ -60,6 +91,7 @@ class ZnResult:
     phase: Phase
     params: Tuple
     bits: int
+    agreement_bits: int
     tau: Optional[HankelResult] = None
 
     def to_json(self) -> dict:
@@ -71,6 +103,7 @@ class ZnResult:
             "phase": self.phase.value,
             "params": [mp.nstr(to_mpf(p), dps) for p in self.params],
             "bits": self.bits,
+            "agreement_bits": self.agreement_bits,
         }
         if self.tau is not None:
             out["tau"] = self.tau.to_json()
@@ -98,14 +131,14 @@ def hankel_det(
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
     ctx = ctx or m.context()
-    tau = _linalg.hankel_determinant(m.values, n, ctx)
+    tau, agreement = _linalg.hankel_determinant(m.values, n, ctx)
     if not tau > 0:
         raise PrecisionFailureError(
             f"tau_{n} <= 0 for a positive-measure moment sequence; raise bits"
         )
     with ctx.guardprec():
         log_tau = mp.log(tau)
-    return HankelResult(n, tau, log_tau, ctx.bits)
+    return HankelResult(n, tau, log_tau, ctx.bits, agreement)
 
 
 def zn_ik(
@@ -117,11 +150,13 @@ def zn_ik(
     """Izergin-Korepin partition function for the parameterized weights of p.
 
     ``moments`` may carry a precomputed phi-derivative sequence (order at
-    least 2n-2) to share across a sweep in n.
+    least 2n-2) to share across a sweep in n.  Without ``ctx`` it runs on the
+    precision ladder of ``contexts(n)``.
     """
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
-    ctx = ctx or default_context(n)
+    if ctx is None:
+        return on_ladder(n, 256, lambda c: zn_ik(p, n, c, moments))
     if moments is None or moments.order < 2 * n - 2:
         moments = phi_derivatives(p, 2 * n - 2, ctx)
     tau = hankel_det(moments, n, ctx)
@@ -131,7 +166,9 @@ def zn_ik(
         denom = mp.mpf(_superfactorial_sq(n))
         zn = ab ** (n * n) * tau.tau / denom
         log_zn = n * n * mp.log(ab) + tau.log_tau - mp.log(denom)
-    return ZnResult(n, zn, log_zn, p.phase, (p.t, p.gamma), ctx.bits, tau)
+    return ZnResult(
+        n, zn, log_zn, p.phase, (p.t, p.gamma), ctx.bits, tau.agreement_bits, tau
+    )
 
 
 def zn_series(
@@ -146,30 +183,37 @@ def zn_series(
     bulk phase the moments are the phi-derivatives and base = ab; on a
     critical line they are the crit_fd/crit_afd moments and base = b/c =
     (1+alpha)/2.  The superfactorial is divided out as an exact integer.
+    Without ``ctx`` the series runs on the precision ladder of
+    ``contexts(nmax)``; with one it runs at exactly that precision or raises.
     """
     if nmax < 1:
         raise ParameterDomainError(f"nmax >= 1 required, got {nmax}")
-    ctx = ctx or default_context(nmax)
+    if ctx is None:
+        return on_ladder(nmax, 256, lambda c: zn_series(p, nmax, c))
     if p.phase.is_critical:
         moments_of = crit_fd_moments if p.phase is Phase.CRITICAL_FD else crit_afd_moments
         moments = moments_of(2 * nmax - 2, p.alpha, ctx)
     else:
         moments = phi_derivatives(p, 2 * nmax - 2, ctx)
         w = weights_from_params(p, ctx)
-    norms = _linalg.hankel_pivots(moments.values, nmax, ctx)
+    norms, agreement = _linalg.hankel_pivots(moments.values, nmax, ctx)
     out = []
     with ctx.guardprec():
         base = (1 + to_mpf(p.alpha)) / 2 if p.phase.is_critical else w.a * w.b
         log_base = mp.log(base)
         tau = mp.mpf(1)
         log_tau = mp.mpf(0)
-        for n, h in enumerate(norms, start=1):
+        agree = ctx.bits
+        for n, (h, bits) in enumerate(zip(norms, agreement), start=1):
+            agree = min(agree, bits)
             tau *= h
             log_tau += mp.log(h)
             sf_sq = _superfactorial_sq(n)
             zn = base ** (n * n) * tau / sf_sq
             log_zn = n * n * log_base + log_tau - mp.log(sf_sq)
-            out.append(ZnResult(n, zn, log_zn, p.phase, moments.params, ctx.bits))
+            out.append(
+                ZnResult(n, zn, log_zn, p.phase, moments.params, ctx.bits, agree)
+            )
     return out
 
 
@@ -180,10 +224,12 @@ def toda_residual(
     with t-derivatives replaced by central differences at step h.
 
     The residual is |lhs - rhs| / rhs and scales as O(h^2) plus roundoff.
+    Without ``ctx`` it runs on the precision ladder of ``contexts(n + 1)``.
     """
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
-    ctx = ctx or default_context(n + 1)
+    if ctx is None:
+        return on_ladder(n + 1, 256, lambda c: toda_residual(p, n, h, c))
 
     def tau_at(params: PhaseParams, size: int):
         if size == 0:

@@ -19,7 +19,7 @@ from mpmath import mp
 
 from . import _linalg
 from .errors import ParameterDomainError
-from .hankel import ZnResult, default_context, zn_series
+from .hankel import ZnResult, default_context, on_ladder, zn_series
 from .model import Phase, PhaseParams, PrecisionContext, to_mpf
 from .specfun import (
     MomentFamily,
@@ -30,13 +30,15 @@ from .specfun import (
 
 @dataclass(frozen=True)
 class NormSequence:
-    """Norms h_0..h_{n-1} of the monic orthogonal polynomials of one family."""
+    """Norms h_0..h_{n-1} of the monic orthogonal polynomials of one family,
+    with the fewest bits on which the base and guard runs agreed over them."""
 
     family: MomentFamily
     params: Tuple
     h: Tuple
     bits: int
     guard_bits: int
+    agreement_bits: int
 
     def __len__(self) -> int:
         return len(self.h)
@@ -50,6 +52,7 @@ class NormSequence:
             "family": self.family.value,
             "params": [mp.nstr(to_mpf(p), dps) for p in self.params],
             "bits": self.bits,
+            "agreement_bits": self.agreement_bits,
             "h": [mp.nstr(v, dps) for v in self.h],
         }
 
@@ -62,8 +65,10 @@ def norms_from_moments(
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
     ctx = ctx or m.context()
-    pivots = _linalg.hankel_pivots(m.values, n, ctx)
-    return NormSequence(m.family, m.params, tuple(pivots), ctx.bits, ctx.guard_bits)
+    pivots, agreement = _linalg.hankel_pivots(m.values, n, ctx)
+    return NormSequence(
+        m.family, m.params, tuple(pivots), ctx.bits, ctx.guard_bits, min(agreement)
+    )
 
 
 def recurrence_r(ns: NormSequence) -> Tuple:
@@ -95,10 +100,12 @@ def meixner_ratios(
     kmax: int, t, gamma, ctx: Optional[PrecisionContext] = None
 ) -> Tuple:
     """h_k / h_k^Meixner for k = 0..kmax, with h_k from the ferroelectric
-    discrete weight 2 e^{-2tl} sinh(2 gamma l).  The ratios tend to 1."""
+    discrete weight 2 e^{-2tl} sinh(2 gamma l).  The ratios tend to 1.
+    Without ``ctx`` they run on the precision ladder of ``contexts(kmax + 1)``."""
     if kmax < 0:
         raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
-    ctx = ctx or default_context(kmax + 1)
+    if ctx is None:
+        return on_ladder(kmax + 1, 256, lambda c: meixner_ratios(kmax, t, gamma, c))
     moments = ferro_moments(2 * kmax, t, gamma, ctx)
     norms = norms_from_moments(moments, kmax + 1, ctx)
     with ctx.guardprec():

@@ -68,5 +68,21 @@ def af_031():
         )
 
 
+@pytest.fixture
+def rungs(monkeypatch):
+    """Bits of each rung the precision ladder hands out during the test, in
+    order; ``on_ladder`` draws a rung only when the one before it failed."""
+    drawn = []
+    ladder = sv.hankel.contexts
+
+    def contexts(n, bits=256):
+        for ctx in ladder(n, bits):
+            drawn.append(ctx.bits)
+            yield ctx
+
+    monkeypatch.setattr(sv.hankel, "contexts", contexts)
+    return drawn
+
+
 def rational_weights(a, b, c) -> sv.Weights:
     return sv.Weights(Fraction(a), Fraction(b), Fraction(c))

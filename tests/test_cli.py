@@ -17,6 +17,8 @@ from mpmath import mp
 import sixvertex
 from sixvertex import cli
 
+from conftest import rel_to
+
 
 def run_json(capsys, argv):
     code = cli.run(argv)
@@ -149,17 +151,20 @@ ASM_COUNTS = [1, 2, 7, 42, 429, 7436, 218348, 10850216, 911835460, 129534272700]
 
 def test_compare_parses_parameters_at_run_precision(tmp_path):
     # At t = 0, gamma = pi/3 all three weights are sqrt(3)/2, so
-    # Z_n = A_n (3/4)^(n^2/2).  nmax 48 runs at 1152 bits; gamma must be
-    # parsed at that run's guard precision, not at the 512 bits of --bits.
+    # Z_n = A_n (3/4)^(n^2/2).  nmax 48 runs at no fewer bits than the first
+    # rung of its ladder, far above --bits 64; gamma must be parsed at the
+    # run's guard precision, not at the 128 guard bits of --bits.
+    run = sixvertex.default_context(48, 64)
+    assert run.bits > 64
     with mp.workdps(820):
         pi3 = mp.nstr(mp.pi / 3, 800)
     out = tmp_path / "compare.csv"
     argv = ["compare", "--phase", "disordered", "--t", "0", "--gamma", pi3,
-            "--nmax", "48", "--format", "csv", "--out", str(out)]
+            "--nmax", "48", "--bits", "64", "--format", "csv", "--out", str(out)]
     assert cli.run(argv) == 0
     rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
     with mp.workprec(4096):
-        tol = mp.mpf(2) ** -(1152 // 2)
+        tol = run.verify_tolerance()
         for n, count in enumerate(ASM_COUNTS, start=1):
             ref = count * (mp.mpf(3) / 4) ** (mp.mpf(n * n) / 2)
             assert abs(mp.mpf(rows[n - 1][1]) - ref) / ref < tol, n
@@ -175,6 +180,71 @@ def test_compare_critical_fd_evaluates_zeta_once_per_precision(capsys):
     assert (info.misses, info.hits) == (1, 5)
     ctx = sixvertex.default_context(6)
     assert zeta(ctx)._mpf_ == zeta.__wrapped__(ctx)._mpf_
+
+
+def test_compare_ferro_evaluates_its_law_once_per_precision(capsys, monkeypatch):
+    # every n of the ferro law needs the same Euler product, F and G
+    calls = []
+    constant = sixvertex.asymptotics._ferro_constant
+    monkeypatch.setattr(sixvertex.asymptotics, "_ferro_constant",
+                        lambda g, bits: calls.append(bits) or constant(g, bits))
+    law = sixvertex.asymptotics._ferro_law
+    law.cache_clear()
+    argv = ["compare", "--phase", "ferro", "--t", "2", "--gamma", "0.6", "--nmax", "24"]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    ctx = sixvertex.default_context(24)
+    assert calls == [ctx.bits]
+    with ctx.guardprec():
+        point = (mp.mpf(2), mp.mpf("0.6"), ctx)
+    cached = law(*point)
+    assert (law.cache_info().misses, law.cache_info().hits) == (1, 24)
+    assert [x._mpf_ for x in cached] == [x._mpf_ for x in law.__wrapped__(*point)]
+
+
+FERRO_STEEP = ["--phase", "ferro", "--t", "4", "--gamma", "0.2", "--nmax", "24"]
+
+
+def ferro_steep_series(bits):
+    """The Z_n series at the point of FERRO_STEEP, run at exactly ``bits``;
+    its norms lose about 11 n bits, more than half the first rung's."""
+    ctx = sixvertex.PrecisionContext(bits)
+    with ctx.guardprec():
+        p = sixvertex.PhaseParams(
+            sixvertex.Phase.FERROELECTRIC, t=mp.mpf(4), gamma=mp.mpf("0.2")
+        )
+    return sixvertex.zn_series(p, 24, ctx)
+
+
+def test_compare_climbs_the_ladder_where_the_first_rung_fails(capsys, rungs):
+    first = sixvertex.default_context(24)
+    rows = run_json(capsys, ["compare", *FERRO_STEEP])
+    assert rungs[0] == first.bits and len(rungs) > 1
+    tol = sixvertex.PrecisionContext(rungs[-1]).verify_tolerance()
+    ref = ferro_steep_series(24 * 24)
+    for row, want in zip(rows, ref):
+        assert rel_to(row["zn"], want.zn) < tol, row["n"]
+
+
+def test_fit_reports_the_rung_that_passed(capsys):
+    first = sixvertex.default_context(24)
+    out = run_json(capsys, ["fit", *FERRO_STEEP])
+    bits = out["bits"]
+    assert bits > first.bits
+    assert bits // 2 <= out["agreement_bits"] <= bits
+    tol = sixvertex.PrecisionContext(bits).verify_tolerance()
+    log_zn = [r.log_zn for r in ferro_steep_series(24 * 24)]
+    with mp.workprec(4096):
+        for n, est in out["free_energy"]["per_n"]:
+            want = (log_zn[n] - 2 * log_zn[n - 1] + log_zn[n - 2]) / 2
+            assert abs(mp.mpf(est) - want) < tol * max(1, abs(want)), n
+
+
+def test_norms_report_bits_and_agreement(capsys):
+    out = run_json(capsys, ["norms", "--phase", "af", "--t", "0.3", "--gamma", "1",
+                            "--n", "24", "--bits", "64"])
+    assert out["bits"] == sixvertex.default_context(24, 64).bits
+    assert out["bits"] // 2 <= out["agreement_bits"] <= out["bits"]
 
 
 def test_fit_disordered(capsys):

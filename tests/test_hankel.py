@@ -10,6 +10,7 @@ import sixvertex as sv
 from sixvertex.errors import ParameterDomainError, PrecisionFailureError
 
 from conftest import CTX256, CTX512, rel_to
+from oracles import asm_count
 
 TOL30 = mp.mpf("1e-30")
 
@@ -194,6 +195,128 @@ def test_toda_works_in_ferro_phase(ferro_21):
 
 
 def test_default_context_policy():
+    # the first rung of the ladder: max(bits, 10 n + 64)
     assert sv.default_context(1).bits == 256
-    assert sv.default_context(20).bits == 480
-    assert sv.default_context(40).bits == 960
+    assert sv.default_context(20).bits == 264
+    assert sv.default_context(40).bits == 464
+    assert sv.default_context(48, 64).bits == 544
+    assert sv.default_context(40, 1024).bits == 1024
+
+
+def test_ladder_climbs_to_the_first_rung_past_24n_then_raises():
+    seen = []
+
+    def run(ctx):
+        seen.append(ctx.bits)
+        raise PrecisionFailureError(f"failed at {ctx.bits} bits")
+
+    with pytest.raises(PrecisionFailureError, match="1856"):
+        sv.on_ladder(40, 256, run)
+    assert seen == [c.bits for c in sv.contexts(40)] == [464, 928, 1856]
+    assert seen[-2] < 24 * 40 <= seen[-1]
+    assert [c.bits for c in sv.contexts(40, 1024)] == [1024]
+    assert [c.bits for c in sv.contexts(48, 64)] == [544, 1088, 2176]
+
+
+def test_ladder_returns_the_first_rung_that_passes():
+    def run(ctx):
+        if ctx.bits < 900:
+            raise PrecisionFailureError("too few bits")
+        return ctx.bits
+
+    assert sv.on_ladder(40, 256, run) == 928
+
+
+def ferro_steep(ctx):
+    """Ferro t = 4, gamma = 0.2, whose norms lose about 11 n bits: more than
+    half the first rung's 10 n + 64."""
+    with ctx.guardprec():
+        return sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.mpf(4), gamma=mp.mpf("0.2"))
+
+
+def test_explicit_first_rung_raises_where_the_ladder_climbs(rungs):
+    first = sv.default_context(24)
+    with pytest.raises(PrecisionFailureError):
+        sv.zn_series(ferro_steep(first), 24, first)
+    assert rungs == []  # an explicit context never draws a rung
+    series = sv.zn_series(ferro_steep(sv.PrecisionContext(2048)), 24)
+    assert rungs == [first.bits, 2 * first.bits]
+    assert series[-1].bits == 2 * first.bits
+    ref_ctx = sv.PrecisionContext(24 * 24)
+    ref = sv.zn_series(ferro_steep(ref_ctx), 24, ref_ctx)
+    tol = sv.PrecisionContext(series[-1].bits).verify_tolerance()
+    for r, want in zip(series, ref):
+        assert rel_to(r.zn, want.zn) < tol, r.n
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, ctx: sv.zn_ik(p, 24, ctx),
+        lambda p, ctx: sv.toda_residual(p, 23, mp.mpf("1e-10"), ctx),
+        lambda p, ctx: sv.meixner_ratios(23, p.t, p.gamma, ctx),
+    ],
+    ids=["zn_ik", "toda_residual", "meixner_ratios"],
+)
+def test_context_free_calls_climb_the_ladder(rungs, call):
+    first = sv.default_context(24)
+    p = ferro_steep(sv.PrecisionContext(2048))
+    with pytest.raises(PrecisionFailureError):
+        call(p, first)
+    call(p, None)
+    assert rungs == [first.bits, 2 * first.bits]
+
+
+def test_ladder_series_meets_its_claim_against_closed_forms():
+    with mp.workprec(4096):
+        ice = sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf(0), gamma=mp.pi / 3)
+        free_fermion = sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf("0.3"), gamma=mp.pi / 4)
+    # a = b = c = sqrt(3)/2 at the ice point, so Z_n = A_n (3/4)^(n^2/2)
+    for r in sv.zn_series(ice, 48):
+        with mp.workprec(4096):
+            ref = asm_count(r.n) * (mp.mpf(3) / 4) ** (mp.mpf(r.n * r.n) / 2)
+        assert rel_to(r.zn, ref) < sv.PrecisionContext(r.bits).verify_tolerance(), r.n
+    # a^2 + b^2 = c^2 = 1 at gamma = pi/4, so Z_n = 1
+    for r in sv.zn_series(free_fermion, 40):
+        assert rel_to(r.zn, 1) < sv.PrecisionContext(r.bits).verify_tolerance(), r.n
+
+
+@pytest.mark.parametrize(
+    "phase,alpha",
+    [(sv.Phase.CRITICAL_FD, Fraction(5, 2)), (sv.Phase.CRITICAL_AFD, Fraction(-1, 2))],
+)
+def test_ladder_series_meets_its_claim_against_the_lattice(phase, alpha):
+    w = sv.Weights(abs(alpha - 1) / 2, (1 + alpha) / 2, Fraction(1))
+    series = sv.zn_series(sv.PhaseParams(phase, alpha=alpha), 40)
+    for r in series[:12]:
+        with mp.workprec(4096):
+            exact = sv.to_mpf(sv.transfer_matrix_zn(r.n, w, exact=True))
+        assert rel_to(r.zn, exact) < sv.PrecisionContext(r.bits).verify_tolerance(), r.n
+
+
+AGREEMENT_GRID = [
+    (sv.Phase.DISORDERED, {"t": "0", "gamma": "1.0471975511965977"}),
+    (sv.Phase.DISORDERED, {"t": "0.3", "gamma": "0.7853981633974483"}),
+    (sv.Phase.DISORDERED, {"t": "-0.4", "gamma": "1.2"}),
+    (sv.Phase.FERROELECTRIC, {"t": "2", "gamma": "1"}),
+    (sv.Phase.FERROELECTRIC, {"t": "2.4", "gamma": "0.6"}),
+    (sv.Phase.ANTIFERROELECTRIC, {"t": "0.3", "gamma": "1"}),
+    (sv.Phase.ANTIFERROELECTRIC, {"t": "-0.5", "gamma": "1.5"}),
+    (sv.Phase.CRITICAL_FD, {"alpha": "2.5"}),
+    (sv.Phase.CRITICAL_FD, {"alpha": "3.5"}),
+    (sv.Phase.CRITICAL_AFD, {"alpha": "-0.5"}),
+    (sv.Phase.CRITICAL_AFD, {"alpha": "0.5"}),
+]
+
+
+@pytest.mark.parametrize("phase,point", AGREEMENT_GRID)
+def test_agreement_bits_clear_the_claim(phase, point):
+    # the printed claim is 2^-(bits/2); the base and guard runs agree to more
+    ctx = sv.default_context(24)
+    with ctx.guardprec():
+        p = sv.PhaseParams(phase, **{k: mp.mpf(v) for k, v in point.items()})
+    series = sv.zn_series(p, 24, ctx)
+    agree = [r.agreement_bits for r in series]
+    assert all(ctx.bits // 2 <= a <= ctx.bits for a in agree)
+    assert agree == sorted(agree, reverse=True)  # Z_n's agreement covers h_0..h_{n-1}
+    assert json.loads(json.dumps(series[-1].to_json()))["agreement_bits"] == agree[-1]

@@ -210,6 +210,20 @@ def test_norms_match_elimination_oracle(family, n):
         assert rel_to(h, r) < tol
 
 
+@pytest.mark.parametrize("n", [8, 24, 48])
+@pytest.mark.parametrize(
+    "family", ["disordered-t0", "disordered", "ferro", "af", "critical-fd", "critical-afd"]
+)
+def test_norms_report_their_agreement(family, n):
+    ctx = sv.default_context(n)
+    ms = family_moments(family, 2 * n - 2, ctx)
+    norms = sv.norms_from_moments(ms, n, ctx)
+    _, per_k = _linalg.hankel_pivots(ms.values, n, ctx)
+    assert norms.agreement_bits == min(per_k)
+    assert ctx.bits // 2 <= norms.agreement_bits <= ctx.bits
+    assert norms.to_json()["agreement_bits"] == norms.agreement_bits
+
+
 @pytest.mark.parametrize("alpha", [Fraction(3), Fraction(3, 2), Fraction(11, 9)])
 def test_norms_exact_over_fractions(alpha):
     nmax = 12

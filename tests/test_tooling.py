@@ -85,9 +85,21 @@ def test_exact_lattice_jobs_through_cli(capsys):
             assert zn == c ** (n * n), job.argv
 
 
+@pytest.mark.parametrize("workload", ["compare-grid", "fit-series"])
+def test_benchmark_jobs_stay_on_the_first_rung(capsys, rungs, workload):
+    # an escalated job would time a different precision policy than the
+    # first rung that the benchmark is meant to measure
+    workloads = load_file(ROOT / "perfbench" / "workloads.py", "perfbench_workloads")
+    for job in workloads.build(workload, 1):
+        del rungs[:]
+        assert cli.run(job.argv) == 0, job.argv
+        capsys.readouterr()
+        assert len(rungs) <= 1, (job.argv, rungs)  # toda runs off the ladder
+
+
 def test_theorem_sweep_writes_four_tables(tmp_path, capsys):
     sweep = load_file(ROOT / "scripts" / "theorem_sweep.py", "theorem_sweep")
-    sweep.main(["--outdir", str(tmp_path)])
+    sweep.main(["--outdir", str(tmp_path), "--bits", "960"])
     capsys.readouterr()
     header = ["n", "zn", "log_zn", "log_prediction", "ratio"]
     tables = {}
@@ -97,7 +109,7 @@ def test_theorem_sweep_writes_four_tables(tmp_path, capsys):
         assert rows[0] == header
         tables[name] = rows[1:]
     # gamma = pi/3, t = 0: a = b = c = sqrt(3)/2, so Z_n = A_n (3/4)^(n^2/2);
-    # nmax 40 runs at 960 bits
+    # nmax 40 runs at no fewer than the 960 bits of --bits
     rows = tables["disordered"]
     assert len(rows) == 40
     with mp.workprec(4096):
