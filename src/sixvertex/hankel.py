@@ -200,19 +200,14 @@ def zn_series(
     out = []
     with ctx.guardprec():
         base = (1 + to_mpf(p.alpha)) / 2 if p.phase.is_critical else w.a * w.b
-        log_base = mp.log(base)
         tau = mp.mpf(1)
-        log_tau = mp.mpf(0)
         agree = ctx.bits
         for n, (h, bits) in enumerate(zip(norms, agreement), start=1):
             agree = min(agree, bits)
             tau *= h
-            log_tau += mp.log(h)
-            sf_sq = _superfactorial_sq(n)
-            zn = base ** (n * n) * tau / sf_sq
-            log_zn = n * n * log_base + log_tau - mp.log(sf_sq)
+            zn = base ** (n * n) * tau / _superfactorial_sq(n)
             out.append(
-                ZnResult(n, zn, log_zn, p.phase, moments.params, ctx.bits, agree)
+                ZnResult(n, zn, mp.log(zn), p.phase, moments.params, ctx.bits, agree)
             )
     return out
 

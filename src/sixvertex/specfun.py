@@ -2,15 +2,17 @@
 function phi, negative-order polylogarithms, Jacobi theta series, zeta(3/2),
 and closed-form moment sequences for all five weight families.
 
-Derivatives of phi are generated exactly through the decomposition
+Derivatives of phi are generated through the decomposition
 phi = s (x(gamma - t) + x(gamma + t)) of the bulk chart (``model.BulkChart``):
 
     disordered          phi = cot(gamma - t)  + cot(gamma + t)
     ferroelectric       phi = -coth(gamma - t) - coth(gamma + t)
     antiferroelectric   phi = coth(gamma - t) + coth(gamma + t)
 
-so the k-th derivative is an integer-coefficient polynomial in cot/coth of
-the two arguments; no numerical differentiation is involved.
+Since x = cot or coth obeys the Riccati equation x' = sigma - x^2, the
+Taylor coefficients of x at the two arguments follow from a quadratic
+recurrence, and the k-th derivative of phi is k! times their sum; no
+numerical differentiation is involved.
 """
 
 from __future__ import annotations
@@ -84,29 +86,23 @@ class MomentSequence:
 
 
 # ---------------------------------------------------------------------------
-# Integer-coefficient derivative polynomials of x = cot or coth, which obey
-# x' = sigma - x^2 (sigma = -1 for cot, +1 for coth): r_0(x) = x and
-# r_{k+1} = (sigma - x^2) r_k' give (d/du)^k x(u) = r_k(x(u)).
-# Coefficient tuples are lowest-degree first.
+# Taylor coefficients of x = cot or coth, which obeys x' = sigma - x^2
+# (sigma = -1 for cot, +1 for coth): with x(u + h) = sum_j c_j h^j,
+# (j + 1) c_{j+1} = sigma [j = 0] - sum_{i<=j} c_i c_{j-i}, and
+# (d/du)^k x(u) = k! c_k.
 
 
-@lru_cache(maxsize=None)
-def _deriv_poly(k: int, sigma: int) -> Tuple[int, ...]:
-    if k == 0:
-        return (0, 1)
-    prev = _deriv_poly(k - 1, sigma)
-    out = [0] * (len(prev) + 1)
-    for i in range(1, len(prev)):
-        out[i - 1] += sigma * i * prev[i]
-        out[i + 1] -= i * prev[i]
-    return tuple(out)
-
-
-def _poly_eval(coeffs: Tuple[int, ...], x):
-    acc = mp.mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _taylor(x0, sigma: int, kmax: int) -> list:
+    """c_0..c_kmax of x(u + h) for x(u) = x0, at ambient precision.  Each
+    convolution is symmetric, so half of it is summed with one fdot."""
+    c = [x0]
+    for j in range(kmax):
+        half = (j + 1) // 2
+        conv = 2 * mp.fdot(c[:half], c[j : j - half : -1])
+        if j % 2 == 0:
+            conv += c[j // 2] ** 2
+        c.append(((sigma if j == 0 else 0) - conv) / (j + 1))
+    return c
 
 
 def phi(p: PhaseParams, ctx: Optional[PrecisionContext] = None):
@@ -128,13 +124,13 @@ def phi_derivatives(
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         t, g = to_mpf(p.t), to_mpf(p.gamma)
-        xm, xp = chart.x(g - t), chart.x(g + t)
+        cp = _taylor(chart.x(g + t), chart.sigma, kmax)
+        cm = _taylor(chart.x(g - t), chart.sigma, kmax)
         values = []
         for k in range(kmax + 1):
-            poly = _deriv_poly(k, chart.sigma)
-            v, vm = _poly_eval(poly, xp), _poly_eval(poly, xm)
             # each t-derivative of a function of gamma - t brings a factor -1
-            values.append(chart.s * (v + vm if k % 2 == 0 else v - vm))
+            pair = cp[k] + cm[k] if k % 2 == 0 else cp[k] - cm[k]
+            values.append(chart.s * math.factorial(k) * pair)
     return MomentSequence(
         _PHI_FAMILY[p.phase], (p.t, p.gamma), tuple(values), ctx.bits, ctx.guard_bits
     )

@@ -1,7 +1,8 @@
 """Brute-force oracles kept independent of the library code paths they check:
 truncated series summation, adaptive quadrature, central differences,
 O(n^3) elimination on the Hankel moment matrix, closed-form exact moments of
-the critical lines, and the ASM count.
+the critical lines, exact phi-derivatives at rational cot/coth values, and the
+ASM count.
 
 Parameters are converted to mpf inside the stated working precision, so pass
 exact values (ints, Fractions, decimal strings)."""
@@ -95,6 +96,38 @@ def crit_afd_exact_moments(alpha: Fraction, kmax: int):
     int_0^inf x^k e^-x dx plus int_-inf^0 x^k e^(rx) dx."""
     r = (1 + alpha) / (1 - alpha)
     return [factorial(k) * (1 + (-1) ** k * r ** -(k + 1)) for k in range(kmax + 1)]
+
+
+def exact_phi_derivatives(s, sigma, x_plus, x_minus, kmax):
+    """phi^(k)(t) = s (r_k(x_plus) + (-1)^k r_k(x_minus)) for k = 0..kmax as
+    Fractions, with x_plus = x(gamma + t) and x_minus = x(gamma - t) the
+    rational values of x = cot (sigma = -1) or coth (sigma = +1).
+
+    r_k is the integer polynomial with (d/du)^k x = r_k(x): r_0(x) = x and
+    r_{k+1} = (sigma - x^2) r_k'.  r_k(p/q) is summed over the integers as
+    sum_i a_i p^i q^(deg - i) and divided by q^deg once.
+    """
+
+    def at(poly, x):
+        x = Fraction(x)
+        num, qpow = 0, 1
+        for a in reversed(poly):
+            num = num * x.numerator + a * qpow
+            qpow *= x.denominator
+        return Fraction(num, qpow // x.denominator)
+
+    poly = [0, 1]  # coefficients of r_k, lowest degree first
+    out = []
+    for k in range(kmax + 1):
+        if k:
+            nxt = [0] * (len(poly) + 1)
+            for i in range(1, len(poly)):
+                nxt[i - 1] += sigma * i * poly[i]
+                nxt[i + 1] -= i * poly[i]
+            poly = nxt
+        plus, minus = at(poly, x_plus), at(poly, x_minus)
+        out.append(s * (plus + minus if k % 2 == 0 else plus - minus))
+    return out
 
 
 def asm_count(n: int) -> int:

@@ -2,15 +2,17 @@
 
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from mpmath import mp
 
 import sixvertex as sv
+from sixvertex import _linalg
 from sixvertex.errors import ParameterDomainError, PrecisionFailureError
 
-from conftest import CTX256, CTX512, rel_to
-from oracles import asm_count
+from conftest import CTX256, CTX512, RATIONAL_POINTS, rel_to
+from oracles import asm_count, exact_phi_derivatives
 
 TOL30 = mp.mpf("1e-30")
 
@@ -294,6 +296,45 @@ def test_ladder_series_meets_its_claim_against_the_lattice(phase, alpha):
         assert rel_to(r.zn, exact) < sv.PrecisionContext(r.bits).verify_tolerance(), r.n
 
 
+def exact_hankel_series(point, nmax):
+    """Exact Z_1..Z_nmax at a rational bulk point by Izergin-Korepin:
+    the oracle's phi-derivatives, Chebyshev's algorithm over Fractions and
+    Z_n = (ab)^(n^2) prod_{k<n} h_k / (prod_{k<n} k!)^2."""
+    moments = exact_phi_derivatives(
+        point.s, point.sigma, point.x_plus, point.x_minus, 2 * nmax - 2
+    )
+    norms = _linalg._forward_pivots(moments)
+    ab = point.weights.a * point.weights.b
+    out, tau, superfactorial = [], Fraction(1), 1
+    for n in range(1, nmax + 1):
+        tau *= norms[n - 1]
+        superfactorial *= factorial(n - 1)
+        out.append(ab ** (n * n) * tau / superfactorial**2)
+    return out
+
+
+BULK_POINTS = ["disordered", "ferro", "af"]
+
+
+@pytest.mark.parametrize("name", BULK_POINTS)
+def test_exact_hankel_route_equals_the_lattice(name):
+    point = RATIONAL_POINTS[name]
+    for n, zn in enumerate(exact_hankel_series(point, 12), start=1):
+        assert zn == sv.transfer_matrix_zn(n, point.weights, exact=True), n
+
+
+@pytest.mark.parametrize("name", BULK_POINTS)
+def test_ladder_series_meets_its_claim_against_the_exact_hankel_route(name):
+    point = RATIONAL_POINTS[name]
+    exact = exact_hankel_series(point, 40)
+    series = sv.zn_series(point.params(8192), 40)
+    claim = sv.PrecisionContext(series[0].bits).verify_tolerance()
+    for r, zn in zip(series, exact):
+        with mp.workprec(8192):
+            ref = sv.to_mpf(zn)
+        assert rel_to(r.zn, ref, 8192) < claim, r.n
+
+
 AGREEMENT_GRID = [
     (sv.Phase.DISORDERED, {"t": "0", "gamma": "1.0471975511965977"}),
     (sv.Phase.DISORDERED, {"t": "0.3", "gamma": "0.7853981633974483"}),
@@ -320,3 +361,13 @@ def test_agreement_bits_clear_the_claim(phase, point):
     assert all(ctx.bits // 2 <= a <= ctx.bits for a in agree)
     assert agree == sorted(agree, reverse=True)  # Z_n's agreement covers h_0..h_{n-1}
     assert json.loads(json.dumps(series[-1].to_json()))["agreement_bits"] == agree[-1]
+
+
+@pytest.mark.parametrize("phase,point", AGREEMENT_GRID)
+def test_zn_series_log_zn_is_the_log_of_zn(phase, point):
+    ctx = sv.default_context(24)
+    with ctx.guardprec():
+        p = sv.PhaseParams(phase, **{k: mp.mpf(v) for k, v in point.items()})
+    for r in sv.zn_series(p, 24, ctx):
+        with ctx.guardprec():
+            assert abs(r.log_zn - mp.log(r.zn)) <= ctx.verify_tolerance(), r.n

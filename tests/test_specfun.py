@@ -11,7 +11,7 @@ from sixvertex.errors import ParameterDomainError
 from sixvertex.specfun import _eulerian_row
 
 import oracles
-from conftest import CTX256, CTX512, rel_to
+from conftest import CTX256, CTX512, RATIONAL_POINTS, rel_to
 
 TOL30 = mp.mpf("1e-30")
 
@@ -115,6 +115,25 @@ def test_phi_derivatives_match_discrete_weight_moments():
             assert rel_to(msf[i], 2 * mp.mpf(-2) ** i * mf) < TOL30
             ma = sv.af_moment(i, mp.mpf("0.3"), 1, CTX512)
             assert rel_to(msa[i], 2 * mp.mpf(2) ** i * ma) < TOL30
+
+
+@pytest.mark.parametrize("nmax", [24, 48])
+@pytest.mark.parametrize("point", RATIONAL_POINTS.values(), ids=RATIONAL_POINTS)
+def test_phi_derivatives_match_exact_rational_moments(point, nmax):
+    # the first-rung moments of an nmax series lose at most 32 guard bits,
+    # near coth = -+1 (ferro-far) too
+    ctx = sv.default_context(nmax)
+    kmax = 2 * nmax - 2
+    got = sv.phi_derivatives(point.params(4 * ctx.guard_bits), kmax, ctx)
+    want = oracles.exact_phi_derivatives(
+        point.s, point.sigma, point.x_plus, point.x_minus, kmax
+    )
+    tol = mp.mpf(2) ** -(ctx.guard_bits - 32)
+    prec = 8 * ctx.guard_bits
+    for k, (g, w) in enumerate(zip(got.values, want)):
+        with mp.workprec(prec):
+            ref = sv.to_mpf(w)
+        assert rel_to(g, ref, prec) < tol, k
 
 
 # --- polylog ---------------------------------------------------------------

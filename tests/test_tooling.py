@@ -97,6 +97,17 @@ def test_benchmark_jobs_stay_on_the_first_rung(capsys, rungs, workload):
         assert len(rungs) <= 1, (job.argv, rungs)  # toda runs off the ladder
 
 
+@pytest.mark.parametrize("workload", ["fit-series", "compare-grid"])
+def test_benchmark_jobs_pass_the_benchmark_checker(capsys, workload):
+    # the checker that counts the benchmark's failed jobs, run here first;
+    # reference.py imports its job list as the top-level module `workloads`
+    workloads = load_file(ROOT / "perfbench" / "workloads.py", "workloads")
+    reference = load_file(ROOT / "perfbench" / "reference.py", "perfbench_reference")
+    for job in workloads.build(workload, 1):
+        assert cli.run(job.argv) == 0, job.argv
+        reference.Checker(job).check(capsys.readouterr().out)
+
+
 def test_theorem_sweep_writes_four_tables(tmp_path, capsys):
     sweep = load_file(ROOT / "scripts" / "theorem_sweep.py", "theorem_sweep")
     sweep.main(["--outdir", str(tmp_path), "--bits", "960"])
