@@ -9,10 +9,10 @@ phi = s (x(gamma - t) + x(gamma + t)) of the bulk chart (``model.BulkChart``):
     ferroelectric       phi = -coth(gamma - t) - coth(gamma + t)
     antiferroelectric   phi = coth(gamma - t) + coth(gamma + t)
 
-Since x = cot or coth obeys the Riccati equation x' = sigma - x^2, the
-Taylor coefficients of x at the two arguments follow from a quadratic
-recurrence, and the k-th derivative of phi is k! times their sum; no
-numerical differentiation is involved.
+Since x = cot or coth obeys the Riccati equation x' = sigma - x^2, its
+Taylor coefficients c_k at the two arguments follow from a quadratic
+recurrence, and phi^(k) = s k! (c_k(gamma + t) + (-1)^k c_k(gamma - t));
+no numerical differentiation is involved.
 """
 
 from __future__ import annotations
@@ -86,10 +86,10 @@ class MomentSequence:
 
 
 # ---------------------------------------------------------------------------
-# Taylor coefficients of x = cot or coth, which obeys x' = sigma - x^2
-# (sigma = -1 for cot, +1 for coth): with x(u + h) = sum_j c_j h^j,
-# (j + 1) c_{j+1} = sigma [j = 0] - sum_{i<=j} c_i c_{j-i}, and
-# (d/du)^k x(u) = k! c_k.
+# Taylor coefficients of x = cot or coth by the Riccati equation
+# x' = sigma - x^2 (sigma = -1 for cot, +1 for coth): with
+# x(u + h) = sum_j c_j h^j, (j + 1) c_{j+1} = sigma [j = 0] -
+# sum_{i<=j} c_i c_{j-i}, and (d/du)^k x(u) = k! c_k.
 
 
 def _taylor(x0, sigma: int, kmax: int) -> list:
