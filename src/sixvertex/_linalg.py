@@ -4,12 +4,14 @@ it.
 
 Two routes are kept deliberately distinct so they can cross-check each other:
 
-* ``hankel_determinant`` uses partially pivoted LU on the Hankel matrix, good
-  for any nonsingular matrix and insensitive to pivot ordering;
 * ``hankel_pivots`` uses Chebyshev's algorithm on the moments themselves and
   returns the norms h_k = D_{k+1}/D_k of the monic orthogonal polynomials,
   the leading-principal-minor ratios of the Hankel matrix.  For the moments
-  of a positive measure every h_k is positive.
+  of a positive measure every h_k is positive.  Every Z_n and tau_n the
+  package computes is a prefix product of these norms;
+* ``hankel_determinant`` uses partially pivoted LU on the Hankel matrix, good
+  for any nonsingular matrix and insensitive to pivot ordering.  It serves
+  only ``hankel.hankel_det``, the reference the norms are checked against.
 """
 
 from __future__ import annotations

@@ -168,8 +168,11 @@ def _emit(args, obj=None, rows=None, fieldnames=None) -> None:
             obj = [dict(zip(fieldnames, r)) for r in rows]
         text = json.dumps(obj, indent=2) + "\n"
     if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterDomainError(f"--out {args.out!r}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 

@@ -4,7 +4,9 @@ check.
 
 Z_n = (ab)^(n^2) tau_n / (prod_{k<n} k!)^2 with tau_n the n x n Hankel
 determinant of the derivatives of phi(t) = c/(ab); on the critical lines the
-moments are those of the critical weight and b/c replaces ab.  tau_0 is
+moments are those of the critical weight and b/c replaces ab.  Every tau_n
+used here is a prefix product prod_{k<n} h_k of one run of Chebyshev norms;
+``hankel_det`` keeps pivoted LU as the independent reference.  tau_0 is
 defined as 1 so the Toda relation tau_n tau_n'' - (tau_n')^2 = tau_{n+1}
 tau_{n-1} is meaningful from n = 1.
 """
@@ -14,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from mpmath import mp
@@ -83,7 +87,7 @@ class HankelResult:
 class ZnResult:
     """Partition function value with its log, provenance, and precision:
     the bits of the run and the fewest bits on which the base and guard runs
-    agreed over the determinant or norms behind it."""
+    agreed over the norms behind it."""
 
     n: int
     zn: object
@@ -92,11 +96,10 @@ class ZnResult:
     params: Tuple
     bits: int
     agreement_bits: int
-    tau: Optional[HankelResult] = None
 
     def to_json(self) -> dict:
         dps = PrecisionContext(self.bits).dps
-        out = {
+        return {
             "n": self.n,
             "zn": mp.nstr(self.zn, dps),
             "log_zn": mp.nstr(self.log_zn, dps),
@@ -105,9 +108,6 @@ class ZnResult:
             "bits": self.bits,
             "agreement_bits": self.agreement_bits,
         }
-        if self.tau is not None:
-            out["tau"] = self.tau.to_json()
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -141,13 +141,39 @@ def hankel_det(
     return HankelResult(n, tau, log_tau, ctx.bits, agreement)
 
 
+def _taus(m: MomentSequence, size: int, ctx: PrecisionContext) -> List[Tuple]:
+    """(tau_n, agreement) for n = 1..size: the prefix products of the
+    verified Chebyshev norms of m, tau_n = prod_{k<n} h_k, each with the
+    fewest bits on which the base and guard runs agreed over h_0..h_{n-1}."""
+    norms, agreement = _linalg.hankel_pivots(m.values, size, ctx)
+    with ctx.guardprec():
+        return list(zip(accumulate(norms, mul), accumulate(agreement, min)))
+
+
+def _series(
+    p: PhaseParams, moments: MomentSequence, nmax: int, ctx: PrecisionContext
+) -> List[ZnResult]:
+    """Z_1..Z_nmax of p from its moments (order at least 2 nmax - 2)."""
+    w = None if p.phase.is_critical else weights_from_params(p, ctx)
+    out = []
+    with ctx.guardprec():
+        base = (1 + to_mpf(p.alpha)) / 2 if w is None else w.a * w.b
+        for n, (tau, agree) in enumerate(_taus(moments, nmax, ctx), start=1):
+            zn = base ** (n * n) * tau / _superfactorial_sq(n)
+            out.append(
+                ZnResult(n, zn, mp.log(zn), p.phase, moments.params, ctx.bits, agree)
+            )
+    return out
+
+
 def zn_ik(
     p: PhaseParams,
     n: int,
     ctx: Optional[PrecisionContext] = None,
     moments: Optional[MomentSequence] = None,
 ) -> ZnResult:
-    """Izergin-Korepin partition function for the parameterized weights of p.
+    """Izergin-Korepin partition function for the parameterized weights of p:
+    the last entry of the ``zn_series`` assembly on its phi-derivatives.
 
     ``moments`` may carry a precomputed phi-derivative sequence (order at
     least 2n-2) to share across a sweep in n.  Without ``ctx`` it runs on the
@@ -159,16 +185,7 @@ def zn_ik(
         return on_ladder(n, 256, lambda c: zn_ik(p, n, c, moments))
     if moments is None or moments.order < 2 * n - 2:
         moments = phi_derivatives(p, 2 * n - 2, ctx)
-    tau = hankel_det(moments, n, ctx)
-    w = weights_from_params(p, ctx)
-    with ctx.guardprec():
-        ab = to_mpf(w.a) * to_mpf(w.b)
-        denom = mp.mpf(_superfactorial_sq(n))
-        zn = ab ** (n * n) * tau.tau / denom
-        log_zn = n * n * mp.log(ab) + tau.log_tau - mp.log(denom)
-    return ZnResult(
-        n, zn, log_zn, p.phase, (p.t, p.gamma), ctx.bits, tau.agreement_bits, tau
-    )
+    return _series(p, moments, n, ctx)[-1]
 
 
 def zn_series(
@@ -195,21 +212,7 @@ def zn_series(
         moments = moments_of(2 * nmax - 2, p.alpha, ctx)
     else:
         moments = phi_derivatives(p, 2 * nmax - 2, ctx)
-        w = weights_from_params(p, ctx)
-    norms, agreement = _linalg.hankel_pivots(moments.values, nmax, ctx)
-    out = []
-    with ctx.guardprec():
-        base = (1 + to_mpf(p.alpha)) / 2 if p.phase.is_critical else w.a * w.b
-        tau = mp.mpf(1)
-        agree = ctx.bits
-        for n, (h, bits) in enumerate(zip(norms, agreement), start=1):
-            agree = min(agree, bits)
-            tau *= h
-            zn = base ** (n * n) * tau / _superfactorial_sq(n)
-            out.append(
-                ZnResult(n, zn, mp.log(zn), p.phase, moments.params, ctx.bits, agree)
-            )
-    return out
+    return _series(p, moments, nmax, ctx)
 
 
 def toda_residual(
@@ -218,7 +221,9 @@ def toda_residual(
     """Relative residual of tau_n tau_n'' - (tau_n')^2 = tau_{n+1} tau_{n-1},
     with t-derivatives replaced by central differences at step h.
 
-    The residual is |lhs - rhs| / rhs and scales as O(h^2) plus roundoff.
+    tau_{n-1}, tau_n and tau_{n+1} at t are prefixes of one norms run on the
+    phi-derivatives of order 2n; tau_n at t +- h takes one run each.  The
+    residual is |lhs - rhs| / rhs and scales as O(h^2) plus roundoff.
     Without ``ctx`` it runs on the precision ladder of ``contexts(n + 1)``.
     """
     if n < 1:
@@ -226,22 +231,19 @@ def toda_residual(
     if ctx is None:
         return on_ladder(n + 1, 256, lambda c: toda_residual(p, n, h, c))
 
-    def tau_at(params: PhaseParams, size: int):
-        if size == 0:
-            return mp.mpf(1)
-        return hankel_det(phi_derivatives(params, 2 * size - 2, ctx), size, ctx).tau
+    def taus_at(q: PhaseParams, size: int) -> list:  # tau_0 = 1, ..., tau_size
+        moments = phi_derivatives(q, 2 * size - 2, ctx)
+        return [mp.mpf(1)] + [tau for tau, _ in _taus(moments, size, ctx)]
 
     with ctx.guardprec():
         step = to_mpf(h)
         if not step > 0:
             raise ParameterDomainError(f"step h > 0 required, got {h}")
         # domain exit at t +- h surfaces here as a ParameterDomainError
-        p_plus = p.shifted_t(step)
-        p_minus = p.shifted_t(-step)
-        t0 = tau_at(p, n)
-        tp = tau_at(p_plus, n)
-        tm = tau_at(p_minus, n)
+        p_plus, p_minus = p.shifted_t(step), p.shifted_t(-step)
+        taus = taus_at(p, n + 1)
+        t0, tp, tm = taus[n], taus_at(p_plus, n)[n], taus_at(p_minus, n)[n]
         d1 = (tp - tm) / (2 * step)
         d2 = (tp - 2 * t0 + tm) / (step * step)
-        rhs = tau_at(p, n + 1) * tau_at(p, n - 1)
+        rhs = taus[n + 1] * taus[n - 1]
         return abs(t0 * d2 - d1 * d1 - rhs) / rhs

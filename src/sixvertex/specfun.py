@@ -74,16 +74,6 @@ class MomentSequence:
     def context(self) -> PrecisionContext:
         return PrecisionContext(self.bits, max(2, self.guard_bits // self.bits))
 
-    def to_json(self) -> dict:
-        dps = self.context().dps
-        return {
-            "family": self.family.value,
-            "params": [mp.nstr(to_mpf(p), dps) for p in self.params],
-            "order": self.order,
-            "bits": self.bits,
-            "values": [mp.nstr(v, dps) for v in self.values],
-        }
-
 
 # ---------------------------------------------------------------------------
 # Taylor coefficients of x = cot or coth by the Riccati equation

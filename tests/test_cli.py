@@ -92,6 +92,19 @@ def test_toda_residual_small(capsys):
     assert mp.mpf(out["residual"]) < mp.mpf("1e-14")
 
 
+def test_toda_builds_the_moments_once_per_point(capsys, monkeypatch):
+    # tau_{n-1}, tau_n and tau_{n+1} at t are prefixes of one norms run on the
+    # moments of order 2n; tau_n at t +- h needs order 2n - 2 at each
+    orders = []
+    build = sixvertex.hankel.phi_derivatives
+    monkeypatch.setattr(sixvertex.hankel, "phi_derivatives",
+                        lambda p, kmax, ctx=None: orders.append(kmax) or build(p, kmax, ctx))
+    assert cli.run(["toda", "--phase", "disordered", "--t", "0.2", "--gamma", "1",
+                    "--n", "7", "--bits", "512", "--h", "1e-10"]) == 0
+    capsys.readouterr()
+    assert orders == [14, 12, 12]
+
+
 def test_norms_critical_fd(capsys):
     out = run_json(
         capsys, ["norms", "--phase", "critical-fd", "--alpha", "3", "--n", "1"]
@@ -318,6 +331,22 @@ def test_exit_code_precision_failure(capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "bits" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["exact", "--n", "3", "--a", "1", "--b", "1", "--c", "1"],
+     ["norms", "--phase", "af", "--t", "0.3", "--gamma", "1", "--n", "4"]],
+    ids=["exact", "norms"],
+)
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_exit_code_unwritable_out(capsys, tmp_path, argv, target):
+    out = tmp_path / "missing" / "out.json" if target == "missing-dir" else tmp_path
+    code = cli.run([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith("--out")
 
 
 def test_exit_code_bad_weight(capsys):

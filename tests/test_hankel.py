@@ -94,7 +94,6 @@ def test_zn_result_json(ferro_21):
     res = sv.zn_ik(ferro_21, 3, CTX256)
     blob = json.loads(json.dumps(res.to_json()))
     assert blob["phase"] == "ferroelectric"
-    assert blob["tau"]["n"] == 3
     with CTX256.guardprec():
         assert rel_to(mp.mpf(blob["zn"]), res.zn, prec=512) < mp.mpf("1e-70")
         assert rel_to(mp.mpf(blob["log_zn"]), res.log_zn, prec=512) < mp.mpf("1e-70")
@@ -194,6 +193,52 @@ def test_toda_works_in_ferro_phase(ferro_21):
     with CTX512.guardprec():
         res = sv.toda_residual(ferro_21, 2, mp.mpf("1e-8"), CTX512)
     assert res < mp.mpf("1e-13")
+
+
+def lu_toda_residual(p, n, h, ctx):
+    """The Toda residual from five pivoted-LU determinants, each on moments
+    of its own: tau_n at t and t +- h, tau_{n+1} and tau_{n-1} at t."""
+
+    def tau(q, size):
+        if size == 0:
+            return mp.mpf(1)
+        return sv.hankel_det(sv.phi_derivatives(q, 2 * size - 2, ctx), size, ctx).tau
+
+    with ctx.guardprec():
+        t0, tp, tm = tau(p, n), tau(p.shifted_t(h), n), tau(p.shifted_t(-h), n)
+        d1 = (tp - tm) / (2 * h)
+        d2 = (tp - 2 * t0 + tm) / (h * h)
+        rhs = tau(p, n + 1) * tau(p, n - 1)
+        return abs(t0 * d2 - d1 * d1 - rhs) / rhs
+
+
+@pytest.mark.parametrize(
+    "phase,t,gamma",
+    [
+        (sv.Phase.DISORDERED, "0.4", "1.2"),
+        (sv.Phase.FERROELECTRIC, "2", "1"),
+        (sv.Phase.ANTIFERROELECTRIC, "0.3", "1"),
+    ],
+)
+def test_norms_route_agrees_with_the_lu_reference(phase, t, gamma):
+    # toda_residual and zn_ik read prefix products of the Chebyshev norms;
+    # pivoted LU determinants are the independent reference for both
+    with CTX512.guardprec():
+        p = sv.PhaseParams(phase, t=mp.mpf(t), gamma=mp.mpf(gamma))
+        h = mp.mpf("1e-10")
+    tol = CTX512.verify_tolerance()
+    for n in (1, 3, 6):
+        got = sv.toda_residual(p, n, h, CTX512)
+        assert rel_to(got, lu_toda_residual(p, n, h, CTX512)) < tol, n
+    w = sv.weights_from_params(p, CTX512)
+    moments = sv.phi_derivatives(p, 22, CTX512)
+    superfactorial = 1
+    for n in range(1, 13):
+        superfactorial *= factorial(n - 1)
+        tau = sv.hankel_det(moments, n, CTX512).tau
+        with CTX512.guardprec():
+            ref = (w.a * w.b) ** (n * n) * tau / superfactorial**2
+        assert rel_to(sv.zn_ik(p, n, CTX512).zn, ref) < tol, n
 
 
 def test_default_context_policy():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from sixvertex import Weights, cli, transfer_matrix_zn
+from sixvertex import Weights, _linalg, cli, transfer_matrix_zn
 
 from oracles import asm_count
 
@@ -104,6 +104,24 @@ def test_benchmark_jobs_pass_the_benchmark_checker(capsys, workload):
     workloads = load_file(ROOT / "perfbench" / "workloads.py", "workloads")
     reference = load_file(ROOT / "perfbench" / "reference.py", "perfbench_reference")
     for job in workloads.build(workload, 1):
+        assert cli.run(job.argv) == 0, job.argv
+        reference.Checker(job).check(capsys.readouterr().out)
+
+
+def test_toda_jobs_and_probes_need_no_lu(capsys, monkeypatch):
+    # toda and zn_ik read the Chebyshev norms; pivoted LU serves only
+    # hankel_det, the reference that the tests compare the norms against
+    def no_lu(a):
+        raise AssertionError("pivoted LU called outside hankel_det")
+
+    monkeypatch.setattr(_linalg, "_lu_det", no_lu)
+    workloads = load_file(ROOT / "perfbench" / "workloads.py", "workloads")
+    reference = load_file(ROOT / "perfbench" / "reference.py", "perfbench_reference")
+    probes = workloads.probes()
+    jobs = [job for job in workloads.build("compare-grid", 1)
+            if job.command == "toda" or job in probes]
+    assert len(jobs) > len(probes)
+    for job in jobs:
         assert cli.run(job.argv) == 0, job.argv
         reference.Checker(job).check(capsys.readouterr().out)
 
