@@ -151,8 +151,7 @@ def predict_crit_fd(
 ) -> AsymptoticPrediction:
     """kappa = 1/4, G = exp(-zeta(3/2) sqrt(a/pi)), F = b, with the critical
     point a = (alpha-1)/2, b = (alpha+1)/2."""
-    if not alpha > 1:
-        raise ParameterDomainError(f"alpha > 1 required, got {alpha}")
+    PhaseParams(Phase.CRITICAL_FD, alpha=alpha)
     ctx = ctx or default_context(n)
     with ctx.guardprec():
         aa = to_mpf(alpha)

@@ -269,8 +269,6 @@ def cmd_toda(args) -> None:
     # exactly --bits: the residual shows a too-small --bits as exit 3
     ctx = PrecisionContext(args.bits)
     params = _phase_params(args, ctx)
-    if params.phase.is_critical:
-        raise ParameterDomainError("toda needs a bulk phase (t, gamma)")
     with ctx.guardprec():
         step = _parse_real(args.h, "h")
     residual = hankel.toda_residual(params, args.n, step, ctx)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterator, List, Optional, Tuple
@@ -24,7 +24,7 @@ from mpmath import mp
 
 from . import _linalg
 from .errors import ParameterDomainError, PrecisionFailureError
-from .model import Phase, PhaseParams, PrecisionContext, to_mpf, weights_from_params
+from .model import Phase, PhaseParams, PrecisionContext, bulk_chart, to_mpf, weights_from_params
 from .specfun import MomentSequence, crit_afd_moments, crit_fd_moments, phi_derivatives
 
 
@@ -85,20 +85,29 @@ class HankelResult:
 
 @dataclass(frozen=True)
 class ZnResult:
-    """Partition function value with its log, provenance, and precision:
-    the bits of the run and the fewest bits on which the base and guard runs
+    """Partition function value with its provenance and precision: the
+    context of the run and the fewest bits on which the base and guard runs
     agreed over the norms behind it."""
 
     n: int
     zn: object
-    log_zn: object
     phase: Phase
     params: Tuple
-    bits: int
+    ctx: PrecisionContext
     agreement_bits: int
 
+    @property
+    def bits(self) -> int:
+        return self.ctx.bits
+
+    @cached_property
+    def log_zn(self):
+        """log Z_n at the run's guard precision, taken on first read."""
+        with self.ctx.guardprec():
+            return mp.log(self.zn)
+
     def to_json(self) -> dict:
-        dps = PrecisionContext(self.bits).dps
+        dps = self.ctx.dps
         return {
             "n": self.n,
             "zn": mp.nstr(self.zn, dps),
@@ -122,7 +131,8 @@ def _superfactorial_sq(n: int) -> int:
 def hankel_det(
     m: MomentSequence, n: int, ctx: Optional[PrecisionContext] = None
 ) -> HankelResult:
-    """Verified Hankel determinant tau_n = det(mu_{i+k-2})_{1<=i,k<=n}.
+    """Verified Hankel determinant tau_n = det(mu_{i+k-2})_{1<=i,k<=n}, at ctx
+    (default: the moments' own, which ctx may not exceed).
 
     Raises PrecisionFailureError when the base and guard runs disagree beyond
     2^(-bits/2) relative, or when the determinant of a positive-measure moment
@@ -130,8 +140,8 @@ def hankel_det(
     """
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
-    ctx = ctx or m.context()
-    tau, agreement = _linalg.hankel_determinant(m.values, n, ctx)
+    ctx = ctx or m.ctx
+    tau, agreement = _linalg.hankel_determinant(m.values_for(ctx), n, ctx)
     if not tau > 0:
         raise PrecisionFailureError(
             f"tau_{n} <= 0 for a positive-measure moment sequence; raise bits"
@@ -145,7 +155,7 @@ def _taus(m: MomentSequence, size: int, ctx: PrecisionContext) -> List[Tuple]:
     """(tau_n, agreement) for n = 1..size: the prefix products of the
     verified Chebyshev norms of m, tau_n = prod_{k<n} h_k, each with the
     fewest bits on which the base and guard runs agreed over h_0..h_{n-1}."""
-    norms, agreement = _linalg.hankel_pivots(m.values, size, ctx)
+    norms, agreement = _linalg.hankel_pivots(m.values_for(ctx), size, ctx)
     with ctx.guardprec():
         return list(zip(accumulate(norms, mul), accumulate(agreement, min)))
 
@@ -160,9 +170,7 @@ def _series(
         base = (1 + to_mpf(p.alpha)) / 2 if w is None else w.a * w.b
         for n, (tau, agree) in enumerate(_taus(moments, nmax, ctx), start=1):
             zn = base ** (n * n) * tau / _superfactorial_sq(n)
-            out.append(
-                ZnResult(n, zn, mp.log(zn), p.phase, moments.params, ctx.bits, agree)
-            )
+            out.append(ZnResult(n, zn, p.phase, moments.params, ctx, agree))
     return out
 
 
@@ -175,15 +183,16 @@ def zn_ik(
     """Izergin-Korepin partition function for the parameterized weights of p:
     the last entry of the ``zn_series`` assembly on its phi-derivatives.
 
-    ``moments`` may carry a precomputed phi-derivative sequence (order at
-    least 2n-2) to share across a sweep in n.  Without ``ctx`` it runs on the
-    precision ladder of ``contexts(n)``.
+    ``moments`` may carry a precomputed phi-derivative sequence to share
+    across a sweep in n; it is rebuilt when its order is below 2n-2 or it
+    cannot serve a run at ctx.  Without ``ctx`` it runs on the precision
+    ladder of ``contexts(n)``.
     """
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
     if ctx is None:
         return on_ladder(n, 256, lambda c: zn_ik(p, n, c, moments))
-    if moments is None or moments.order < 2 * n - 2:
+    if moments is None or moments.order < 2 * n - 2 or not moments.serves(ctx):
         moments = phi_derivatives(p, 2 * n - 2, ctx)
     return _series(p, moments, n, ctx)[-1]
 
@@ -225,7 +234,9 @@ def toda_residual(
     phi-derivatives of order 2n; tau_n at t +- h takes one run each.  The
     residual is |lhs - rhs| / rhs and scales as O(h^2) plus roundoff.
     Without ``ctx`` it runs on the precision ladder of ``contexts(n + 1)``.
+    The critical lines have no t to differentiate in.
     """
+    bulk_chart(p)
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
     if ctx is None:

@@ -21,23 +21,19 @@ from . import _linalg
 from .errors import ParameterDomainError
 from .hankel import ZnResult, default_context, on_ladder, zn_series
 from .model import Phase, PhaseParams, PrecisionContext, to_mpf
-from .specfun import (
-    MomentFamily,
-    MomentSequence,
-    ferro_moments,
-)
+from .specfun import MomentFamily, MomentSequence, ferro_moments
 
 
 @dataclass(frozen=True)
 class NormSequence:
-    """Norms h_0..h_{n-1} of the monic orthogonal polynomials of one family,
-    with the fewest bits on which the base and guard runs agreed over them."""
+    """Norms h_0..h_{n-1} of the monic orthogonal polynomials of one family at
+    the guard precision of ``ctx``, the context of the run that computed them,
+    with the fewest bits on which its base and guard runs agreed over them."""
 
     family: MomentFamily
     params: Tuple
     h: Tuple
-    bits: int
-    guard_bits: int
+    ctx: PrecisionContext
     agreement_bits: int
 
     def __len__(self) -> int:
@@ -47,11 +43,11 @@ class NormSequence:
         return self.h[k]
 
     def to_json(self) -> dict:
-        dps = PrecisionContext(self.bits).dps
+        dps = self.ctx.dps
         return {
             "family": self.family.value,
             "params": [mp.nstr(to_mpf(p), dps) for p in self.params],
-            "bits": self.bits,
+            "bits": self.ctx.bits,
             "agreement_bits": self.agreement_bits,
             "h": [mp.nstr(v, dps) for v in self.h],
         }
@@ -61,19 +57,18 @@ def norms_from_moments(
     m: MomentSequence, n: int, ctx: Optional[PrecisionContext] = None
 ) -> NormSequence:
     """h_0..h_{n-1} from mu_0..mu_{2n-2}; every h_k must come out positive and
-    survive the doubled-precision verification."""
+    survive the doubled-precision verification, at ctx (default: the moments'
+    own, which ctx may not exceed)."""
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
-    ctx = ctx or m.context()
-    pivots, agreement = _linalg.hankel_pivots(m.values, n, ctx)
-    return NormSequence(
-        m.family, m.params, tuple(pivots), ctx.bits, ctx.guard_bits, min(agreement)
-    )
+    ctx = ctx or m.ctx
+    pivots, agreement = _linalg.hankel_pivots(m.values_for(ctx), n, ctx)
+    return NormSequence(m.family, m.params, tuple(pivots), ctx, min(agreement))
 
 
 def recurrence_r(ns: NormSequence) -> Tuple:
     """Three-term recurrence ratios R_k = h_k / h_{k-1}, k = 1..n-1."""
-    with mp.workprec(ns.guard_bits):
+    with ns.ctx.guardprec():
         return tuple(ns.h[k] / ns.h[k - 1] for k in range(1, len(ns.h)))
 
 
@@ -127,8 +122,6 @@ def zn_crit_fd(n: int, alpha, ctx: Optional[PrecisionContext] = None) -> ZnResul
     with h_k the norms of the weight e^{-x} - e^{-rx} on (0, inf),
     r = (alpha+1)/(alpha-1).
     """
-    if n < 1:
-        raise ParameterDomainError(f"n >= 1 required, got {n}")
     return zn_crit_series(Phase.CRITICAL_FD, n, alpha, ctx)[-1]
 
 
@@ -141,8 +134,6 @@ def zn_crit_afd(n: int, alpha, ctx: Optional[PrecisionContext] = None) -> ZnResu
     with h_k the norms of the two-sided exponential weight e^{-x} (x >= 0),
     e^{rx} (x < 0), r = (1+alpha)/(1-alpha).
     """
-    if n < 1:
-        raise ParameterDomainError(f"n >= 1 required, got {n}")
     return zn_crit_series(Phase.CRITICAL_AFD, n, alpha, ctx)[-1]
 
 

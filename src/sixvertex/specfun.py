@@ -49,17 +49,14 @@ _PHI_FAMILY = {
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """Moments mu_0..mu_m of one weight family at one parameter point.
-
-    ``values`` are mpf computed at ``guard_bits`` precision; ``bits`` is the
-    target working precision of downstream consumers.
-    """
+    """Moments mu_0..mu_m of one weight family at one parameter point, as mpf
+    computed at the guard precision of ``ctx``, the context they were built
+    for.  Runs read them through ``values_for``."""
 
     family: MomentFamily
     params: Tuple
     values: Tuple
-    bits: int
-    guard_bits: int
+    ctx: PrecisionContext
 
     @property
     def order(self) -> int:
@@ -71,8 +68,20 @@ class MomentSequence:
     def __len__(self) -> int:
         return len(self.values)
 
-    def context(self) -> PrecisionContext:
-        return PrecisionContext(self.bits, max(2, self.guard_bits // self.bits))
+    def serves(self, ctx: PrecisionContext) -> bool:
+        """Whether the values can feed a run at ctx: its guard precision must
+        not exceed the one they were computed at."""
+        return ctx.guard_bits <= self.ctx.guard_bits
+
+    def values_for(self, ctx: PrecisionContext) -> Tuple:
+        """The values, for a run at ctx that they serve.  Any other run would
+        claim bits the moments do not carry, so it raises ParameterDomainError."""
+        if not self.serves(ctx):
+            raise ParameterDomainError(
+                f"moments built at {self.ctx.guard_bits} guard bits cannot serve a "
+                f"run at {ctx.guard_bits} guard bits; build them at its context"
+            )
+        return self.values
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +130,7 @@ def phi_derivatives(
             # each t-derivative of a function of gamma - t brings a factor -1
             pair = cp[k] + cm[k] if k % 2 == 0 else cp[k] - cm[k]
             values.append(chart.s * math.factorial(k) * pair)
-    return MomentSequence(
-        _PHI_FAMILY[p.phase], (p.t, p.gamma), tuple(values), ctx.bits, ctx.guard_bits
-    )
+    return MomentSequence(_PHI_FAMILY[p.phase], (p.t, p.gamma), tuple(values), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +180,7 @@ def polylog_neg(k: int, q, ctx: Optional[PrecisionContext] = None):
 
 def ferro_moment(k: int, t, gamma, ctx: Optional[PrecisionContext] = None):
     """sum_{l>=1} l^k 2 e^{-2tl} sinh(2 gamma l) for t > gamma > 0."""
-    _require(gamma > 0, f"gamma > 0 required, got {gamma}")
-    _require(t > gamma, f"t > gamma required, got t={t}, gamma={gamma}")
+    PhaseParams(Phase.FERROELECTRIC, t=t, gamma=gamma)
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         tt, gg = to_mpf(t), to_mpf(gamma)
@@ -185,8 +191,7 @@ def ferro_moment(k: int, t, gamma, ctx: Optional[PrecisionContext] = None):
 
 def af_moment(k: int, t, gamma, ctx: Optional[PrecisionContext] = None):
     """sum_{l in Z} l^k e^{2tl - 2 gamma |l|} for |t| < gamma."""
-    _require(gamma > 0, f"gamma > 0 required, got {gamma}")
-    _require(abs(t) < gamma, f"|t| < gamma required, got t={t}, gamma={gamma}")
+    PhaseParams(Phase.ANTIFERROELECTRIC, t=t, gamma=gamma)
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         tt, gg = to_mpf(t), to_mpf(gamma)
@@ -202,7 +207,7 @@ def af_moment(k: int, t, gamma, ctx: Optional[PrecisionContext] = None):
 
 def crit_fd_moment(k: int, alpha, ctx: Optional[PrecisionContext] = None):
     """int_0^inf x^k (e^{-x} - e^{-rx}) dx = k! (1 - r^{-(k+1)}), r=(alpha+1)/(alpha-1)."""
-    _require(alpha > 1, f"alpha > 1 required, got {alpha}")
+    PhaseParams(Phase.CRITICAL_FD, alpha=alpha)
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         a = to_mpf(alpha)
@@ -213,7 +218,7 @@ def crit_fd_moment(k: int, alpha, ctx: Optional[PrecisionContext] = None):
 def crit_afd_moment(k: int, alpha, ctx: Optional[PrecisionContext] = None):
     """Moments of the two-sided exponential weight e^{-x} (x>=0) / e^{rx} (x<0):
     k! (1 + (-1)^k r^{-(k+1)}), r=(1+alpha)/(1-alpha)."""
-    _require(-1 < alpha < 1, f"-1 < alpha < 1 required, got {alpha}")
+    PhaseParams(Phase.CRITICAL_AFD, alpha=alpha)
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         a = to_mpf(alpha)
@@ -228,7 +233,7 @@ def _moment_sequence(
     """mu_0..mu_kmax of a closed-form family, mu_k = moment(k, *params, ctx)."""
     ctx = ctx or DEFAULT_CONTEXT
     vals = tuple(moment(k, *params, ctx) for k in range(kmax + 1))
-    return MomentSequence(family, params, vals, ctx.bits, ctx.guard_bits)
+    return MomentSequence(family, params, vals, ctx)
 
 
 def ferro_moments(
@@ -253,11 +258,6 @@ def crit_afd_moments(
     kmax: int, alpha, ctx: Optional[PrecisionContext] = None
 ) -> MomentSequence:
     return _moment_sequence(MomentFamily.CRIT_AFD, (alpha,), crit_afd_moment, kmax, ctx)
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ParameterDomainError(msg)
 
 
 # ---------------------------------------------------------------------------

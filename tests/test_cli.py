@@ -315,6 +315,13 @@ def test_exit_code_mismatched_params(capsys):
     capsys.readouterr()
 
 
+def test_exit_code_toda_on_a_critical_line(capsys):
+    code = cli.run(["toda", "--phase", "critical-fd", "--alpha", "3", "--n", "2",
+                    "--h", "1e-10"])
+    assert code == 2
+    assert "critical-fd" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_exit_code_no_predictor_for_critical_afd(capsys):
     code = cli.run(
         ["compare", "--phase", "critical-afd", "--alpha", "0.5", "--nmax", "5"]

@@ -416,3 +416,52 @@ def test_zn_series_log_zn_is_the_log_of_zn(phase, point):
     for r in sv.zn_series(p, 24, ctx):
         with ctx.guardprec():
             assert abs(r.log_zn - mp.log(r.zn)) <= ctx.verify_tolerance(), r.n
+
+
+def test_moments_serve_runs_at_their_context_or_below():
+    # moments built at 256 bits carry 512 guard bits; a 1024-bit run on them
+    # would claim 2^-512 and be wrong past 2^-326 (ferro t = 2, gamma = 0.6)
+    low, high = sv.PrecisionContext(256), sv.PrecisionContext(1024)
+    with high.guardprec():
+        p = sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.mpf(2), gamma=mp.mpf("0.6"))
+    m = sv.phi_derivatives(p, 78, low)
+    ref = sv.zn_series(p, 40, sv.PrecisionContext(2048))[-1].zn
+    res = sv.zn_ik(p, 40, high, moments=m)
+    assert res.bits == 1024 and rel_to(res.zn, ref) < high.verify_tolerance()
+    with pytest.raises(ParameterDomainError, match="guard bits"):
+        sv.norms_from_moments(m, 40, high)
+    with pytest.raises(ParameterDomainError, match="guard bits"):
+        sv.hankel_det(m, 40, high)
+    # at the moments' own context, the default, or a lower one, both run as
+    # the verified routines on the moment values
+    for ctx in (None, low, sv.PrecisionContext(160)):
+        run = ctx or low
+        norms = sv.norms_from_moments(m, 8, ctx)
+        assert norms.ctx == run
+        assert norms.h == tuple(_linalg.hankel_pivots(m.values, 8, run)[0])
+        tau = _linalg.hankel_determinant(m.values, 8, run)[0]
+        assert sv.hankel_det(m, 8, ctx).tau == tau
+
+
+def test_zn_ik_takes_one_log(monkeypatch):
+    # zn_ik returns only Z_n, so only its log is taken, once, when read
+    calls = []
+    log = mp.log
+    monkeypatch.setattr(mp, "log", lambda *a, **k: calls.append(a) or log(*a, **k))
+    p = sv.PhaseParams(sv.Phase.DISORDERED, t=0.3, gamma=1.1)
+    res = sv.zn_ik(p, 48, sv.default_context(48))
+    assert res.log_zn == res.log_zn
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("ctx", [None, CTX256])
+@pytest.mark.parametrize(
+    "p",
+    [
+        sv.PhaseParams(sv.Phase.CRITICAL_FD, alpha=3),
+        sv.PhaseParams(sv.Phase.CRITICAL_AFD, alpha=Fraction(1, 3)),
+    ],
+)
+def test_toda_rejects_the_critical_lines(p, ctx):
+    with pytest.raises(ParameterDomainError, match="chart"):
+        sv.toda_residual(p, 2, "1e-10", ctx)

@@ -255,6 +255,33 @@ def test_moment_domain_rejections():
         sv.crit_afd_moment(0, 1)
 
 
+# Dyadic points on both sides of every domain boundary, and on it
+DOMAIN_GRID = st.integers(-24, 24).map(lambda i: Fraction(i, 8))
+
+
+def _raises_domain_error(call) -> bool:
+    try:
+        call()
+    except ParameterDomainError:
+        return True
+    return False
+
+
+@given(k=st.integers(0, 6), t=DOMAIN_GRID, gamma=DOMAIN_GRID, alpha=DOMAIN_GRID)
+def test_domains_are_those_of_phase_params(k, t, gamma, alpha):
+    bulk, line = {"t": t, "gamma": gamma}, {"alpha": alpha}
+    cases = [
+        (sv.Phase.FERROELECTRIC, bulk, lambda: sv.ferro_moment(k, t, gamma)),
+        (sv.Phase.ANTIFERROELECTRIC, bulk, lambda: sv.af_moment(k, t, gamma)),
+        (sv.Phase.CRITICAL_FD, line, lambda: sv.crit_fd_moment(k, alpha)),
+        (sv.Phase.CRITICAL_AFD, line, lambda: sv.crit_afd_moment(k, alpha)),
+        (sv.Phase.CRITICAL_FD, line, lambda: sv.predict_crit_fd(alpha, k + 1)),
+    ]
+    for phase, params, call in cases:
+        rejected = _raises_domain_error(lambda: sv.PhaseParams(phase, **params))
+        assert _raises_domain_error(call) == rejected, (phase, params)
+
+
 # --- theta -----------------------------------------------------------------
 
 
