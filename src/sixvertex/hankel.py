@@ -184,12 +184,18 @@ def zn_ik(
     the last entry of the ``zn_series`` assembly on its phi-derivatives.
 
     ``moments`` may carry a precomputed phi-derivative sequence to share
-    across a sweep in n; it is rebuilt when its order is below 2n-2 or it
-    cannot serve a run at ctx.  Without ``ctx`` it runs on the precision
-    ladder of ``contexts(n)``.
+    across a sweep in n; it must be that of p (ParameterDomainError
+    otherwise), and it is rebuilt when its order is below 2n-2 or it cannot
+    serve a run at ctx.  Without ``ctx`` it runs on the precision ladder of
+    ``contexts(n)``.
     """
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
+    if moments is not None and not moments.is_phi_of(p):
+        raise ParameterDomainError(
+            f"moments of {moments.family.value} at {moments.params} are not the "
+            f"phi-derivatives of {p.phase.value} at {(p.t, p.gamma)}"
+        )
     if ctx is None:
         return on_ladder(n, 256, lambda c: zn_ik(p, n, c, moments))
     if moments is None or moments.order < 2 * n - 2 or not moments.serves(ctx):

@@ -2,6 +2,14 @@
 configuration enumeration (DFS) and a 2^n-state transfer-matrix dynamic
 program.  Rational weights give exact rational results.
 
+The DP scans the vertices row by row and keeps two frontiers, one per
+carried horizontal arrow, each keyed by the int mask of the vertical edges.
+At a vertex the ice rule comes down to two moves: pass both arrows on
+(weight a where the carry and the bottom arrow agree, b where they differ),
+or, where they differ, turn both (weight c), which flips the mask bit and
+moves the state to the other frontier.  The DFS walks whole rows: the rows
+that fit above each tuple of bottom edges are built once per call.
+
 Every DWBC configuration has exactly n^2 vertices, so Z_n is homogeneous of
 degree n^2 in (a, b, c): Z_n(a, b, c) = Z_n(Da, Db, Dc) / D^(n^2).  In exact
 mode the weights are scaled by D, the lcm of their denominators, to the
@@ -151,38 +159,61 @@ _MOVES = {(col, row): _vertex_moves(col, row) for col in (False, True) for row i
 
 
 def _walk(n: int):
-    """Depth-first walk over all DWBC configurations, vertices in row-major
-    order.  Yields the live (h, v, tallies) at each configuration: the edge
-    lists as laid out in Configuration and the per-class tallies
-    [N_a, N_b, N_c].  The lists change as the walk goes on."""
+    """Depth-first walk over all DWBC configurations, one row at a time from
+    the bottom.  Yields the live (h, v, tallies) at each configuration: the
+    edge lists as laid out in Configuration (rows as tuples) and the tuple of
+    per-class tallies (N_a, N_b, N_c).  The lists change as the walk goes on.
+
+    The rows that fit above each tuple of bottom edges (in the top row or
+    not) are built once per call by a vertex walk over _MOVES, as (h row, top
+    edges, tallies).  The walk then descends n levels instead of n^2 and
+    enters no dead prefix: with Left and Right on its side walls a row has
+    one Up fewer above than below, so every partial configuration completes.
+    Configurations come in the order of a vertex walk in row-major order."""
     if not 1 <= n <= MAX_ENUM_N:
         raise ParameterDomainError(
             f"enumeration supports 1 <= n <= {MAX_ENUM_N} (got {n}); "
             "use the transfer matrix for larger n"
         )
-    h = [[LEFT] + [None] * n for _ in range(n)]
-    v = [[UP] * n] + [[None] * n for _ in range(n)]
-    tallies = [0, 0, 0]
-    cells = [(i, j, _MOVES[j == n - 1, i == n - 1]) for i in range(n) for j in range(n)]
-    last = n * n - 1
+    rows_of = {}
 
-    def rec(idx: int):
-        i, j, moves = cells[idx]
-        for right, top, cls in moves.get((h[i][j], v[i][j]), ()):
-            h[i][j + 1] = right
-            v[i + 1][j] = top
-            tallies[cls] += 1
-            if idx == last:
-                yield h, v, tallies
+    def rows(bottom: tuple, top_row: bool) -> list:
+        key = (bottom, top_row)
+        if key not in rows_of:
+            out = []
+            hrow, top, tal = [LEFT] + [None] * n, [None] * n, [0, 0, 0]
+
+            def fill(j: int):
+                for right, t, cls in _MOVES[j == n - 1, top_row].get((hrow[j], bottom[j]), ()):
+                    hrow[j + 1], top[j] = right, t
+                    tal[cls] += 1
+                    if j == n - 1:
+                        out.append((tuple(hrow), tuple(top), tuple(tal)))
+                    else:
+                        fill(j + 1)
+                    tal[cls] -= 1
+
+            fill(0)
+            rows_of[key] = out
+        return rows_of[key]
+
+    h = [None] * n
+    v = [(UP,) * n] + [None] * n
+
+    def rec(i: int, na: int, nb: int, nc: int):
+        for hrow, top, (ra, rb, rc) in rows(v[i], i == n - 1):
+            h[i], v[i + 1] = hrow, top
+            if i == n - 1:
+                yield h, v, (na + ra, nb + rb, nc + rc)
             else:
-                yield from rec(idx + 1)
-            tallies[cls] -= 1
+                yield from rec(i + 1, na + ra, nb + rb, nc + rc)
 
-    return rec(0)
+    return rec(0, 0, 0, 0)
 
 
 def enumerate_configurations(n: int) -> Iterator[Configuration]:
-    """All DWBC configurations, DFS over vertices in row-major order."""
+    """All DWBC configurations, DFS over rows from the bottom; the order is
+    that of a DFS over vertices in row-major order."""
     for h, v, _ in _walk(n):
         yield Configuration(n, tuple(tuple(r) for r in h), tuple(tuple(r) for r in v))
 
@@ -224,7 +255,7 @@ def enumerate_dfs(
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         a, b, c, d = _prepare_weights(w, exact, ctx)
-        counts = Counter(tuple(t) for _, _, t in _walk(n))
+        counts = Counter(t for _, _, t in _walk(n))
         total = sum(k * a**na * b**nb * c**nc for (na, nb, nc), k in counts.items())
         return _rescale(total, d, n), sum(counts.values())
 
@@ -237,12 +268,17 @@ def transfer_matrix_zn(
 ):
     """Z_n by a row-scanning dynamic program over 2^n vertical-edge states.
 
-    The frontier maps (vertical-edge bitmask, carried horizontal edge) to the
-    accumulated weight; bit j set means the active vertical edge in column j
-    points Up.  In exact mode the weights are the integers Da, Db, Dc, so
-    every multiply-add is an int operation, and the final weight is divided
-    once by D^(n^2) into a Fraction in lowest terms.  Agrees exactly with
-    enumerate_dfs in rational mode.
+    Two frontiers, ``left`` and ``right`` by the horizontal edge carried into
+    the next vertex, map the vertical-edge bitmask to the accumulated weight;
+    bit j set means the active vertical edge in column j points Up.  At
+    column j every state passes on, keeping its mask, with weight a where
+    carry and bit j agree and b where they differ; where they differ it also
+    turns with weight c, flipping bit j and changing frontier.  A row starts
+    from ``left`` and ends keeping ``right`` only (the side walls).  In exact
+    mode the weights are the integers Da, Db, Dc, so every multiply-add is an
+    int operation, and the final weight is divided once by D^(n^2) into a
+    Fraction in lowest terms.  Agrees exactly with enumerate_dfs in rational
+    mode.
     """
     if not 1 <= n <= MAX_TRANSFER_N:
         raise ParameterDomainError(
@@ -252,31 +288,24 @@ def transfer_matrix_zn(
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         a, b, c, d = _prepare_weights(w, exact, ctx)
-        weight = (a, b, c)
-        # (left, bottom) -> [(right, top, weight)] in an inner and in the last column
-        cell_of = {
-            last: {key: [(r, t, weight[cls]) for r, t, cls in moves]
-                   for key, moves in _MOVES[last, False].items()}
-            for last in (False, True)
-        }
-
-        frontier = {(1 << n) - 1: 1}  # bottom boundary: all Up
+        left, right = {(1 << n) - 1: 1}, {}  # bottom boundary: all Up
         for _ in range(n):
-            states = {(mask, LEFT): wt for mask, wt in frontier.items()}
             for j in range(n):
-                nxt = {}
                 bit = 1 << j
-                cell = cell_of[j == n - 1]
-                for (mask, carry), wt in states.items():
-                    bottom = UP if mask & bit else DOWN
-                    for right, top, val in cell.get((carry, bottom), ()):
-                        nmask = mask | bit if top == UP else mask & ~bit
-                        key = (nmask, right)
-                        acc = nxt.get(key)
-                        nxt[key] = wt * val if acc is None else acc + wt * val
-                states = nxt
-            frontier = {mask: wt for (mask, carry), wt in states.items()}
-        return _rescale(frontier[0], d, n)  # top boundary: all Down
+                # pass on: a where carry and bottom agree, b where they differ
+                new_left = {m: wt * b if m & bit else wt * a for m, wt in left.items()}
+                new_right = {m: wt * a if m & bit else wt * b for m, wt in right.items()}
+                # turn: carry Left meets Up (type 5) or Right meets Down (type 6)
+                for m, wt in left.items():
+                    if m & bit:
+                        new_right[m ^ bit] = new_right.get(m ^ bit, 0) + wt * c
+                for m, wt in right.items():
+                    if not m & bit:
+                        new_left[m | bit] = new_left.get(m | bit, 0) + wt * c
+                left, right = new_left, new_right
+            # right boundary: carry Right only; the next row starts with Left
+            left, right = right, {}
+        return _rescale(left[0], d, n)  # top boundary: all Down
 
 
 def vertex_counts(cfg: Configuration) -> VertexCounts:

@@ -68,6 +68,11 @@ class MomentSequence:
     def __len__(self) -> int:
         return len(self.values)
 
+    def is_phi_of(self, p: PhaseParams) -> bool:
+        """Whether these are the phi-derivatives of p, as phi_derivatives
+        labels them."""
+        return (self.family, self.params) == (_PHI_FAMILY.get(p.phase), (p.t, p.gamma))
+
     def serves(self, ctx: PrecisionContext) -> bool:
         """Whether the values can feed a run at ctx: its guard precision must
         not exceed the one they were computed at."""
@@ -159,19 +164,32 @@ def polylog_neg(k: int, q, ctx: Optional[PrecisionContext] = None):
     in mpf at guard precision.  The Eulerian-polynomial form has positive
     coefficients, so the evaluation is cancellation free.
     """
-    if k < 0:
-        raise ParameterDomainError(f"order k >= 0 required, got {k}")
-    if not 0 < q < 1:
-        raise ParameterDomainError(f"polylog_neg requires 0 < q < 1, got {q}")
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         qq = q if isinstance(q, Fraction) else to_mpf(q)
-        if k == 0:
-            return qq / (1 - qq)
-        num = 0 * qq
-        for a in reversed(_eulerian_row(k)):
-            num = (num + a) * qq
-        return num / (1 - qq) ** (k + 1)
+        return _li_neg(k, qq, 1 - qq)
+
+
+def _li_neg(k: int, q, one_minus_q):
+    """Li_{-k}(q) from q and 1 - q, at ambient precision.  Callers that know
+    q = e^(-x) pass 1 - q = -expm1(-x), which keeps its bits as q nears 1."""
+    if k < 0:
+        raise ParameterDomainError(f"order k >= 0 required, got {k}")
+    if not (q > 0 and one_minus_q > 0):
+        raise ParameterDomainError(
+            f"polylog_neg requires 0 < q < 1, got q = {q}, 1 - q = {one_minus_q}"
+        )
+    if k == 0:
+        return q / one_minus_q
+    num = 0 * q
+    for a in reversed(_eulerian_row(k)):
+        num = (num + a) * q
+    return num / one_minus_q ** (k + 1)
+
+
+def _li_neg_exp(k: int, x):
+    """Li_{-k}(e^(-x)) for x > 0, with 1 - e^(-x) taken as -expm1(-x)."""
+    return _li_neg(k, mp.exp(-x), -mp.expm1(-x))
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +202,7 @@ def ferro_moment(k: int, t, gamma, ctx: Optional[PrecisionContext] = None):
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         tt, gg = to_mpf(t), to_mpf(gamma)
-        q1 = mp.exp(-2 * (tt - gg))
-        q2 = mp.exp(-2 * (tt + gg))
-        return polylog_neg(k, q1, ctx) - polylog_neg(k, q2, ctx)
+        return _li_neg_exp(k, 2 * (tt - gg)) - _li_neg_exp(k, 2 * (tt + gg))
 
 
 def af_moment(k: int, t, gamma, ctx: Optional[PrecisionContext] = None):
@@ -195,10 +211,8 @@ def af_moment(k: int, t, gamma, ctx: Optional[PrecisionContext] = None):
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         tt, gg = to_mpf(t), to_mpf(gamma)
-        qp = mp.exp(2 * (tt - gg))
-        qm = mp.exp(-2 * (tt + gg))
-        s = polylog_neg(k, qp, ctx)
-        neg = polylog_neg(k, qm, ctx)
+        s = _li_neg_exp(k, 2 * (gg - tt))
+        neg = _li_neg_exp(k, 2 * (tt + gg))
         s = s + neg if k % 2 == 0 else s - neg
         if k == 0:
             s += 1

@@ -56,6 +56,15 @@ def test_exact_asm(capsys):
     assert out["count"] == 42
 
 
+def test_exact_dfs_n7(capsys):
+    out = run_json(
+        capsys,
+        ["exact", "--n", "7", "--a", "1", "--b", "1", "--c", "1", "--method", "dfs"],
+    )
+    assert out["zn"] == "218348"
+    assert out["count"] == 218348
+
+
 def test_exact_n1(capsys):
     out = run_json(capsys, ["exact", "--n", "1", "--a", "2", "--b", "3", "--c", "5"])
     assert out["zn"] == "5"

@@ -443,6 +443,21 @@ def test_moments_serve_runs_at_their_context_or_below():
         assert sv.hankel_det(m, 8, ctx).tau == tau
 
 
+def test_zn_ik_rejects_the_moments_of_another_point():
+    p = sv.PhaseParams(sv.Phase.DISORDERED, t=0.3, gamma=1.1)
+    for other in (
+        sv.PhaseParams(sv.Phase.ANTIFERROELECTRIC, t=0.1, gamma=1.0),
+        sv.PhaseParams(sv.Phase.DISORDERED, t=0.1, gamma=1.0),
+    ):
+        m = sv.phi_derivatives(other, 8, CTX256)
+        for ctx in (CTX256, None):
+            with pytest.raises(ParameterDomainError, match="not the phi-derivatives"):
+                sv.zn_ik(p, 5, ctx, moments=m)
+    own = sv.zn_ik(p, 5, CTX256, moments=sv.phi_derivatives(p, 8, CTX256))
+    assert own.params == (0.3, 1.1)
+    assert rel_to(own.zn, sv.zn_ik(p, 5, CTX256).zn) == 0
+
+
 def test_zn_ik_takes_one_log(monkeypatch):
     # zn_ik returns only Z_n, so only its log is taken, once, when read
     calls = []

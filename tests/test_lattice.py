@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
 import sixvertex as sv
-from sixvertex.lattice import DOWN, LEFT, RIGHT, UP, configuration_weight
+from sixvertex.lattice import DOWN, LEFT, RIGHT, UP, _vertex_moves, configuration_weight
 from sixvertex.errors import ParameterDomainError
 
 from conftest import rational_weights
@@ -50,6 +50,33 @@ def test_asm_counts():
 def test_transfer_matrix_matches_asm():
     for n, expect in [(1, 1), (2, 2), (3, 7), (4, 42), (5, 429), (6, 7436)]:
         assert sv.transfer_matrix_zn(n, rational_weights(1, 1, 1)) == expect
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumeration_yields_each_asm_configuration_once(n):
+    configs = list(sv.enumerate_configurations(n))
+    assert len(configs) == len(set(configs)) == asm_count(n)
+    for cfg in configs:
+        cfg.validate()
+
+
+def test_transfer_pass_on_and_turn_rule_is_the_ice_rule():
+    # the DP's rule at an inner vertex: pass both arrows on, weight a where the
+    # carry and the bottom arrow agree and b where they differ; where they
+    # differ, also turn both arrows (right = bottom, top = carry) with weight c
+    a, b, c = 0, 1, 2
+    for carry in (LEFT, RIGHT):
+        for bottom in (DOWN, UP):
+            moves = {(carry, bottom, a if carry == bottom else b)}
+            if carry != bottom:
+                moves.add((bottom, carry, c))
+            assert set(_vertex_moves(False, False)[carry, bottom]) == moves
+
+
+def test_dfs_equals_transfer_matrix_n7():
+    w = sv.Weights(Fraction(2, 7), Fraction(5, 11), Fraction(13, 3))
+    z, count = sv.enumerate_dfs(7, w)
+    assert z == sv.transfer_matrix_zn(7, w) and count == asm_count(7)
 
 
 def test_transfer_matrix_exact_equivalence_example():

@@ -282,6 +282,24 @@ def test_domains_are_those_of_phase_params(k, t, gamma, alpha):
         assert _raises_domain_error(call) == rejected, (phase, params)
 
 
+@pytest.mark.parametrize(
+    "moment, t, gamma", [(sv.ferro_moment, 2e-50, 1e-50), (sv.af_moment, 1e-50, 2e-50)]
+)
+def test_discrete_moments_keep_their_bits_near_the_boundary(moment, t, gamma):
+    # |t -+ gamma| = 1e-50: forming 1 - q from q = e^(-2|t -+ gamma|) would
+    # cancel about 166 bits; -expm1(-2|t -+ gamma|) keeps them
+    high = sv.PrecisionContext(2048)
+    for k in (0, 3, 20):
+        assert rel_to(moment(k, t, gamma, CTX256), moment(k, t, gamma, high)) <= mp.mpf(2) ** -500
+
+
+def test_discrete_moments_within_guard_precision_of_the_boundary():
+    # q = e^(-1e-300) rounds to 1 at guard precision, 1 - q does not;
+    # Li_0(e^(-x)) = 1/x - 1/2 + O(x)
+    assert rel_to(sv.ferro_moment(0, 1e-300, 5e-301), mp.mpf(2) / 3 * mp.mpf(10) ** 300) < 1e-12
+    assert rel_to(sv.af_moment(0, 5e-301, 1e-300), mp.mpf(4) / 3 * mp.mpf(10) ** 300) < 1e-12
+
+
 # --- theta -----------------------------------------------------------------
 
 
