@@ -171,8 +171,8 @@ def polylog_neg(k: int, q, ctx: Optional[PrecisionContext] = None):
 
 
 def _li_neg(k: int, q, one_minus_q):
-    """Li_{-k}(q) from q and 1 - q, at ambient precision.  Callers that know
-    q = e^(-x) pass 1 - q = -expm1(-x), which keeps its bits as q nears 1."""
+    """Li_{-k}(q) from q and 1 - q, at ambient precision; the caller forms
+    1 - q, so that it keeps its bits as q nears 1."""
     if k < 0:
         raise ParameterDomainError(f"order k >= 0 required, got {k}")
     if not (q > 0 and one_minus_q > 0):
@@ -188,8 +188,11 @@ def _li_neg(k: int, q, one_minus_q):
 
 
 def _li_neg_exp(k: int, x):
-    """Li_{-k}(e^(-x)) for x > 0, with 1 - e^(-x) taken as -expm1(-x)."""
-    return _li_neg(k, mp.exp(-x), -mp.expm1(-x))
+    """Li_{-k}(e^(-x)) for x > 0.  Above q = 1/2, 1 - q = 1 - e^(-x) would
+    cancel, so it is taken as -expm1(-x); below, the subtraction is exact to
+    an ulp and cheaper."""
+    q = mp.exp(-x)
+    return _li_neg(k, q, 1 - q if q <= 0.5 else -mp.expm1(-x))
 
 
 # ---------------------------------------------------------------------------
