@@ -188,11 +188,9 @@ def _li_neg(k: int, q, one_minus_q):
 
 
 def _li_neg_exp(k: int, x):
-    """Li_{-k}(e^(-x)) for x > 0.  Above q = 1/2, 1 - q = 1 - e^(-x) would
-    cancel, so it is taken as -expm1(-x); below, the subtraction is exact to
-    an ulp and cheaper."""
-    q = mp.exp(-x)
-    return _li_neg(k, q, 1 - q if q <= 0.5 else -mp.expm1(-x))
+    """Li_{-k}(e^(-x)) for x > 0, with 1 - e^(-x) taken as -expm1(-x), which
+    keeps its bits as x nears 0."""
+    return _li_neg(k, mp.exp(-x), -mp.expm1(-x))
 
 
 # ---------------------------------------------------------------------------

@@ -56,13 +56,14 @@ def test_exact_asm(capsys):
     assert out["count"] == 42
 
 
-def test_exact_dfs_n7(capsys):
+def test_exact_dfs(capsys):
     out = run_json(
         capsys,
-        ["exact", "--n", "7", "--a", "1", "--b", "1", "--c", "1", "--method", "dfs"],
+        ["exact", "--n", "4", "--a", "1", "--b", "1", "--c", "1", "--method", "dfs"],
     )
-    assert out["zn"] == "218348"
-    assert out["count"] == 218348
+    assert out["method"] == "dfs"
+    assert out["zn"] == "42"
+    assert out["count"] == 42
 
 
 def test_exact_n1(capsys):

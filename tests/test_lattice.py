@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
 import sixvertex as sv
-from sixvertex.lattice import DOWN, LEFT, RIGHT, UP, _vertex_moves, configuration_weight
+from sixvertex.lattice import DOWN, LEFT, RIGHT, UP, configuration_weight
 from sixvertex.errors import ParameterDomainError
 
 from conftest import rational_weights
@@ -58,19 +58,6 @@ def test_enumeration_yields_each_asm_configuration_once(n):
     assert len(configs) == len(set(configs)) == asm_count(n)
     for cfg in configs:
         cfg.validate()
-
-
-def test_transfer_pass_on_and_turn_rule_is_the_ice_rule():
-    # the DP's rule at an inner vertex: pass both arrows on, weight a where the
-    # carry and the bottom arrow agree and b where they differ; where they
-    # differ, also turn both arrows (right = bottom, top = carry) with weight c
-    a, b, c = 0, 1, 2
-    for carry in (LEFT, RIGHT):
-        for bottom in (DOWN, UP):
-            moves = {(carry, bottom, a if carry == bottom else b)}
-            if carry != bottom:
-                moves.add((bottom, carry, c))
-            assert set(_vertex_moves(False, False)[carry, bottom]) == moves
 
 
 def test_dfs_equals_transfer_matrix_n7():
