@@ -23,7 +23,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     args.out.parent.mkdir(parents=True, exist_ok=True)
 
-    ctx = sv.default_context(args.nmax)
+    ctx = sv.DEFAULT_CONTEXT  # for gamma and the closed-form kappa
     rows = []
     for i in range(1, args.points + 1):
         with ctx.guardprec():
@@ -31,7 +31,7 @@ def main(argv=None):
             params = sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf(0), gamma=gamma)
             pred = sv.predict_disordered(params.t, gamma, args.nmax, ctx)
             log_f = mp.log(pred.f)
-        series = sv.zn_series(params, args.nmax, ctx)
+        series = sv.zn_series(params, args.nmax)
         fit = sv.fit_kappa([(r.n, r.log_zn) for r in series], log_f)
         with ctx.guardprec():
             err = fit.extrapolated - pred.kappa

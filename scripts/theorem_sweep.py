@@ -36,8 +36,13 @@ def pi_over_3(bits):
 
 def run_sweep(name, params, nmax, outdir, bits):
     # compare may climb its precision ladder; the literal serves the top rung
-    top = list(sv.contexts(nmax, bits))[-1]
-    params = [pi_over_3(top.guard_bits) if p == PI_OVER_3 else p for p in params]
+    with mp.workprec(64):  # the point only sizes the ladder
+        point = sv.PhaseParams(cli._PHASE_FLAGS[name], **{
+            flag[2:]: mp.pi / 3 if value == PI_OVER_3 else mp.mpf(value)
+            for flag, value in zip(params[::2], params[1::2])
+        })
+    ladder = list(sv.contexts(point, nmax, bits))
+    params = [pi_over_3(ladder[-1].guard_bits) if p == PI_OVER_3 else p for p in params]
     path = outdir / f"compare_{name}.csv"
     argv = ["compare", "--phase", name, *params, "--nmax", str(nmax), "--bits", str(bits),
             "--format", "csv", "--out", str(path)]
@@ -46,7 +51,7 @@ def run_sweep(name, params, nmax, outdir, bits):
         sys.exit(code)
     with open(path, newline="") as fh:
         final = list(csv.reader(fh))[-1][-1]
-    print(f"{name:12s} nmax={nmax:3d} bits>={sv.default_context(nmax, bits).bits:5d} "
+    print(f"{name:12s} nmax={nmax:3d} bits>={ladder[0].bits:5d} "
           f"final ratio={mp.nstr(mp.mpf(final), 10)} -> {path}")
 
 

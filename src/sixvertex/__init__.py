@@ -51,9 +51,9 @@ from .hankel import (
     HankelResult,
     ZnResult,
     contexts,
-    default_context,
     hankel_det,
     on_ladder,
+    predicted_loss,
     toda_residual,
     zn_ik,
     zn_series,

@@ -1,6 +1,6 @@
 """Verified multiprecision Hankel computations from a moment sequence, each
-run twice: once at the working precision and once at ``verify_factor`` times
-it.
+run twice: once at the working precision and once at the context's guard
+precision.
 
 Two routes are kept deliberately distinct so they can cross-check each other:
 
@@ -92,7 +92,7 @@ def _forward_pivots(moments: List) -> List:
 def _check_agreement(base, guard, ctx: PrecisionContext, what: str) -> int:
     """Bits on which the base and guard values agree, floor(-log2 of
     |base - guard| / |guard|) and at most ctx.bits.  Raises
-    PrecisionFailureError when they differ by more than 2^(-bits/2)."""
+    PrecisionFailureError when they differ by more than 2^(-claim_bits)."""
     tol = ctx.verify_tolerance()
     with mp.workprec(ctx.guard_bits):
         scale = abs(guard)
@@ -112,7 +112,7 @@ def hankel_determinant(moments: Sequence, n: int, ctx: PrecisionContext):
     """Verified determinant of the n x n Hankel matrix of ``moments``.
 
     Computed once at ctx.bits (entries rounded to ctx.bits) and once at
-    ctx.guard_bits; relative agreement within 2^(-bits/2) is required.
+    ctx.guard_bits; relative agreement within 2^(-claim_bits) is required.
     Returns the guard-precision value and the bits on which the two agree.
     """
     if len(moments) < 2 * n - 1:
@@ -128,7 +128,7 @@ def hankel_pivots(moments: Sequence, n: int, ctx: PrecisionContext):
     """Verified norms h_0..h_{n-1} (leading-principal-minor ratios of the
     n x n Hankel matrix) of ``moments``, from mu_0..mu_{2n-2} rounded to
     ctx.bits and then to ctx.guard_bits.  Each h_k must be positive and agree
-    between the base and guard runs to within 2^(-bits/2) relative.  Returns
+    between the base and guard runs to within 2^(-claim_bits) relative.  Returns
     the guard-precision norms and, for each, the bits on which the runs
     agree."""
     if len(moments) < 2 * n - 1:

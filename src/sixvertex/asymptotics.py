@@ -21,8 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 from mpmath import mp
 
 from .errors import ParameterDomainError
-from .model import Phase, PhaseParams, PrecisionContext, to_mpf
-from .hankel import default_context
+from .model import DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, to_mpf
 from .specfun import theta1, theta1_prime0, theta4, zeta_three_halves
 
 
@@ -84,7 +83,7 @@ def predict_disordered(
     """F = pi a b / (2 gamma cos(pi t / (2 gamma))),
     kappa = 1/12 - 2 gamma^2 / (3 pi (pi - 2 gamma))."""
     PhaseParams(Phase.DISORDERED, t=t, gamma=gamma)
-    ctx = ctx or default_context(n)
+    ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         f, log_f, kappa = _disordered_law(to_mpf(t), to_mpf(gamma), ctx)
         log_pred = n * n * log_f + kappa * mp.log(n)
@@ -125,7 +124,7 @@ def predict_ferro(
     """C = prod_{k>=1} (1 - e^(-4 gamma k)), G = e^(gamma - t),
     F = b = sinh(t + gamma)."""
     PhaseParams(Phase.FERROELECTRIC, t=t, gamma=gamma)
-    ctx = ctx or default_context(n)
+    ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         f, log_f, gg, log_g, c, log_c = _ferro_law(to_mpf(t), to_mpf(gamma), ctx)
         log_pred = n * n * log_f + n * log_g + log_c
@@ -152,7 +151,7 @@ def predict_crit_fd(
     """kappa = 1/4, G = exp(-zeta(3/2) sqrt(a/pi)), F = b, with the critical
     point a = (alpha-1)/2, b = (alpha+1)/2."""
     PhaseParams(Phase.CRITICAL_FD, alpha=alpha)
-    ctx = ctx or default_context(n)
+    ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         aa = to_mpf(alpha)
         a, b = (aa - 1) / 2, (aa + 1) / 2
@@ -172,7 +171,7 @@ def predict_af(
     q = e^(-pi^2 / (2 gamma)) and omega = (pi/2)(1 + t/gamma); the oscillating
     factor is theta4(n omega)."""
     PhaseParams(Phase.ANTIFERROELECTRIC, t=t, gamma=gamma)
-    ctx = ctx or default_context(n)
+    ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         q, omega, f, log_f = _af_law(to_mpf(t), to_mpf(gamma), ctx)
         tf = theta4(n * omega, q, ctx)

@@ -9,11 +9,13 @@ Commands:
   fit       free-energy and exponent fits from a log Z_n series
   norms     orthogonal-polynomial norms h_k and ratios R_k
 
-compare, fit and norms run on the precision ladder ``hankel.contexts(size,
---bits)``: a run that fails its base/guard check is repeated at twice the
-bits, up to the first rung at or above max(--bits, 24 size), and exits 3 only
-when that rung fails too.  fit and norms report the bits of the rung that
-passed and the bits on which its base and guard runs agreed; toda runs at
+compare, fit and norms run on the precision ladder ``hankel.contexts(point,
+size, --bits)``: a result claims 2^(-bits/2) relative error, and the first rung
+works at bits/2 + predicted loss + 32 bits with its guard run 64 bits above.  A
+run that fails its base/guard check is repeated at twice the bits, up to the
+first rung at or above max(--bits, 24 size), and exits 3 only when that rung
+fails too.  fit and norms report the claim, the bits and guard bits of the rung
+that passed and the bits on which its base and guard runs agreed; toda runs at
 exactly --bits.
 
 All numeric output is emitted as decimal strings at the run's precision.
@@ -94,15 +96,16 @@ _PHASE_FLAGS = {entry.flag: phase for phase, entry in _PHASES.items()}
 
 
 def _on_ladder(args, body: Callable):
-    """body(args, params, ctx) on the precision ladder of the command's size
-    (nmax or n) and --bits.  Each rung parses the phase parameters again at
-    its own guard precision, so that a long literal keeps every digit that
-    rung can resolve."""
+    """body(args, params, ctx) on the precision ladder of the phase point,
+    the command's size (nmax or n) and --bits.  The point is parsed once,
+    above the guard precision of every rung (each is below 2 max(bits,
+    24 size) + 64 bits): it predicts the loss, no rung loses a digit of a
+    long literal, and a difference such as t - gamma near a domain edge
+    keeps every bit a rung resolves."""
     given = vars(args)  # each subcommand defines only its own flags
     size = given.get("nmax") or given.get("n") or 0
-    return hankel.on_ladder(
-        size, args.bits, lambda ctx: body(args, _phase_params(args, ctx), ctx)
-    )
+    params = _phase_params(args, PrecisionContext(2 * max(64, args.bits, 24 * size)))
+    return hankel.on_ladder(params, size, args.bits, lambda ctx: body(args, params, ctx))
 
 
 def _phase_params(args, ctx: PrecisionContext) -> PhaseParams:
@@ -299,6 +302,8 @@ def _fit_report(args, params: PhaseParams, ctx: PrecisionContext) -> dict:
         "phase": params.phase.value,
         "nmax": args.nmax,
         "bits": ctx.bits,
+        "claim_bits": ctx.claim_bits,
+        "guard_bits": ctx.guard_bits,
         "agreement_bits": series[-1].agreement_bits,
         "free_energy": f_fit.to_json(ctx.dps),
     }
@@ -334,6 +339,8 @@ def _norms_report(args, params: PhaseParams, ctx: PrecisionContext) -> dict:
         "family": norms.family.value,
         "n": args.n,
         "bits": ctx.bits,
+        "claim_bits": ctx.claim_bits,
+        "guard_bits": ctx.guard_bits,
         "agreement_bits": norms.agreement_bits,
         "h": [_nstr(v, ctx) for v in norms.h],
         "r": [_nstr(v, ctx) for v in ratios],

@@ -28,35 +28,41 @@ from .model import Phase, PhaseParams, PrecisionContext, bulk_chart, to_mpf, wei
 from .specfun import MomentSequence, crit_afd_moments, crit_fd_moments, phi_derivatives
 
 
-def default_context(n: int, bits: int = 256) -> PrecisionContext:
-    """First rung of the precision ladder for size-n determinants:
-    max(bits, 10 n + 64) bits.
+def predicted_loss(p: PhaseParams, n: int) -> float:
+    """Bits that the Chebyshev norms of p's moments lose at size n:
+    n max(3.5, 2 (t - gamma) log2(e) + 1) at a ferroelectric point, 3.5 n
+    elsewhere.  The loss does not depend on the working bits, so it can be
+    added to the claim; the rule covers the losses measured over the five
+    phases, except deep in the antiferroelectric phase, where a run climbs."""
+    per_n = 3.5
+    if p.phase is Phase.FERROELECTRIC:
+        excess = float(to_mpf(p.t) - to_mpf(p.gamma))
+        per_n = max(per_n, 2 * excess * math.log2(math.e) + 1)
+    return per_n * n if n > 0 else 0.0
 
-    The Chebyshev norms of the moment families this package builds lose
-    about n to 11 n bits to the ill-conditioning of their Hankel matrices
-    (measured as working bits minus base/guard agreement), and a run passes
-    its check when half its bits cover that loss.  ``contexts`` doubles
-    from here when a run does not pass.
-    """
-    return PrecisionContext(max(bits, 10 * n + 64))
 
-
-def contexts(n: int, bits: int = 256) -> Iterator[PrecisionContext]:
-    """The precision ladder for size-n determinants: ``default_context(n,
-    bits)``, then twice, four times ... its bits, ending with the first rung
-    at or above max(bits, 24 n)."""
-    ctx = default_context(n, bits)
+def contexts(p: PhaseParams, n: int, bits: int = 256) -> Iterator[PrecisionContext]:
+    """The precision ladder for size-n runs at p that claim 2^(-bits/2):
+    a first rung of W = bits/2 + predicted_loss(p, n) + 32 bits (at most
+    2 max(bits, 24 n)), then 2W, 4W, ..., ending with the first rung at or
+    above max(bits, 24 n).  Each rung's guard run is at its bits + 64, and
+    a run passes when its base and guard runs agree to the claim."""
+    if bits < 64:
+        raise ParameterDomainError(f"bits >= 64 required, got {bits}")
+    claim, top = bits // 2, max(bits, 24 * n)
+    first = min(claim + predicted_loss(p, n) + 32, 2 * top)
+    ctx = PrecisionContext(math.ceil(first), claim=claim)
     yield ctx
-    while ctx.bits < max(bits, 24 * n):
-        ctx = PrecisionContext(2 * ctx.bits)
+    while ctx.bits < top:
+        ctx = PrecisionContext(2 * ctx.bits, claim=claim)
         yield ctx
 
 
-def on_ladder(n: int, bits: int, run: Callable):
-    """run(ctx) at each rung of ``contexts(n, bits)`` in turn until a rung
+def on_ladder(p: PhaseParams, n: int, bits: int, run: Callable):
+    """run(ctx) at each rung of ``contexts(p, n, bits)`` in turn until a rung
     does not raise PrecisionFailureError; the last rung's failure
     propagates."""
-    for ctx in contexts(n, bits):
+    for ctx in contexts(p, n, bits):
         try:
             return run(ctx)
         except PrecisionFailureError as exc:
@@ -115,6 +121,8 @@ class ZnResult:
             "phase": self.phase.value,
             "params": [mp.nstr(to_mpf(p), dps) for p in self.params],
             "bits": self.bits,
+            "claim_bits": self.ctx.claim_bits,
+            "guard_bits": self.ctx.guard_bits,
             "agreement_bits": self.agreement_bits,
         }
 
@@ -135,7 +143,7 @@ def hankel_det(
     (default: the moments' own, which ctx may not exceed).
 
     Raises PrecisionFailureError when the base and guard runs disagree beyond
-    2^(-bits/2) relative, or when the determinant of a positive-measure moment
+    the context's claim, or when the determinant of a positive-measure moment
     matrix comes out non-positive.
     """
     if n < 1:
@@ -187,7 +195,7 @@ def zn_ik(
     across a sweep in n; it must be that of p (ParameterDomainError
     otherwise), and it is rebuilt when its order is below 2n-2 or it cannot
     serve a run at ctx.  Without ``ctx`` it runs on the precision ladder of
-    ``contexts(n)``.
+    ``contexts(p, n)``.
     """
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
@@ -197,7 +205,7 @@ def zn_ik(
             f"phi-derivatives of {p.phase.value} at {(p.t, p.gamma)}"
         )
     if ctx is None:
-        return on_ladder(n, 256, lambda c: zn_ik(p, n, c, moments))
+        return on_ladder(p, n, 256, lambda c: zn_ik(p, n, c, moments))
     if moments is None or moments.order < 2 * n - 2 or not moments.serves(ctx):
         moments = phi_derivatives(p, 2 * n - 2, ctx)
     return _series(p, moments, n, ctx)[-1]
@@ -216,12 +224,12 @@ def zn_series(
     critical line they are the crit_fd/crit_afd moments and base = b/c =
     (1+alpha)/2.  The superfactorial is divided out as an exact integer.
     Without ``ctx`` the series runs on the precision ladder of
-    ``contexts(nmax)``; with one it runs at exactly that precision or raises.
+    ``contexts(p, nmax)``; with one it runs at exactly that precision or raises.
     """
     if nmax < 1:
         raise ParameterDomainError(f"nmax >= 1 required, got {nmax}")
     if ctx is None:
-        return on_ladder(nmax, 256, lambda c: zn_series(p, nmax, c))
+        return on_ladder(p, nmax, 256, lambda c: zn_series(p, nmax, c))
     if p.phase.is_critical:
         moments_of = crit_fd_moments if p.phase is Phase.CRITICAL_FD else crit_afd_moments
         moments = moments_of(2 * nmax - 2, p.alpha, ctx)
@@ -239,14 +247,14 @@ def toda_residual(
     tau_{n-1}, tau_n and tau_{n+1} at t are prefixes of one norms run on the
     phi-derivatives of order 2n; tau_n at t +- h takes one run each.  The
     residual is |lhs - rhs| / rhs and scales as O(h^2) plus roundoff.
-    Without ``ctx`` it runs on the precision ladder of ``contexts(n + 1)``.
+    Without ``ctx`` it runs on the precision ladder of ``contexts(p, n + 1)``.
     The critical lines have no t to differentiate in.
     """
     bulk_chart(p)
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
     if ctx is None:
-        return on_ladder(n + 1, 256, lambda c: toda_residual(p, n, h, c))
+        return on_ladder(p, n + 1, 256, lambda c: toda_residual(p, n, h, c))
 
     def taus_at(q: PhaseParams, size: int) -> list:  # tau_0 = 1, ..., tau_size
         moments = phi_derivatives(q, 2 * size - 2, ctx)

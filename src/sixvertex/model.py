@@ -33,15 +33,21 @@ class Phase(str, Enum):
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision plus the multiplier used for verification reruns.
+    """Working precision, the precision of the verification rerun, and the
+    relative error a verified result claims.
 
-    ``bits`` is the target mantissa size; internal computations run at
-    ``guard_bits = bits * verify_factor`` so that a disagreement between the
-    two levels flags a genuine precision failure.
+    ``bits`` is the working mantissa size.  Without a ``claim`` the guard
+    rerun runs at ``guard_bits = bits * verify_factor`` and a result claims
+    2^(-bits/2).  A rung of the precision ladder (``hankel.contexts``)
+    carries the claim it was sized for instead: its guard rerun runs at
+    bits + 64 and its results claim 2^(-claim).  Either way a disagreement
+    between the two levels beyond the claim flags a genuine precision
+    failure.
     """
 
     bits: int = 256
     verify_factor: int = 2
+    claim: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.bits < 64:
@@ -50,10 +56,21 @@ class PrecisionContext:
             raise ParameterDomainError(
                 f"verify_factor >= 2 required, got {self.verify_factor}"
             )
+        if self.claim is not None and not 0 < self.claim < self.bits:
+            raise ParameterDomainError(
+                f"0 < claim < bits required, got claim={self.claim}, bits={self.bits}"
+            )
+
+    @property
+    def claim_bits(self) -> int:
+        """Bits of relative accuracy a verified result claims."""
+        return self.bits // 2 if self.claim is None else self.claim
 
     @property
     def guard_bits(self) -> int:
-        return self.bits * self.verify_factor
+        if self.claim is None:
+            return self.bits * self.verify_factor
+        return self.bits + 64
 
     @property
     def dps(self) -> int:
@@ -67,9 +84,10 @@ class PrecisionContext:
         return mp.workprec(self.guard_bits)
 
     def verify_tolerance(self):
-        """Relative agreement required between base and guard runs: 2^(-bits/2)."""
+        """Relative agreement required between base and guard runs:
+        2^(-claim_bits)."""
         with mp.workprec(64):
-            return mp.mpf(2) ** (-(self.bits // 2))
+            return mp.mpf(2) ** (-self.claim_bits)
 
 
 DEFAULT_CONTEXT = PrecisionContext()

@@ -19,8 +19,8 @@ from mpmath import mp
 
 from . import _linalg
 from .errors import ParameterDomainError
-from .hankel import ZnResult, default_context, on_ladder, zn_series
-from .model import Phase, PhaseParams, PrecisionContext, to_mpf
+from .hankel import ZnResult, on_ladder, zn_series
+from .model import DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, to_mpf
 from .specfun import MomentFamily, MomentSequence, ferro_moments
 
 
@@ -48,6 +48,8 @@ class NormSequence:
             "family": self.family.value,
             "params": [mp.nstr(to_mpf(p), dps) for p in self.params],
             "bits": self.ctx.bits,
+            "claim_bits": self.ctx.claim_bits,
+            "guard_bits": self.ctx.guard_bits,
             "agreement_bits": self.agreement_bits,
             "h": [mp.nstr(v, dps) for v in self.h],
         }
@@ -80,7 +82,7 @@ def meixner_norm(k: int, t, gamma, ctx: Optional[PrecisionContext] = None):
     """
     if k < 0:
         raise ParameterDomainError(f"k >= 0 required, got {k}")
-    ctx = ctx or default_context(k + 1)
+    ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         q = mp.exp(2 * (to_mpf(gamma) - to_mpf(t)))
         if not 0 < q < 1:
@@ -96,11 +98,13 @@ def meixner_ratios(
 ) -> Tuple:
     """h_k / h_k^Meixner for k = 0..kmax, with h_k from the ferroelectric
     discrete weight 2 e^{-2tl} sinh(2 gamma l).  The ratios tend to 1.
-    Without ``ctx`` they run on the precision ladder of ``contexts(kmax + 1)``."""
+    Without ``ctx`` they run on the precision ladder of ``contexts(p, kmax + 1)``
+    at the ferroelectric point p = (t, gamma)."""
     if kmax < 0:
         raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
     if ctx is None:
-        return on_ladder(kmax + 1, 256, lambda c: meixner_ratios(kmax, t, gamma, c))
+        p = PhaseParams(Phase.FERROELECTRIC, t=t, gamma=gamma)
+        return on_ladder(p, kmax + 1, 256, lambda c: meixner_ratios(kmax, t, gamma, c))
     moments = ferro_moments(2 * kmax, t, gamma, ctx)
     norms = norms_from_moments(moments, kmax + 1, ctx)
     with ctx.guardprec():

@@ -76,8 +76,8 @@ def rungs(monkeypatch):
     drawn = []
     ladder = sv.hankel.contexts
 
-    def contexts(n, bits=256):
-        for ctx in ladder(n, bits):
+    def contexts(p, n, bits=256):
+        for ctx in ladder(p, n, bits):
             drawn.append(ctx.bits)
             yield ctx
 

@@ -126,7 +126,8 @@ def test_norms_critical_fd(capsys):
 def test_norms_disordered_h0(capsys):
     out = run_json(
         capsys,
-        ["norms", "--phase", "disordered", "--gamma", "1.1", "--t", "0.3", "--n", "2"],
+        ["norms", "--phase", "disordered", "--gamma", "1.1", "--t", "0.3", "--n", "2",
+         "--bits", "512"],
     )
     with mp.workprec(300):
         g, t = mp.mpf("1.1"), mp.mpf("0.3")
@@ -172,25 +173,45 @@ def test_compare_json_matches_csv(capsys):
 ASM_COUNTS = [1, 2, 7, 42, 429, 7436, 218348, 10850216, 911835460, 129534272700]
 
 
-def test_compare_parses_parameters_at_run_precision(tmp_path):
+def test_compare_parses_parameters_at_run_precision(tmp_path, rungs, monkeypatch):
     # At t = 0, gamma = pi/3 all three weights are sqrt(3)/2, so
-    # Z_n = A_n (3/4)^(n^2/2).  nmax 48 runs at no fewer bits than the first
-    # rung of its ladder, far above --bits 64; gamma must be parsed at the
-    # run's guard precision, not at the 128 guard bits of --bits.
-    run = sixvertex.default_context(48, 64)
-    assert run.bits > 64
+    # Z_n = A_n (3/4)^(n^2/2).  nmax 48 runs far above --bits 64; gamma must
+    # be parsed at no less than the guard precision of every rung that runs,
+    # not at the 128 guard bits of --bits.
+    parsed = []
+    parse = cli._parse_real
+    monkeypatch.setattr(cli, "_parse_real",
+                        lambda s, name: parsed.append((name, mp.prec)) or parse(s, name))
     with mp.workdps(820):
         pi3 = mp.nstr(mp.pi / 3, 800)
     out = tmp_path / "compare.csv"
     argv = ["compare", "--phase", "disordered", "--t", "0", "--gamma", pi3,
-            "--nmax", "48", "--bits", "64", "--format", "csv", "--out", str(out)]
-    assert cli.run(argv) == 0
+            "--nmax", "48", "--format", "csv", "--out", str(out)]
+    assert cli.run([*argv, "--bits", "64"]) == 0
+    guards = [bits + 64 for bits in rungs]
+    assert max(guards) > sixvertex.PrecisionContext(64).guard_bits
+    assert all(prec >= max(guards) for name, prec in parsed if name == "gamma")
+    # --bits 544 claims the 2^-272 this test asserts
+    assert cli.run([*argv, "--bits", "544"]) == 0
     rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
     with mp.workprec(4096):
-        tol = run.verify_tolerance()
+        tol = mp.mpf(2) ** -272
         for n, count in enumerate(ASM_COUNTS, start=1):
             ref = count * (mp.mpf(3) / 4) ** (mp.mpf(n * n) / 2)
             assert abs(mp.mpf(rows[n - 1][1]) - ref) / ref < tol, n
+
+
+def test_norms_near_the_ferro_edge_meet_their_claim(capsys):
+    # t - gamma = 1e-44: the point is parsed above every rung's guard
+    # precision, so h_0 = (coth(t - gamma) - coth(t + gamma)) / 2 keeps the
+    # claim although the first rung's guard carries only 235 bits
+    t = "1." + "0" * 43 + "1"
+    out = run_json(capsys, ["norms", "--phase", "ferro", "--t", t, "--gamma", "1", "--n", "3"])
+    assert (out["claim_bits"], out["guard_bits"]) == (128, 235)
+    with mp.workprec(2048):
+        tt, g = mp.mpf(t), mp.mpf(1)
+        ref = (mp.coth(tt - g) - mp.coth(tt + g)) / 2
+        assert abs(mp.mpf(out["h"][0]) - ref) / ref < mp.mpf(2) ** -128
 
 
 def test_compare_critical_fd_evaluates_zeta_once_per_precision(capsys):
@@ -201,7 +222,7 @@ def test_compare_critical_fd_evaluates_zeta_once_per_precision(capsys):
     capsys.readouterr()
     info = zeta.cache_info()
     assert (info.misses, info.hits) == (1, 5)
-    ctx = sixvertex.default_context(6)
+    ctx = next(sixvertex.contexts(sixvertex.PhaseParams(sixvertex.Phase.CRITICAL_FD, alpha=3), 6))
     assert zeta(ctx)._mpf_ == zeta.__wrapped__(ctx)._mpf_
 
 
@@ -213,50 +234,57 @@ def test_compare_ferro_evaluates_its_law_once_per_precision(capsys, monkeypatch)
                         lambda g, bits: calls.append(bits) or constant(g, bits))
     law = sixvertex.asymptotics._ferro_law
     law.cache_clear()
-    argv = ["compare", "--phase", "ferro", "--t", "2", "--gamma", "0.6", "--nmax", "24"]
+    # gamma = 0.625 is dyadic, so it parses to the same mpf at every precision
+    argv = ["compare", "--phase", "ferro", "--t", "2", "--gamma", "0.625", "--nmax", "24"]
     assert cli.run(argv) == 0
     capsys.readouterr()
-    ctx = sixvertex.default_context(24)
+    ferro = sixvertex.PhaseParams(sixvertex.Phase.FERROELECTRIC, t=2, gamma=mp.mpf("0.625"))
+    ctx = next(sixvertex.contexts(ferro, 24))
     assert calls == [ctx.bits]
-    with ctx.guardprec():
-        point = (mp.mpf(2), mp.mpf("0.6"), ctx)
+    point = (mp.mpf(2), mp.mpf("0.625"), ctx)
     cached = law(*point)
     assert (law.cache_info().misses, law.cache_info().hits) == (1, 24)
     assert [x._mpf_ for x in cached] == [x._mpf_ for x in law.__wrapped__(*point)]
 
 
-FERRO_STEEP = ["--phase", "ferro", "--t", "4", "--gamma", "0.2", "--nmax", "24"]
+# t = 0, gamma = 10: the norms lose about 11.4 n bits, more than the 3.5 n
+# the first rung is sized for; --bits 608 claims 2^-304
+AF_DEEP = ["--phase", "af", "--t", "0", "--gamma", "10", "--nmax", "24", "--bits", "608"]
 
 
-def ferro_steep_series(bits):
-    """The Z_n series at the point of FERRO_STEEP, run at exactly ``bits``;
-    its norms lose about 11 n bits, more than half the first rung's."""
-    ctx = sixvertex.PrecisionContext(bits)
+def af_deep_series():
+    """The Z_n series at the point of AF_DEEP, run at exactly 1024 bits."""
+    ctx = sixvertex.PrecisionContext(1024)
     with ctx.guardprec():
         p = sixvertex.PhaseParams(
-            sixvertex.Phase.FERROELECTRIC, t=mp.mpf(4), gamma=mp.mpf("0.2")
+            sixvertex.Phase.ANTIFERROELECTRIC, t=mp.mpf(0), gamma=mp.mpf(10)
         )
     return sixvertex.zn_series(p, 24, ctx)
 
 
+def af_deep_first_rung():
+    p = sixvertex.PhaseParams(sixvertex.Phase.ANTIFERROELECTRIC, t=0, gamma=10)
+    return next(sixvertex.contexts(p, 24, 608))
+
+
 def test_compare_climbs_the_ladder_where_the_first_rung_fails(capsys, rungs):
-    first = sixvertex.default_context(24)
-    rows = run_json(capsys, ["compare", *FERRO_STEEP])
+    first = af_deep_first_rung()
+    rows = run_json(capsys, ["compare", *AF_DEEP])
     assert rungs[0] == first.bits and len(rungs) > 1
-    tol = sixvertex.PrecisionContext(rungs[-1]).verify_tolerance()
-    ref = ferro_steep_series(24 * 24)
-    for row, want in zip(rows, ref):
+    tol = mp.mpf(2) ** -304
+    for row, want in zip(rows, af_deep_series()):
         assert rel_to(row["zn"], want.zn) < tol, row["n"]
 
 
 def test_fit_reports_the_rung_that_passed(capsys):
-    first = sixvertex.default_context(24)
-    out = run_json(capsys, ["fit", *FERRO_STEEP])
+    first = af_deep_first_rung()
+    out = run_json(capsys, ["fit", *AF_DEEP])
     bits = out["bits"]
     assert bits > first.bits
-    assert bits // 2 <= out["agreement_bits"] <= bits
-    tol = sixvertex.PrecisionContext(bits).verify_tolerance()
-    log_zn = [r.log_zn for r in ferro_steep_series(24 * 24)]
+    assert (out["claim_bits"], out["guard_bits"]) == (304, bits + 64)
+    assert out["claim_bits"] <= out["agreement_bits"] <= bits
+    tol = mp.mpf(2) ** -304
+    log_zn = [r.log_zn for r in af_deep_series()]
     with mp.workprec(4096):
         for n, est in out["free_energy"]["per_n"]:
             want = (log_zn[n] - 2 * log_zn[n - 1] + log_zn[n - 2]) / 2
@@ -266,8 +294,10 @@ def test_fit_reports_the_rung_that_passed(capsys):
 def test_norms_report_bits_and_agreement(capsys):
     out = run_json(capsys, ["norms", "--phase", "af", "--t", "0.3", "--gamma", "1",
                             "--n", "24", "--bits", "64"])
-    assert out["bits"] == sixvertex.default_context(24, 64).bits
-    assert out["bits"] // 2 <= out["agreement_bits"] <= out["bits"]
+    p = sixvertex.PhaseParams(sixvertex.Phase.ANTIFERROELECTRIC, t=0.3, gamma=1)
+    assert out["bits"] == next(sixvertex.contexts(p, 24, 64)).bits
+    assert (out["claim_bits"], out["guard_bits"]) == (32, out["bits"] + 64)
+    assert out["claim_bits"] <= out["agreement_bits"] <= out["bits"]
 
 
 def test_fit_disordered(capsys):
@@ -305,13 +335,18 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_exit_code_domain_error(capsys):
-    code = cli.run(
+    for argv in (
         ["toda", "--phase", "disordered", "--gamma", "0.5", "--t", "0.9",
-         "--n", "2", "--h", "1e-8"]
-    )
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "gamma" in json.loads(captured.err)["error"]
+         "--n", "2", "--h", "1e-8"],
+        # compare, fit and norms parse the point once to predict its loss
+        ["compare", "--phase", "ferro", "--t", "0.5", "--gamma", "1", "--nmax", "4"],
+        ["norms", "--phase", "af", "--t", "2", "--gamma", "1", "--n", "4"],
+    ):
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.err.splitlines()) == 1
+        assert "gamma" in json.loads(captured.err)["error"]
 
 
 def test_exit_code_mismatched_params(capsys):
@@ -389,11 +424,14 @@ def test_csv_rejected_for_scalar_command(capsys):
         ("--alpha", ["norms", "--phase", "critical-fd", "--alpha", "nan", "--n", "2"]),
         ("--h", ["toda", "--phase", "disordered", "--t", "0.1", "--gamma", "1", "--n", "2",
                  "--h", "1e-8x"]),
+        ("--t", ["fit", "--phase", "ferro", "--t", "abc", "--gamma", "1", "--nmax", "3"]),
     ],
 )
 def test_exit_code_non_numeric_value(capsys, flag, argv):
     assert cli.run(argv) == 2
-    assert json.loads(capsys.readouterr().err)["error"].startswith(flag)
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"].startswith(flag)
 
 
 def test_module_entry_point():

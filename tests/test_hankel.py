@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -11,8 +12,13 @@ import sixvertex as sv
 from sixvertex import _linalg
 from sixvertex.errors import ParameterDomainError, PrecisionFailureError
 
-from conftest import CTX256, CTX512, RATIONAL_POINTS, rel_to
-from oracles import asm_count, exact_phi_derivatives
+from conftest import CTX256, CTX512, RATIONAL_POINTS, _hyperbolic_point, rel_to
+from oracles import (
+    asm_count,
+    crit_afd_exact_moments,
+    crit_fd_exact_moments,
+    exact_phi_derivatives,
+)
 
 TOL30 = mp.mpf("1e-30")
 
@@ -241,13 +247,29 @@ def test_norms_route_agrees_with_the_lu_reference(phase, t, gamma):
         assert rel_to(sv.zn_ik(p, n, CTX512).zn, ref) < tol, n
 
 
+def disordered(t, gamma):
+    return sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf(t), gamma=mp.mpf(gamma))
+
+
 def test_default_context_policy():
-    # the first rung of the ladder: max(bits, 10 n + 64)
-    assert sv.default_context(1).bits == 256
-    assert sv.default_context(20).bits == 264
-    assert sv.default_context(40).bits == 464
-    assert sv.default_context(48, 64).bits == 544
-    assert sv.default_context(40, 1024).bits == 1024
+    # the first rung of the ladder: claim bits/2, W = claim + predicted loss
+    # + 32, guard W + 64
+    p = disordered("0.3", "1.1")
+    first = next(sv.contexts(p, 1))
+    assert (first.claim_bits, first.bits, first.guard_bits) == (128, 164, 228)
+    assert [next(sv.contexts(p, n, bits)).bits for n, bits in
+            [(20, 256), (40, 256), (48, 64), (40, 1024)]] == [230, 300, 232, 684]
+    assert next(sv.contexts(p, 48, 64)).claim_bits == 32
+    # the ferro loss grows with t - gamma: 3.89 n at (2, 1), 11.96 n at (4, 0.2)
+    ferro = sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.mpf(2), gamma=mp.mpf(1))
+    assert sv.predicted_loss(ferro, 24) == pytest.approx(24 * (2 * mp.log(mp.e, 2) + 1))
+    assert next(sv.contexts(ferro, 24)).bits == 254
+    assert next(sv.contexts(ferro_steep(CTX256), 24)).bits == 448
+    # a point far into the ferro phase gets at most 2 max(bits, 24 n)
+    far = sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.mpf("1e400"), gamma=mp.mpf(1))
+    assert [c.bits for c in sv.contexts(far, 4)] == [512]
+    with pytest.raises(ParameterDomainError, match="bits >= 64"):
+        next(sv.contexts(p, 4, 63))
 
 
 def test_ladder_climbs_to_the_first_rung_past_24n_then_raises():
@@ -257,43 +279,65 @@ def test_ladder_climbs_to_the_first_rung_past_24n_then_raises():
         seen.append(ctx.bits)
         raise PrecisionFailureError(f"failed at {ctx.bits} bits")
 
-    with pytest.raises(PrecisionFailureError, match="1856"):
-        sv.on_ladder(40, 256, run)
-    assert seen == [c.bits for c in sv.contexts(40)] == [464, 928, 1856]
+    p = disordered("0.3", "1.1")
+    with pytest.raises(PrecisionFailureError, match="1200"):
+        sv.on_ladder(p, 40, 256, run)
+    assert seen == [c.bits for c in sv.contexts(p, 40)] == [300, 600, 1200]
     assert seen[-2] < 24 * 40 <= seen[-1]
-    assert [c.bits for c in sv.contexts(40, 1024)] == [1024]
-    assert [c.bits for c in sv.contexts(48, 64)] == [544, 1088, 2176]
+    assert [c.bits for c in sv.contexts(p, 40, 1024)] == [684, 1368]
+    ladder = list(sv.contexts(p, 48, 64))
+    assert [c.bits for c in ladder] == [232, 464, 928, 1856]
+    # every rung keeps the claim of --bits and runs its guard 64 bits above
+    assert all((c.claim_bits, c.guard_bits) == (32, c.bits + 64) for c in ladder)
 
 
 def test_ladder_returns_the_first_rung_that_passes():
     def run(ctx):
-        if ctx.bits < 900:
+        if ctx.bits < 500:
             raise PrecisionFailureError("too few bits")
         return ctx.bits
 
-    assert sv.on_ladder(40, 256, run) == 928
+    assert sv.on_ladder(disordered("0.3", "1.1"), 40, 256, run) == 600
 
 
 def ferro_steep(ctx):
-    """Ferro t = 4, gamma = 0.2, whose norms lose about 11 n bits: more than
-    half the first rung's 10 n + 64."""
+    """Ferro t = 4, gamma = 0.2, whose norms lose about 11 n bits."""
     with ctx.guardprec():
         return sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.mpf(4), gamma=mp.mpf("0.2"))
 
 
+# e^gamma = 22026, so gamma = 10.0 and t = 0: the norms lose about 11.4 n bits,
+# more than the 3.5 n the first rung is sized for
+AF_DEEP = _hyperbolic_point(sv.Phase.ANTIFERROELECTRIC, Fraction(22026), Fraction(1))
+
+
 def test_explicit_first_rung_raises_where_the_ladder_climbs(rungs):
-    first = sv.default_context(24)
+    # bits 608 claim 2^-304
+    p = AF_DEEP.params(4096)
+    first = next(sv.contexts(p, 24, 608))
     with pytest.raises(PrecisionFailureError):
-        sv.zn_series(ferro_steep(first), 24, first)
+        sv.zn_series(p, 24, first)
     assert rungs == []  # an explicit context never draws a rung
-    series = sv.zn_series(ferro_steep(sv.PrecisionContext(2048)), 24)
+    series = sv.on_ladder(p, 24, 608, lambda ctx: sv.zn_series(p, 24, ctx))
     assert rungs == [first.bits, 2 * first.bits]
     assert series[-1].bits == 2 * first.bits
-    ref_ctx = sv.PrecisionContext(24 * 24)
-    ref = sv.zn_series(ferro_steep(ref_ctx), 24, ref_ctx)
-    tol = sv.PrecisionContext(series[-1].bits).verify_tolerance()
+    ref_ctx = sv.PrecisionContext(1024)
+    ref = sv.zn_series(p, 24, ref_ctx)
+    tol = mp.mpf(2) ** -304
     for r, want in zip(series, ref):
         assert rel_to(r.zn, want.zn) < tol, r.n
+
+
+def test_deep_af_point_climbs_and_meets_its_claim_against_the_exact_route(rungs):
+    exact = exact_hankel_series(AF_DEEP, 24)
+    series = sv.zn_series(AF_DEEP.params(8192), 24)
+    assert len(rungs) == 2
+    assert series[-1].bits == rungs[-1]
+    for r, zn in zip(series, exact):
+        assert r.ctx.claim_bits <= r.agreement_bits <= r.bits
+        with mp.workprec(8192):
+            ref = sv.to_mpf(zn)
+        assert rel_to(r.zn, ref, 8192) < 2.0 ** -128, r.n
 
 
 @pytest.mark.parametrize(
@@ -305,9 +349,13 @@ def test_explicit_first_rung_raises_where_the_ladder_climbs(rungs):
     ],
     ids=["zn_ik", "toda_residual", "meixner_ratios"],
 )
-def test_context_free_calls_climb_the_ladder(rungs, call):
-    first = sv.default_context(24)
-    p = ferro_steep(sv.PrecisionContext(2048))
+def test_context_free_calls_climb_the_ladder(rungs, monkeypatch, call):
+    # ferro t = 2, gamma = 1 loses about 3.9 n bits; with no loss predicted
+    # the first rung (claim + 32 bits) fails and the ladder climbs
+    monkeypatch.setattr(sv.hankel, "predicted_loss", lambda p, n: 0)
+    p = sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.mpf(2), gamma=mp.mpf(1))
+    first = next(sv.contexts(p, 24))
+    assert first.bits == 160
     with pytest.raises(PrecisionFailureError):
         call(p, first)
     call(p, None)
@@ -371,13 +419,56 @@ def test_exact_hankel_route_equals_the_lattice(name):
 @pytest.mark.parametrize("name", BULK_POINTS)
 def test_ladder_series_meets_its_claim_against_the_exact_hankel_route(name):
     point = RATIONAL_POINTS[name]
-    exact = exact_hankel_series(point, 40)
+    exact = exact_series(name, 40)
     series = sv.zn_series(point.params(8192), 40)
     claim = sv.PrecisionContext(series[0].bits).verify_tolerance()
     for r, zn in zip(series, exact):
         with mp.workprec(8192):
             ref = sv.to_mpf(zn)
         assert rel_to(r.zn, ref, 8192) < claim, r.n
+
+
+@lru_cache(maxsize=None)
+def exact_series(name, nmax):
+    """Exact Z_1..Z_nmax at a RATIONAL_POINTS bulk point, or on a critical
+    line at the alpha of CRITICAL_POINTS: the oracle's exact moments,
+    Chebyshev's algorithm over Fractions, and Z_n = base^(n^2) prod_{k<n} h_k
+    / (prod_{k<n} k!)^2 with base = ab or (1 + alpha)/2."""
+    if name in RATIONAL_POINTS:
+        return exact_hankel_series(RATIONAL_POINTS[name], nmax)
+    phase, alpha = CRITICAL_POINTS[name]
+    moments_of = crit_fd_exact_moments if phase is sv.Phase.CRITICAL_FD else crit_afd_exact_moments
+    norms = _linalg._forward_pivots(moments_of(alpha, 2 * nmax - 2))
+    out, tau, superfactorial = [], Fraction(1), 1
+    for n in range(1, nmax + 1):
+        tau *= norms[n - 1]
+        superfactorial *= factorial(n - 1)
+        out.append(((1 + alpha) / 2) ** (n * n) * tau / superfactorial**2)
+    return out
+
+
+CRITICAL_POINTS = {
+    "critical-fd": (sv.Phase.CRITICAL_FD, Fraction(5, 2)),
+    "critical-afd": (sv.Phase.CRITICAL_AFD, Fraction(-1, 2)),
+}
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+@pytest.mark.parametrize("name", BULK_POINTS + list(CRITICAL_POINTS))
+def test_ladder_series_meets_the_claim_of_its_bits(name, bits):
+    # a series on the ladder of --bits is within 2^-(bits/2) of the exact one
+    if name in RATIONAL_POINTS:
+        p = RATIONAL_POINTS[name].params(8192)
+    else:
+        phase, alpha = CRITICAL_POINTS[name]
+        p = sv.PhaseParams(phase, alpha=alpha)
+    series = sv.on_ladder(p, 40, bits, lambda ctx: sv.zn_series(p, 40, ctx))
+    for r, zn in zip(series, exact_series(name, 40)):
+        assert r.ctx.claim_bits == bits // 2
+        assert r.ctx.claim_bits <= r.agreement_bits <= r.bits
+        with mp.workprec(8192):
+            ref = sv.to_mpf(zn)
+        assert rel_to(r.zn, ref, 8192) < mp.mpf(2) ** -(bits // 2), r.n
 
 
 AGREEMENT_GRID = [
@@ -395,27 +486,33 @@ AGREEMENT_GRID = [
 ]
 
 
+def first_rung_at(phase, point, n=24):
+    """The first rung of the ladder at a grid point, and the point parsed at
+    that rung's guard precision."""
+    ctx = next(sv.contexts(sv.PhaseParams(phase, **{k: mp.mpf(v) for k, v in point.items()}), n))
+    with ctx.guardprec():
+        return sv.PhaseParams(phase, **{k: mp.mpf(v) for k, v in point.items()}), ctx
+
+
 @pytest.mark.parametrize("phase,point", AGREEMENT_GRID)
 def test_agreement_bits_clear_the_claim(phase, point):
-    # the printed claim is 2^-(bits/2); the base and guard runs agree to more
-    ctx = sv.default_context(24)
-    with ctx.guardprec():
-        p = sv.PhaseParams(phase, **{k: mp.mpf(v) for k, v in point.items()})
+    # a result claims 2^-(bits/2); the base and guard runs agree to more
+    p, ctx = first_rung_at(phase, point)
     series = sv.zn_series(p, 24, ctx)
     agree = [r.agreement_bits for r in series]
-    assert all(ctx.bits // 2 <= a <= ctx.bits for a in agree)
+    assert all(ctx.claim_bits <= a <= ctx.bits for a in agree)
     assert agree == sorted(agree, reverse=True)  # Z_n's agreement covers h_0..h_{n-1}
-    assert json.loads(json.dumps(series[-1].to_json()))["agreement_bits"] == agree[-1]
+    blob = json.loads(json.dumps(series[-1].to_json()))
+    assert blob["agreement_bits"] == agree[-1]
+    assert (blob["claim_bits"], blob["bits"], blob["guard_bits"]) == (128, ctx.bits, ctx.bits + 64)
 
 
 @pytest.mark.parametrize("phase,point", AGREEMENT_GRID)
 def test_zn_series_log_zn_is_the_log_of_zn(phase, point):
-    ctx = sv.default_context(24)
-    with ctx.guardprec():
-        p = sv.PhaseParams(phase, **{k: mp.mpf(v) for k, v in point.items()})
+    p, ctx = first_rung_at(phase, point)
     for r in sv.zn_series(p, 24, ctx):
         with ctx.guardprec():
-            assert abs(r.log_zn - mp.log(r.zn)) <= ctx.verify_tolerance(), r.n
+            assert abs(r.log_zn - mp.log(r.zn)) <= mp.mpf(2) ** -ctx.bits, r.n
 
 
 def test_moments_serve_runs_at_their_context_or_below():
@@ -464,7 +561,7 @@ def test_zn_ik_takes_one_log(monkeypatch):
     log = mp.log
     monkeypatch.setattr(mp, "log", lambda *a, **k: calls.append(a) or log(*a, **k))
     p = sv.PhaseParams(sv.Phase.DISORDERED, t=0.3, gamma=1.1)
-    res = sv.zn_ik(p, 48, sv.default_context(48))
+    res = sv.zn_ik(p, 48, next(sv.contexts(p, 48)))
     assert res.log_zn == res.log_zn
     assert len(calls) <= 1
 

@@ -176,23 +176,36 @@ def test_critical_domain_rejections():
         sv.zn_crit_series(sv.Phase.DISORDERED, 3, 2, CTX256)
 
 
+def family_point(family):
+    """The phase point of one family in ``family_moments``, at ambient
+    precision."""
+    if family == "disordered-t0":
+        # gamma = pi/3, t = 0: the odd moments vanish, so every alpha_k is 0
+        return sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf(0), gamma=mp.pi / 3)
+    if family == "disordered":
+        return sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf("0.4"), gamma=mp.mpf("1.2"))
+    if family == "ferro":
+        return sv.PhaseParams(sv.Phase.FERROELECTRIC, t=2, gamma=1)
+    if family == "af":
+        return sv.PhaseParams(sv.Phase.ANTIFERROELECTRIC, t=Fraction(3, 10), gamma=1)
+    if family == "critical-fd":
+        return sv.PhaseParams(sv.Phase.CRITICAL_FD, alpha=3)
+    return sv.PhaseParams(sv.Phase.CRITICAL_AFD, alpha=Fraction(1, 4))
+
+
 def family_moments(family, kmax, ctx):
     """mu_0..mu_kmax of one point in each of the five moment families."""
     with ctx.guardprec():
-        if family == "disordered-t0":
-            # gamma = pi/3, t = 0: the odd moments vanish, so every alpha_k is 0
-            p = sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf(0), gamma=mp.pi / 3)
-            return sv.phi_derivatives(p, kmax, ctx)
-        if family == "disordered":
-            p = sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf("0.4"), gamma=mp.mpf("1.2"))
-            return sv.phi_derivatives(p, kmax, ctx)
+        p = family_point(family)
+    if family.startswith("disordered"):
+        return sv.phi_derivatives(p, kmax, ctx)
     if family == "ferro":
-        return sv.ferro_moments(kmax, 2, 1, ctx)
+        return sv.ferro_moments(kmax, p.t, p.gamma, ctx)
     if family == "af":
-        return sv.af_moments(kmax, Fraction(3, 10), 1, ctx)
+        return sv.af_moments(kmax, p.t, p.gamma, ctx)
     if family == "critical-fd":
-        return sv.crit_fd_moments(kmax, 3, ctx)
-    return sv.crit_afd_moments(kmax, Fraction(1, 4), ctx)
+        return sv.crit_fd_moments(kmax, p.alpha, ctx)
+    return sv.crit_afd_moments(kmax, p.alpha, ctx)
 
 
 @pytest.mark.parametrize("n", [8, 24, 48])
@@ -200,7 +213,7 @@ def family_moments(family, kmax, ctx):
     "family", ["disordered-t0", "disordered", "ferro", "af", "critical-fd", "critical-afd"]
 )
 def test_norms_match_elimination_oracle(family, n):
-    ctx = sv.default_context(n)
+    ctx = sv.PrecisionContext(max(256, 10 * n + 64))
     ms = family_moments(family, 2 * n - 2, ctx)
     norms = sv.norms_from_moments(ms, n, ctx)
     with ctx.guardprec():
@@ -215,13 +228,15 @@ def test_norms_match_elimination_oracle(family, n):
     "family", ["disordered-t0", "disordered", "ferro", "af", "critical-fd", "critical-afd"]
 )
 def test_norms_report_their_agreement(family, n):
-    ctx = sv.default_context(n)
+    ctx = next(sv.contexts(family_point(family), n))
     ms = family_moments(family, 2 * n - 2, ctx)
     norms = sv.norms_from_moments(ms, n, ctx)
     _, per_k = _linalg.hankel_pivots(ms.values, n, ctx)
     assert norms.agreement_bits == min(per_k)
-    assert ctx.bits // 2 <= norms.agreement_bits <= ctx.bits
-    assert norms.to_json()["agreement_bits"] == norms.agreement_bits
+    assert ctx.claim_bits <= norms.agreement_bits <= ctx.bits
+    blob = norms.to_json()
+    assert blob["agreement_bits"] == norms.agreement_bits
+    assert (blob["claim_bits"], blob["bits"], blob["guard_bits"]) == (128, ctx.bits, ctx.bits + 64)
 
 
 @pytest.mark.parametrize("alpha", [Fraction(3), Fraction(3, 2), Fraction(11, 9)])

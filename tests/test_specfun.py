@@ -120,9 +120,9 @@ def test_phi_derivatives_match_discrete_weight_moments():
 @pytest.mark.parametrize("nmax", [24, 48])
 @pytest.mark.parametrize("point", RATIONAL_POINTS.values(), ids=RATIONAL_POINTS)
 def test_phi_derivatives_match_exact_rational_moments(point, nmax):
-    # the first-rung moments of an nmax series lose at most 32 guard bits,
-    # near coth = -+1 (ferro-far) too
-    ctx = sv.default_context(nmax)
+    # moments for an nmax series lose at most 32 guard bits, near
+    # coth = -+1 (ferro-far) too
+    ctx = sv.PrecisionContext(max(256, 10 * nmax + 64))
     kmax = 2 * nmax - 2
     got = sv.phi_derivatives(point.params(4 * ctx.guard_bits), kmax, ctx)
     want = oracles.exact_phi_derivatives(
