@@ -41,7 +41,6 @@ from .specfun import (
     ferro_moments,
     phi,
     phi_derivatives,
-    polylog_neg,
     theta1,
     theta1_prime0,
     theta4,

@@ -1,6 +1,6 @@
 """Arbitrary-precision scalar kernels: derivatives of the moment generating
-function phi, negative-order polylogarithms, Jacobi theta series, zeta(3/2),
-and closed-form moment sequences for all five weight families.
+function phi, moment sequences for all five weight families, Jacobi theta
+series and zeta(3/2).
 
 Derivatives of phi are generated through the decomposition
 phi = s (x(gamma - t) + x(gamma + t)) of the bulk chart (``model.BulkChart``):
@@ -13,6 +13,11 @@ Since x = cot or coth obeys the Riccati equation x' = sigma - x^2, its
 Taylor coefficients c_k at the two arguments follow from a quadratic
 recurrence, and phi^(k) = s k! (c_k(gamma + t) + (-1)^k c_k(gamma - t));
 no numerical differentiation is involved.
+
+In the ferroelectric and antiferroelectric phases phi is the Laplace
+transform of a measure on the integers, so the discrete moments are the
+phi-derivatives rescaled by (-+1)^k / 2^(k+1).  The two critical lines have
+closed-form moments.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -122,10 +126,16 @@ def phi_derivatives(
     These are precisely the moments of the (phase-dependent) measure whose
     Laplace transform is phi, so they feed the Hankel determinant directly.
     """
+    ctx = ctx or DEFAULT_CONTEXT
+    values = _phi_values(p, kmax, ctx)
+    return MomentSequence(_PHI_FAMILY[p.phase], (p.t, p.gamma), values, ctx)
+
+
+def _phi_values(p: PhaseParams, kmax: int, ctx: PrecisionContext) -> Tuple:
+    """phi^(k)(t) for k = 0..kmax at the guard precision of ctx."""
     chart = bulk_chart(p)
     if kmax < 0:
         raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
-    ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         t, g = to_mpf(p.t), to_mpf(p.gamma)
         cp = _taylor(chart.x(g + t), chart.sigma, kmax)
@@ -135,89 +145,63 @@ def phi_derivatives(
             # each t-derivative of a function of gamma - t brings a factor -1
             pair = cp[k] + cm[k] if k % 2 == 0 else cp[k] - cm[k]
             values.append(chart.s * math.factorial(k) * pair)
-    return MomentSequence(_PHI_FAMILY[p.phase], (p.t, p.gamma), tuple(values), ctx)
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
-# Negative-order polylogarithm via Eulerian polynomials:
-# Li_{-k}(q) = sum_{l>=1} l^k q^l = (sum_j A(k, j) q^{j+1}) / (1 - q)^{k+1}.
+# The discrete ferroelectric and antiferroelectric measures are the phi
+# measures with x rescaled: coth x = 1 + 2 sum_{l>=1} e^(-2lx) for x > 0 gives
+#
+#     ferroelectric       phi = 2 sum_{l>=1} (e^(-2l(t - gamma)) - e^(-2l(t + gamma)))
+#     antiferroelectric   phi = 2 sum_{l in Z} e^(2tl - 2 gamma |l|)
+#
+# so phi^(k) = 2 (-2)^k mu_k and 2 2^k mu_k, and mu_k = (-+1)^k phi^(k) / 2^(k+1)
+# with an exact division.
 
 
-@lru_cache(maxsize=None)
-def _eulerian_row(k: int) -> Tuple[int, ...]:
-    """A(k, 0..k-1) by the ascent recurrence; rows are all-positive ints."""
-    if k == 1:
-        return (1,)
-    prev = _eulerian_row(k - 1)
-    row = []
-    for j in range(k):
-        left = (j + 1) * prev[j] if j < len(prev) else 0
-        right = (k - j) * prev[j - 1] if 0 < j else 0
-        row.append(left + right)
-    return tuple(row)
-
-
-def polylog_neg(k: int, q, ctx: Optional[PrecisionContext] = None):
-    """Li_{-k}(q) = sum_{l>=1} l^k q^l for 0 < q < 1.
-
-    Fraction input gives the exact rational value; anything else is evaluated
-    in mpf at guard precision.  The Eulerian-polynomial form has positive
-    coefficients, so the evaluation is cancellation free.
-    """
+def _discrete_moments(
+    family: MomentFamily, phase: Phase, kmax: int, t, gamma, ctx: Optional[PrecisionContext]
+) -> MomentSequence:
     ctx = ctx or DEFAULT_CONTEXT
+    sign = -1 if phase is Phase.FERROELECTRIC else 1
+    derivs = _phi_values(PhaseParams(phase, t=t, gamma=gamma), kmax, ctx)
     with ctx.guardprec():
-        qq = q if isinstance(q, Fraction) else to_mpf(q)
-        return _li_neg(k, qq, 1 - qq)
+        vals = tuple(mp.ldexp(sign**k * v, -(k + 1)) for k, v in enumerate(derivs))
+    return MomentSequence(family, (t, gamma), vals, ctx)
 
 
-def _li_neg(k: int, q, one_minus_q):
-    """Li_{-k}(q) from q and 1 - q, at ambient precision; the caller forms
-    1 - q, so that it keeps its bits as q nears 1."""
-    if k < 0:
-        raise ParameterDomainError(f"order k >= 0 required, got {k}")
-    if not (q > 0 and one_minus_q > 0):
-        raise ParameterDomainError(
-            f"polylog_neg requires 0 < q < 1, got q = {q}, 1 - q = {one_minus_q}"
-        )
-    if k == 0:
-        return q / one_minus_q
-    num = 0 * q
-    for a in reversed(_eulerian_row(k)):
-        num = (num + a) * q
-    return num / one_minus_q ** (k + 1)
+def ferro_moments(
+    kmax: int, t, gamma, ctx: Optional[PrecisionContext] = None
+) -> MomentSequence:
+    """mu_k = sum_{l>=1} l^k 2 e^{-2tl} sinh(2 gamma l) for k = 0..kmax and
+    t > gamma > 0."""
+    return _discrete_moments(
+        MomentFamily.FERRO_DISCRETE, Phase.FERROELECTRIC, kmax, t, gamma, ctx
+    )
 
 
-def _li_neg_exp(k: int, x):
-    """Li_{-k}(e^(-x)) for x > 0, with 1 - e^(-x) taken as -expm1(-x), which
-    keeps its bits as x nears 0."""
-    return _li_neg(k, mp.exp(-x), -mp.expm1(-x))
-
-
-# ---------------------------------------------------------------------------
-# Closed-form moments of the five weight families.
+def af_moments(
+    kmax: int, t, gamma, ctx: Optional[PrecisionContext] = None
+) -> MomentSequence:
+    """mu_k = sum_{l in Z} l^k e^{2tl - 2 gamma |l|} for k = 0..kmax and
+    |t| < gamma."""
+    return _discrete_moments(
+        MomentFamily.AF_DISCRETE, Phase.ANTIFERROELECTRIC, kmax, t, gamma, ctx
+    )
 
 
 def ferro_moment(k: int, t, gamma, ctx: Optional[PrecisionContext] = None):
-    """sum_{l>=1} l^k 2 e^{-2tl} sinh(2 gamma l) for t > gamma > 0."""
-    PhaseParams(Phase.FERROELECTRIC, t=t, gamma=gamma)
-    ctx = ctx or DEFAULT_CONTEXT
-    with ctx.guardprec():
-        tt, gg = to_mpf(t), to_mpf(gamma)
-        return _li_neg_exp(k, 2 * (tt - gg)) - _li_neg_exp(k, 2 * (tt + gg))
+    """mu_k of ``ferro_moments``."""
+    return ferro_moments(k, t, gamma, ctx)[k]
 
 
 def af_moment(k: int, t, gamma, ctx: Optional[PrecisionContext] = None):
-    """sum_{l in Z} l^k e^{2tl - 2 gamma |l|} for |t| < gamma."""
-    PhaseParams(Phase.ANTIFERROELECTRIC, t=t, gamma=gamma)
-    ctx = ctx or DEFAULT_CONTEXT
-    with ctx.guardprec():
-        tt, gg = to_mpf(t), to_mpf(gamma)
-        s = _li_neg_exp(k, 2 * (gg - tt))
-        neg = _li_neg_exp(k, 2 * (tt + gg))
-        s = s + neg if k % 2 == 0 else s - neg
-        if k == 0:
-            s += 1
-        return s
+    """mu_k of ``af_moments``."""
+    return af_moments(k, t, gamma, ctx)[k]
+
+
+# ---------------------------------------------------------------------------
+# Closed-form moments of the two critical lines.
 
 
 def crit_fd_moment(k: int, alpha, ctx: Optional[PrecisionContext] = None):
@@ -249,18 +233,6 @@ def _moment_sequence(
     ctx = ctx or DEFAULT_CONTEXT
     vals = tuple(moment(k, *params, ctx) for k in range(kmax + 1))
     return MomentSequence(family, params, vals, ctx)
-
-
-def ferro_moments(
-    kmax: int, t, gamma, ctx: Optional[PrecisionContext] = None
-) -> MomentSequence:
-    return _moment_sequence(MomentFamily.FERRO_DISCRETE, (t, gamma), ferro_moment, kmax, ctx)
-
-
-def af_moments(
-    kmax: int, t, gamma, ctx: Optional[PrecisionContext] = None
-) -> MomentSequence:
-    return _moment_sequence(MomentFamily.AF_DISCRETE, (t, gamma), af_moment, kmax, ctx)
 
 
 def crit_fd_moments(

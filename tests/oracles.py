@@ -1,13 +1,14 @@
 """Brute-force oracles kept independent of the library code paths they check:
 truncated series summation, adaptive quadrature, central differences,
 O(n^3) elimination on the Hankel moment matrix, closed-form exact moments of
-the critical lines, exact phi-derivatives at rational cot/coth values, and the
-ASM count.
+the critical lines, exact negative-order polylogarithms, exact
+phi-derivatives at rational cot/coth values, and the ASM count.
 
 Parameters are converted to mpf inside the stated working precision, so pass
 exact values (ints, Fractions, decimal strings)."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from mpmath import mp
@@ -15,24 +16,33 @@ from mpmath import mp
 from sixvertex import to_mpf
 
 
-def series_ferro_moment(k, t, gamma, bits=512, lmax=400):
-    """sum_{l=1}^{lmax} l^k 2 e^{-2tl} sinh(2 gamma l) by direct summation."""
-    with mp.workprec(bits):
-        t, gamma = to_mpf(t), to_mpf(gamma)
-        return mp.fsum(
-            mp.mpf(l) ** k * 2 * mp.exp(-2 * t * l) * mp.sinh(2 * gamma * l)
-            for l in range(1, lmax + 1)
-        )
+def _weighted_power_sums(kmax, nodes, weights):
+    """[sum_l l^k w_l for k = 0..kmax] over the given nodes and weights."""
+    sums, powers = [], list(weights)
+    for _ in range(kmax + 1):
+        sums.append(mp.fsum(powers))
+        powers = [p * l for p, l in zip(powers, nodes)]
+    return sums
 
 
-def series_af_moment(k, t, gamma, bits=512, lmax=400):
-    """sum_{|l| <= lmax} l^k e^{2tl - 2 gamma |l|} by direct summation."""
+def series_ferro_moments(kmax, t, gamma, bits=512, lmax=400):
+    """sum_{l=1}^{lmax} l^k 2 e^{-2tl} sinh(2 gamma l) for k = 0..kmax by
+    direct summation."""
     with mp.workprec(bits):
         t, gamma = to_mpf(t), to_mpf(gamma)
-        return mp.fsum(
-            mp.mpf(l) ** k * mp.exp(2 * t * l - 2 * gamma * abs(l))
-            for l in range(-lmax, lmax + 1)
-        )
+        nodes = range(1, lmax + 1)
+        weights = [2 * mp.exp(-2 * t * l) * mp.sinh(2 * gamma * l) for l in nodes]
+        return _weighted_power_sums(kmax, nodes, weights)
+
+
+def series_af_moments(kmax, t, gamma, bits=512, lmax=400):
+    """sum_{|l| <= lmax} l^k e^{2tl - 2 gamma |l|} for k = 0..kmax by direct
+    summation."""
+    with mp.workprec(bits):
+        t, gamma = to_mpf(t), to_mpf(gamma)
+        nodes = range(-lmax, lmax + 1)
+        weights = [mp.exp(2 * t * l - 2 * gamma * abs(l)) for l in nodes]
+        return _weighted_power_sums(kmax, nodes, weights)
 
 
 def quad_crit_fd_moment(k, alpha, bits=512):
@@ -96,6 +106,29 @@ def crit_afd_exact_moments(alpha: Fraction, kmax: int):
     int_0^inf x^k e^-x dx plus int_-inf^0 x^k e^(rx) dx."""
     r = (1 + alpha) / (1 - alpha)
     return [factorial(k) * (1 + (-1) ** k * r ** -(k + 1)) for k in range(kmax + 1)]
+
+
+@lru_cache(maxsize=None)
+def eulerian_row(k: int):
+    """A(k, 0..k-1) by the ascent recurrence; rows are all-positive ints."""
+    if k == 1:
+        return (1,)
+    prev = eulerian_row(k - 1)
+    row = []
+    for j in range(k):
+        left = (j + 1) * prev[j] if j < len(prev) else 0
+        right = (k - j) * prev[j - 1] if 0 < j else 0
+        row.append(left + right)
+    return tuple(row)
+
+
+def polylog_neg(k: int, q: Fraction) -> Fraction:
+    """Li_{-k}(q) = sum_{l>=1} l^k q^l for rational 0 < q < 1, exactly, in the
+    Eulerian form (sum_j A(k, j) q^(j+1)) / (1 - q)^(k+1)."""
+    if k == 0:
+        return q / (1 - q)
+    num = sum(a * q ** (j + 1) for j, a in enumerate(eulerian_row(k)))
+    return num / (1 - q) ** (k + 1)
 
 
 def exact_phi_derivatives(s, sigma, x_plus, x_minus, kmax):

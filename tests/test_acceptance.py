@@ -248,17 +248,19 @@ def test_criterion_10_meixner():
 def test_criterion_11_special_functions():
     ctx = sv.PrecisionContext(512)
     worst = mp.mpf(0)
+    # the terms fall as e^(-2l) (ferro) and e^(-1.4l) (AF), so lmax = 250
+    # leaves a tail below 2^-300 of mu_k for every k <= 46
+    ferro = oracles.series_ferro_moments(46, 2, 1, bits=1200, lmax=250)
+    af = oracles.series_af_moments(46, Fraction(3, 10), 1, bits=1200, lmax=250)
+    for k in range(47):
+        worst = max(
+            worst,
+            rel_to(sv.ferro_moment(k, 2, 1, ctx), ferro[k]),
+            rel_to(sv.af_moment(k, Fraction(3, 10), 1, ctx), af[k]),
+        )
     for k in range(9):
         worst = max(
             worst,
-            rel_to(
-                sv.ferro_moment(k, 2, 1, ctx),
-                oracles.series_ferro_moment(k, 2, 1, bits=1200, lmax=250),
-            ),
-            rel_to(
-                sv.af_moment(k, Fraction(3, 10), 1, ctx),
-                oracles.series_af_moment(k, Fraction(3, 10), 1, bits=1200, lmax=250),
-            ),
             rel_to(
                 sv.crit_fd_moment(k, 3, ctx),
                 oracles.quad_crit_fd_moment(k, 3, bits=700),

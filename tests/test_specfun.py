@@ -1,4 +1,5 @@
-"""Scalar kernels: phi and its derivatives, polylogs, moments, theta, zeta."""
+"""Scalar kernels: phi and its derivatives, moments, theta, zeta; the exact
+polylogarithm oracle."""
 
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from mpmath import mp
 
 import sixvertex as sv
 from sixvertex.errors import ParameterDomainError
-from sixvertex.specfun import _eulerian_row
 
 import oracles
 from conftest import CTX256, CTX512, RATIONAL_POINTS, rel_to
@@ -102,21 +102,6 @@ def test_phi_derivative_matches_central_difference():
     assert rel_to(ms[1], fd) < TOL30
 
 
-def test_phi_derivatives_match_discrete_weight_moments():
-    # phi^(i) = 2 (-2)^i m_i (ferro) and 2 2^i m_i (antiferroelectric)
-    with CTX512.guardprec():
-        pf = sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.mpf(2), gamma=mp.mpf(1))
-        pa = sv.PhaseParams(sv.Phase.ANTIFERROELECTRIC, t=mp.mpf("0.3"), gamma=mp.mpf(1))
-    msf = sv.phi_derivatives(pf, 6, CTX512)
-    msa = sv.phi_derivatives(pa, 6, CTX512)
-    with CTX512.guardprec():
-        for i in range(7):
-            mf = sv.ferro_moment(i, 2, 1, CTX512)
-            assert rel_to(msf[i], 2 * mp.mpf(-2) ** i * mf) < TOL30
-            ma = sv.af_moment(i, mp.mpf("0.3"), 1, CTX512)
-            assert rel_to(msa[i], 2 * mp.mpf(2) ** i * ma) < TOL30
-
-
 @pytest.mark.parametrize("nmax", [24, 48])
 @pytest.mark.parametrize("point", RATIONAL_POINTS.values(), ids=RATIONAL_POINTS)
 def test_phi_derivatives_match_exact_rational_moments(point, nmax):
@@ -136,21 +121,14 @@ def test_phi_derivatives_match_exact_rational_moments(point, nmax):
         assert rel_to(g, ref, prec) < tol, k
 
 
-# --- polylog ---------------------------------------------------------------
+# --- exact polylogarithm oracle --------------------------------------------
 
 
 def test_polylog_trivial_values():
-    assert sv.polylog_neg(0, Fraction(1, 2)) == 1
-    assert sv.polylog_neg(1, Fraction(1, 2)) == 2
-    assert sv.polylog_neg(2, Fraction(1, 2)) == 6
-    assert sv.polylog_neg(3, Fraction(1, 2)) == 26
-
-
-def test_polylog_direct_series():
-    with CTX256.guardprec():
-        q = mp.mpf(1) / 2
-        series = mp.fsum(mp.mpf(l) ** 2 * q**l for l in range(1, 400))
-    assert rel_to(sv.polylog_neg(2, q, CTX256), series) < TOL30
+    assert oracles.polylog_neg(0, Fraction(1, 2)) == 1
+    assert oracles.polylog_neg(1, Fraction(1, 2)) == 2
+    assert oracles.polylog_neg(2, Fraction(1, 2)) == 6
+    assert oracles.polylog_neg(3, Fraction(1, 2)) == 26
 
 
 @given(
@@ -164,31 +142,48 @@ def test_polylog_defining_recurrence_exact(k, q):
     # stored rational form N(q)/(1-q)^k.
     if k == 1:
         # Li_0 = q/(1-q); q d/dq = q/(1-q)^2
-        assert sv.polylog_neg(1, q) == q / (1 - q) ** 2
+        assert oracles.polylog_neg(1, q) == q / (1 - q) ** 2
         return
-    row = _eulerian_row(k - 1)
+    row = oracles.eulerian_row(k - 1)
     n_val = sum(a * q ** (j + 1) for j, a in enumerate(row))
     n_prime = sum(a * (j + 1) * q**j for j, a in enumerate(row))
     derivative = (n_prime * (1 - q) + k * n_val) / (1 - q) ** (k + 1)
-    assert sv.polylog_neg(k, q) == q * derivative
-
-
-def test_polylog_rejects_bad_domain():
-    for bad in (0, 1, Fraction(3, 2), -0.5):
-        with pytest.raises(ParameterDomainError):
-            sv.polylog_neg(2, bad)
+    assert oracles.polylog_neg(k, q) == q * derivative
 
 
 def test_eulerian_rows():
-    assert _eulerian_row(1) == (1,)
-    assert _eulerian_row(2) == (1, 1)
-    assert _eulerian_row(3) == (1, 4, 1)
-    assert _eulerian_row(4) == (1, 11, 11, 1)
+    assert oracles.eulerian_row(1) == (1,)
+    assert oracles.eulerian_row(2) == (1, 1)
+    assert oracles.eulerian_row(3) == (1, 4, 1)
+    assert oracles.eulerian_row(4) == (1, 11, 11, 1)
     # row sums are factorials
-    assert sum(_eulerian_row(7)) == 5040
+    assert sum(oracles.eulerian_row(7)) == 5040
 
 
 # --- moment families vs oracles -------------------------------------------
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_discrete_moments_match_exact_polylogs(bits):
+    # e^(-2|t - gamma|) = 1/3 and e^(-2(|t| + gamma)) = 1/7 at both points, so
+    # ferro mu_k = Li_{-k}(1/3) - Li_{-k}(1/7) and
+    # AF mu_k = Li_{-k}(1/3) + (-1)^k Li_{-k}(1/7) + [k = 0], exact rationals
+    ctx = sv.PrecisionContext(bits)
+    kmax = 46
+    with mp.workprec(4 * ctx.guard_bits):
+        near, far = mp.log(3) / 2, mp.log(7) / 2
+        outer, inner = (far + near) / 2, (far - near) / 2
+    ferro = sv.ferro_moments(kmax, outer, inner, ctx)
+    af = sv.af_moments(kmax, inner, outer, ctx)
+    tol = mp.mpf(2) ** -(ctx.guard_bits - 32)
+    prec = 8 * ctx.guard_bits
+    for k in range(kmax + 1):
+        li3 = oracles.polylog_neg(k, Fraction(1, 3))
+        li7 = oracles.polylog_neg(k, Fraction(1, 7))
+        for got, want in ((ferro, li3 - li7), (af, li3 + (-1) ** k * li7 + (k == 0))):
+            with mp.workprec(prec):
+                ref = sv.to_mpf(want)
+            assert rel_to(got[k], ref, prec) < tol, (got.family, k)
 
 
 def test_ferro_moment_k0_geometric():
@@ -200,7 +195,7 @@ def test_ferro_moment_k0_geometric():
 
 def test_ferro_moment_series_oracle():
     got = sv.ferro_moment(3, 2, 1, CTX512)
-    ref = oracles.series_ferro_moment(3, 2, 1, bits=1024, lmax=200)
+    ref = oracles.series_ferro_moments(3, 2, 1, bits=1024, lmax=200)[3]
     assert rel_to(got, ref) < TOL30
 
 
@@ -217,7 +212,7 @@ def test_af_moment_series_oracle():
     with CTX512.guardprec():
         t = mp.mpf("0.3")
     got = sv.af_moment(4, t, 1, CTX512)
-    ref = oracles.series_af_moment(4, "0.3", 1, bits=1024, lmax=200)
+    ref = oracles.series_af_moments(4, "0.3", 1, bits=1024, lmax=200)[4]
     assert rel_to(got, ref) < TOL30
 
 
@@ -286,16 +281,17 @@ def test_domains_are_those_of_phase_params(k, t, gamma, alpha):
     "moment, t, gamma", [(sv.ferro_moment, 2e-50, 1e-50), (sv.af_moment, 1e-50, 2e-50)]
 )
 def test_discrete_moments_keep_their_bits_near_the_boundary(moment, t, gamma):
-    # |t -+ gamma| = 1e-50: forming 1 - q from q = e^(-2|t -+ gamma|) would
-    # cancel about 166 bits; -expm1(-2|t -+ gamma|) keeps them
+    # |t -+ gamma| = 1e-50: the moments start from coth at arguments near
+    # 1e-50, where it keeps its relative bits, so nearness to the boundary
+    # costs no guard bits
     high = sv.PrecisionContext(2048)
     for k in (0, 3, 20):
         assert rel_to(moment(k, t, gamma, CTX256), moment(k, t, gamma, high)) <= mp.mpf(2) ** -500
 
 
 def test_discrete_moments_within_guard_precision_of_the_boundary():
-    # q = e^(-1e-300) rounds to 1 at guard precision, 1 - q does not;
-    # Li_0(e^(-x)) = 1/x - 1/2 + O(x)
+    # |t -+ gamma| lies far below the guard precision's ulp of 1; mu_0 = phi/2,
+    # and coth x = 1/x + O(x) at these arguments
     assert rel_to(sv.ferro_moment(0, 1e-300, 5e-301), mp.mpf(2) / 3 * mp.mpf(10) ** 300) < 1e-12
     assert rel_to(sv.af_moment(0, 5e-301, 1e-300), mp.mpf(4) / 3 * mp.mpf(10) ** 300) < 1e-12
 
