@@ -18,16 +18,7 @@ from .model import (
     to_mpf,
     weights_from_params,
 )
-from .lattice import (
-    Configuration,
-    VertexCounts,
-    enumerate_configurations,
-    enumerate_dfs,
-    gibbs_probability,
-    transfer_matrix_zn,
-    vertex_counts,
-    vertex_type,
-)
+from .lattice import enumerate_dfs, transfer_matrix_zn
 from .specfun import (
     MomentFamily,
     MomentSequence,

@@ -1,6 +1,7 @@
-"""Exact partition functions on the n x n domain-wall lattice: reference
-configuration enumeration (DFS) and a 2^n-state transfer-matrix dynamic
-program.  Rational weights give exact rational results.
+"""Exact partition functions Z_n on the n x n domain-wall lattice, the
+reference values for the Hankel route: a depth-first walk over every
+configuration (DFS) and a 2^n-state transfer-matrix dynamic program.
+Rational weights give exact rational results.
 
 The DP scans the vertices row by row and keeps two frontiers, one per
 carried horizontal arrow, each keyed by the int mask of the vertical edges.
@@ -32,10 +33,9 @@ Domain wall boundaries: top and bottom vertical edges point into the square
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 from .errors import ParameterDomainError
 from .model import DEFAULT_CONTEXT, PrecisionContext, Weights
@@ -59,91 +59,6 @@ MAX_ENUM_N = 7
 MAX_TRANSFER_N = 14
 
 
-def vertex_type(left: int, right: int, bottom: int, top: int) -> Optional[int]:
-    """Vertex type 1..6 for the four incident arrows, or None if the ice rule
-    is violated."""
-    return _VERTEX_TYPE.get((left, right, bottom, top))
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Full arrow assignment on an n x n DWBC lattice.
-
-    ``h_edges[i][j]`` is the horizontal edge left of column j in row i
-    (j = 0..n, row 0 at the bottom); ``v_edges[i][j]`` is the vertical edge
-    below row i at column j (i = 0..n).
-    """
-
-    n: int
-    h_edges: Tuple[Tuple[int, ...], ...]
-    v_edges: Tuple[Tuple[int, ...], ...]
-
-    def validate(self) -> None:
-        n = self.n
-        if len(self.h_edges) != n or any(len(r) != n + 1 for r in self.h_edges):
-            raise ParameterDomainError("h_edges must be n rows of n+1 entries")
-        if len(self.v_edges) != n + 1 or any(len(r) != n for r in self.v_edges):
-            raise ParameterDomainError("v_edges must be n+1 rows of n entries")
-        for i in range(n):
-            if self.h_edges[i][0] != LEFT or self.h_edges[i][n] != RIGHT:
-                raise ParameterDomainError(
-                    "domain wall violated on a horizontal boundary edge"
-                )
-        for j in range(n):
-            if self.v_edges[0][j] != UP or self.v_edges[n][j] != DOWN:
-                raise ParameterDomainError(
-                    "domain wall violated on a vertical boundary edge"
-                )
-        for i in range(n):
-            for j in range(n):
-                if self.type_at(i, j) is None:
-                    raise ParameterDomainError(f"ice rule violated at vertex ({i},{j})")
-
-    def type_at(self, i: int, j: int) -> Optional[int]:
-        return vertex_type(
-            self.h_edges[i][j],
-            self.h_edges[i][j + 1],
-            self.v_edges[i][j],
-            self.v_edges[i + 1][j],
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "h_edges": [list(r) for r in self.h_edges],
-            "v_edges": [list(r) for r in self.v_edges],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Configuration":
-        cfg = cls(
-            n=int(obj["n"]),
-            h_edges=tuple(tuple(int(x) for x in r) for r in obj["h_edges"]),
-            v_edges=tuple(tuple(int(x) for x in r) for r in obj["v_edges"]),
-        )
-        cfg.validate()
-        return cfg
-
-
-@dataclass(frozen=True)
-class VertexCounts:
-    """Per-type vertex tallies N1..N6 of one configuration."""
-
-    n1: int
-    n2: int
-    n3: int
-    n4: int
-    n5: int
-    n6: int
-
-    def as_tuple(self) -> Tuple[int, ...]:
-        return (self.n1, self.n2, self.n3, self.n4, self.n5, self.n6)
-
-    @property
-    def total(self) -> int:
-        return sum(self.as_tuple())
-
-
 def _vertex_moves(last_column: bool, top_row: bool) -> dict:
     """(left, bottom) -> [(right, top, weight class), ...] allowed by the ice
     rule and, on the last column or the top row, by the domain wall; ordered
@@ -161,8 +76,10 @@ _MOVES = {(col, row): _vertex_moves(col, row) for col in (False, True) for row i
 def _walk(n: int):
     """Depth-first walk over all DWBC configurations, one row at a time from
     the bottom.  Yields the live (h, v, tallies) at each configuration: the
-    edge lists as laid out in Configuration (rows as tuples) and the tuple of
-    per-class tallies (N_a, N_b, N_c).  The lists change as the walk goes on.
+    edge lists, with rows as tuples, and the tuple of per-class tallies
+    (N_a, N_b, N_c).  ``h[i][j]`` is the horizontal edge left of column j in
+    row i (j = 0..n, row 0 at the bottom); ``v[i][j]`` is the vertical edge
+    below row i at column j (i = 0..n).  The lists change as the walk goes on.
 
     The rows that fit above each tuple of bottom edges (in the top row or
     not) are built once per call by a vertex walk over _MOVES, as (h row, top
@@ -211,14 +128,7 @@ def _walk(n: int):
     return rec(0, 0, 0, 0)
 
 
-def enumerate_configurations(n: int) -> Iterator[Configuration]:
-    """All DWBC configurations, DFS over rows from the bottom; the order is
-    that of a DFS over vertices in row-major order."""
-    for h, v, _ in _walk(n):
-        yield Configuration(n, tuple(tuple(r) for r in h), tuple(tuple(r) for r in v))
-
-
-def _prepare_weights(w: Weights, exact: Optional[bool], ctx: PrecisionContext):
+def _prepare_weights(w: Weights, exact: Optional[bool]):
     """(a, b, c, d): the weights in the arithmetic picked by ``exact`` (None =
     rational inputs decide).  Exact: the integers Da, Db, Dc and D, the lcm of
     the three denominators; see _rescale.  Float: the mpf weights and None."""
@@ -254,7 +164,7 @@ def enumerate_dfs(
     integers; the weights are applied once per tally."""
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
-        a, b, c, d = _prepare_weights(w, exact, ctx)
+        a, b, c, d = _prepare_weights(w, exact)
         counts = Counter(t for _, _, t in _walk(n))
         total = sum(k * a**na * b**nb * c**nc for (na, nb, nc), k in counts.items())
         return _rescale(total, d, n), sum(counts.values())
@@ -287,7 +197,7 @@ def transfer_matrix_zn(
         )
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
-        a, b, c, d = _prepare_weights(w, exact, ctx)
+        a, b, c, d = _prepare_weights(w, exact)
         left, right = {(1 << n) - 1: 1}, {}  # bottom boundary: all Up
         for _ in range(n):
             for j in range(n):
@@ -306,36 +216,3 @@ def transfer_matrix_zn(
             # right boundary: carry Right only; the next row starts with Left
             left, right = right, {}
         return _rescale(left[0], d, n)  # top boundary: all Down
-
-
-def vertex_counts(cfg: Configuration) -> VertexCounts:
-    """Tally vertex types; rejects configurations violating the ice rule or
-    the domain wall boundary."""
-    cfg.validate()
-    counts = [0] * 6
-    for i in range(cfg.n):
-        for j in range(cfg.n):
-            counts[cfg.type_at(i, j) - 1] += 1
-    return VertexCounts(*counts)
-
-
-def configuration_weight(cfg: Configuration, w: Weights, ctx: Optional[PrecisionContext] = None):
-    """Product of vertex weights of one configuration."""
-    vc = vertex_counts(cfg)
-    ctx = ctx or DEFAULT_CONTEXT
-    with ctx.guardprec():
-        a, b, c, d = _prepare_weights(w, None, ctx)
-        weight = a ** (vc.n1 + vc.n2) * b ** (vc.n3 + vc.n4) * c ** (vc.n5 + vc.n6)
-        return _rescale(weight, d, cfg.n)
-
-
-def gibbs_probability(
-    cfg: Configuration, w: Weights, ctx: Optional[PrecisionContext] = None
-):
-    """Gibbs weight w(sigma)/Z_n of one configuration; exact for rational
-    weights."""
-    ctx = ctx or DEFAULT_CONTEXT
-    weight = configuration_weight(cfg, w, ctx)
-    z = transfer_matrix_zn(cfg.n, w, ctx=ctx)
-    with ctx.guardprec():
-        return weight / z

@@ -230,6 +230,8 @@ def _moment_sequence(
     family: MomentFamily, params: Tuple, moment, kmax: int, ctx: Optional[PrecisionContext]
 ) -> MomentSequence:
     """mu_0..mu_kmax of a closed-form family, mu_k = moment(k, *params, ctx)."""
+    if kmax < 0:
+        raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
     ctx = ctx or DEFAULT_CONTEXT
     vals = tuple(moment(k, *params, ctx) for k in range(kmax + 1))
     return MomentSequence(family, params, vals, ctx)

@@ -2,7 +2,8 @@
 truncated series summation, adaptive quadrature, central differences,
 O(n^3) elimination on the Hankel moment matrix, closed-form exact moments of
 the critical lines, exact negative-order polylogarithms, exact
-phi-derivatives at rational cot/coth values, and the ASM count.
+phi-derivatives at rational cot/coth values, the ASM count, and a vertex
+classifier for domain-wall lattice configurations.
 
 Parameters are converted to mpf inside the stated working precision, so pass
 exact values (ints, Fractions, decimal strings)."""
@@ -14,6 +15,7 @@ from math import factorial
 from mpmath import mp
 
 from sixvertex import to_mpf
+from sixvertex.lattice import DOWN, LEFT, RIGHT, UP
 
 
 def _weighted_power_sums(kmax, nodes, weights):
@@ -170,3 +172,62 @@ def asm_count(n: int) -> int:
         num *= factorial(3 * k + 1)
         den *= factorial(n + k)
     return num // den
+
+
+# Vertex types by the sides the arrows point in from, as the sixvertex.lattice
+# docstring lists them.
+_INWARD_TYPE = {
+    frozenset({"left", "bottom"}): 1,
+    frozenset({"right", "top"}): 2,
+    frozenset({"left", "top"}): 3,
+    frozenset({"right", "bottom"}): 4,
+    frozenset({"top", "bottom"}): 5,
+    frozenset({"left", "right"}): 6,
+}
+
+
+def ice_vertex_type(left, right, bottom, top):
+    """Type 1..6 of a vertex with these incident arrows, or None unless
+    exactly two of them point in: an arrow points in when it is Right on the
+    left edge, Left on the right edge, Up on the bottom edge or Down on the
+    top edge."""
+    inward = frozenset(
+        side
+        for side, points_in in (
+            ("left", left == RIGHT),
+            ("right", right == LEFT),
+            ("bottom", bottom == UP),
+            ("top", top == DOWN),
+        )
+        if points_in
+    )
+    return _INWARD_TYPE.get(inward)
+
+
+def dwbc_vertex_types(n, h, v):
+    """types[i][j], the type 1..6 of the vertex in row i (from the bottom) and
+    column j of the configuration with horizontal edges h[i][j] (left of
+    column j, j = 0..n) and vertical edges v[i][j] (below row i, i = 0..n).
+    Raises ValueError on a wrong shape, a broken domain wall (Up on the
+    bottom, Down on top, Left on the left, Right on the right) or a vertex
+    that is not two-in/two-out."""
+    if len(h) != n or any(len(row) != n + 1 for row in h):
+        raise ValueError("h must be n rows of n + 1 edges")
+    if len(v) != n + 1 or any(len(row) != n for row in v):
+        raise ValueError("v must be n + 1 rows of n edges")
+    for i in range(n):
+        if h[i][0] != LEFT or h[i][n] != RIGHT:
+            raise ValueError(f"domain wall broken on a side edge of row {i}")
+    for j in range(n):
+        if v[0][j] != UP or v[n][j] != DOWN:
+            raise ValueError(f"domain wall broken on a boundary edge of column {j}")
+    types = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            vt = ice_vertex_type(h[i][j], h[i][j + 1], v[i][j], v[i + 1][j])
+            if vt is None:
+                raise ValueError(f"ice rule broken at vertex ({i}, {j})")
+            row.append(vt)
+        types.append(tuple(row))
+    return tuple(types)

@@ -1,7 +1,10 @@
-"""Configuration enumeration, the transfer-matrix DP, and their invariants."""
+"""The two exact Z_n routines, the DFS walk and the transfer-matrix DP, and
+their invariants.  The walk's edge lists are checked against an ice-rule
+classifier in oracles.py that does not read the lattice's vertex table."""
 
-import json
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -9,31 +12,29 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
 import sixvertex as sv
-from sixvertex.lattice import DOWN, LEFT, RIGHT, UP, configuration_weight
+from sixvertex.lattice import _VERTEX_TYPE, _walk, DOWN, RIGHT
 from sixvertex.errors import ParameterDomainError
 
 from conftest import rational_weights
-from oracles import asm_count
+from oracles import asm_count, dwbc_vertex_types, ice_vertex_type
 
 
-def test_vertex_type_examples():
-    assert sv.vertex_type(LEFT, RIGHT, UP, DOWN) == 5
-    assert sv.vertex_type(RIGHT, RIGHT, UP, UP) == 1
-    assert sv.vertex_type(RIGHT, LEFT, UP, UP) is None  # three in, one out
+def walk_snapshots(n):
+    """(h, v, tallies) of every configuration of _walk(n), copied out of the
+    lists the walk mutates."""
+    return [(tuple(h), tuple(v), tallies) for h, v, tallies in _walk(n)]
+
+
+def type_counts(n, h, v):
+    """Counter of the oracle's vertex types 1..6 over one configuration."""
+    return Counter(vt for row in dwbc_vertex_types(n, h, v) for vt in row)
 
 
 def test_vertex_type_covers_exactly_six():
-    valid = [
-        (l, r, b, t)
-        for l in (0, 1)
-        for r in (0, 1)
-        for b in (0, 1)
-        for t in (0, 1)
-        if sv.vertex_type(l, r, b, t) is not None
-    ]
-    assert len(valid) == 6
-    types = sorted(sv.vertex_type(*e) for e in valid)
-    assert types == [1, 2, 3, 4, 5, 6]
+    # the table's keys are the two-in/two-out quadruples, typed as the oracle
+    # types them
+    ice = {q: ice_vertex_type(*q) for q in product((0, 1), repeat=4)}
+    assert {q: vt for q, vt in ice.items() if vt is not None} == _VERTEX_TYPE
 
 
 def test_n1_single_c_vertex():
@@ -54,10 +55,32 @@ def test_transfer_matrix_matches_asm():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumeration_yields_each_asm_configuration_once(n):
-    configs = list(sv.enumerate_configurations(n))
+    configs = [(h, v) for h, v, _ in walk_snapshots(n)]
     assert len(configs) == len(set(configs)) == asm_count(n)
-    for cfg in configs:
-        cfg.validate()
+    for h, v in configs:
+        dwbc_vertex_types(n, h, v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_walk_tallies_are_the_oracle_class_counts(n):
+    # enumerate_dfs weighs each configuration by a^N_a b^N_b c^N_c
+    for h, v, tallies in walk_snapshots(n):
+        k = type_counts(n, h, v)
+        assert tallies == (k[1] + k[2], k[3] + k[4], k[5] + k[6])
+
+
+def test_oracle_rejects_broken_configurations():
+    ((h, v, _),) = walk_snapshots(1)
+    with pytest.raises(ValueError, match="domain wall"):
+        dwbc_vertex_types(1, h, ((DOWN,), (DOWN,)))
+    with pytest.raises(ValueError, match="domain wall"):
+        dwbc_vertex_types(1, ((RIGHT, RIGHT),), v)
+    # n = 2 with one interior vertical edge reversed: every boundary edge
+    # holds, and the vertices above and below it are three-in or three-out
+    h, v, _ = walk_snapshots(2)[0]
+    v = (v[0], (1 - v[1][0], v[1][1]), v[2])
+    with pytest.raises(ValueError, match="ice rule"):
+        dwbc_vertex_types(2, h, v)
 
 
 def test_dfs_equals_transfer_matrix_n7():
@@ -79,66 +102,32 @@ def test_enumeration_guard():
 
 
 def test_vertex_counts_n1():
-    (cfg,) = list(sv.enumerate_configurations(1))
-    vc = sv.vertex_counts(cfg)
-    assert vc.as_tuple() == (0, 0, 0, 0, 1, 0)
+    ((h, v, _),) = walk_snapshots(1)
+    assert dwbc_vertex_types(1, h, v) == ((5,),)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_conservation_laws_all_configurations(n):
-    for cfg in sv.enumerate_configurations(n):
-        vc = sv.vertex_counts(cfg)
-        assert vc.total == n * n
-        assert vc.n1 == vc.n2
-        assert vc.n3 == vc.n4
-        assert vc.n5 == vc.n6 + n
-
-
-def test_gibbs_probabilities_sum_to_one_exactly():
-    w = rational_weights(2, 3, 5)
-    total = Fraction(0)
-    for cfg in sv.enumerate_configurations(3):
-        p = sv.gibbs_probability(cfg, w)
-        assert 0 < p <= 1
-        total += p
-    assert total == 1
-
-
-def test_gibbs_n2_uniform():
-    w = rational_weights(1, 1, 1)
-    probs = [sv.gibbs_probability(cfg, w) for cfg in sv.enumerate_configurations(2)]
-    assert probs == [Fraction(1, 2), Fraction(1, 2)]
-
-
-def test_gibbs_n1_is_one():
-    (cfg,) = list(sv.enumerate_configurations(1))
-    assert sv.gibbs_probability(cfg, rational_weights(3, 4, 5)) == 1
-
-
-def test_configuration_json_round_trip():
-    for cfg in sv.enumerate_configurations(3):
-        blob = json.dumps(cfg.to_json())
-        back = sv.Configuration.from_json(json.loads(blob))
-        assert back == cfg
-
-
-def test_configuration_json_rejects_bad_boundary():
-    (cfg,) = list(sv.enumerate_configurations(1))
-    obj = cfg.to_json()
-    obj["v_edges"][0][0] = DOWN  # break the bottom domain wall
-    with pytest.raises(ParameterDomainError):
-        sv.Configuration.from_json(obj)
+    for h, v, _ in walk_snapshots(n):
+        k = type_counts(n, h, v)
+        assert sum(k.values()) == n * n
+        assert k[1] == k[2]
+        assert k[3] == k[4]
+        assert k[5] == k[6] + n
 
 
 def test_float_mode_matches_exact():
+    # both routines, as perfbench's checker calls transfer_matrix_zn in float
+    # mode for irrational weights
     w = rational_weights(2, 3, 5)
-    exact, _ = sv.enumerate_dfs(3, w)
     ctx = sv.PrecisionContext(128)
     with ctx.guardprec():
         wf = sv.Weights(mp.mpf(2), mp.mpf(3), mp.mpf(5))
-    approx, _ = sv.enumerate_dfs(3, wf, ctx=ctx)
-    with ctx.guardprec():
-        assert abs(approx - int(exact)) / int(exact) < mp.mpf(2) ** (-200)
+    for zn in (lambda *a, **k: sv.enumerate_dfs(*a, **k)[0], sv.transfer_matrix_zn):
+        exact = zn(3, w)
+        approx = zn(3, wf, ctx=ctx)
+        with ctx.guardprec():
+            assert abs(approx - int(exact)) / int(exact) < mp.mpf(2) ** (-200)
 
 
 small_fractions = st.fractions(
@@ -221,16 +210,6 @@ def test_dfs_equals_transfer_matrix_coprime_denominators(tr, n):
     ],
 )
 def test_exact_results_are_fractions_in_lowest_terms(w):
-    # a configuration with all three weight classes: N_a = 2, N_b = 4, N_c = 3
-    cfg = next(c for c in sv.enumerate_configurations(3) if sv.vertex_counts(c).n1 == 1)
-    values = [
-        sv.transfer_matrix_zn(3, w),
-        sv.enumerate_dfs(3, w)[0],
-        configuration_weight(cfg, w),
-        sv.gibbs_probability(cfg, w),
-    ]
-    for z in values:
+    for z in (sv.transfer_matrix_zn(3, w), sv.enumerate_dfs(3, w)[0]):
         assert type(z) is Fraction
         assert z.denominator > 0 and gcd(z.numerator, z.denominator) == 1
-    a, b, c = (Fraction(x) for x in (w.a, w.b, w.c))
-    assert values[2] == a**2 * b**4 * c**3

@@ -250,6 +250,22 @@ def test_moment_domain_rejections():
         sv.crit_afd_moment(0, 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda kmax: sv.phi_derivatives(_disordered(0, 1), kmax),
+        lambda kmax: sv.ferro_moments(kmax, 2, 1),
+        lambda kmax: sv.af_moments(kmax, Fraction(3, 10), 1),
+        lambda kmax: sv.crit_fd_moments(kmax, 3),
+        lambda kmax: sv.crit_afd_moments(kmax, Fraction(1, 2)),
+    ],
+    ids=["phi", "ferro", "af", "crit-fd", "crit-afd"],
+)
+def test_moment_builders_reject_negative_kmax(build):
+    with pytest.raises(ParameterDomainError, match="kmax >= 0"):
+        build(-1)
+
+
 # Dyadic points on both sides of every domain boundary, and on it
 DOMAIN_GRID = st.integers(-24, 24).map(lambda i: Fraction(i, 8))
 

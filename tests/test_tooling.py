@@ -2,8 +2,10 @@
 scripts."""
 
 import csv
+import importlib
 import importlib.util
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -49,6 +51,20 @@ def test_every_traced_name_resolves():
         mod = importlib.import_module(f"sixvertex.{module}")
         missing = [name for name in names if not callable(getattr(mod, name, None))]
         assert not missing, f"sixvertex.{module} lacks {missing}"
+
+
+def test_readme_library_map_names_resolve():
+    # every backticked identifier in a row names an attribute of the row's
+    # module; patterns such as `predict_*` are not identifiers and are skipped
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## Library map", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\|\s*`(sixvertex\.\w+)`\s*\|(.*)\|\s*$", table, re.M)
+    assert len(rows) >= 7
+    for module, contents in rows:
+        mod = importlib.import_module(module)
+        names = [tok for tok in re.findall(r"`([^`]+)`", contents) if tok.isidentifier()]
+        missing = [name for name in names if not hasattr(mod, name)]
+        assert not missing, f"README library map: {module} lacks {missing}"
 
 
 @pytest.mark.parametrize(
