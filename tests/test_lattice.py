@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
 import sixvertex as sv
-from sixvertex.lattice import _VERTEX_TYPE, _walk, DOWN, RIGHT
+from sixvertex.lattice import _VERTEX_TYPE, _walk, DOWN, LEFT, RIGHT, UP
 from sixvertex.errors import ParameterDomainError
 
 from conftest import rational_weights
@@ -28,6 +28,15 @@ def walk_snapshots(n):
 def type_counts(n, h, v):
     """Counter of the oracle's vertex types 1..6 over one configuration."""
     return Counter(vt for row in dwbc_vertex_types(n, h, v) for vt in row)
+
+
+def test_vertex_type_examples():
+    # a c-vertex, an a-vertex and a three-in quadruple, in the table and in
+    # the oracle alike
+    for q, vt in [((LEFT, RIGHT, UP, DOWN), 5), ((RIGHT, RIGHT, UP, UP), 1)]:
+        assert _VERTEX_TYPE[q] == ice_vertex_type(*q) == vt
+    q = (RIGHT, LEFT, UP, UP)
+    assert q not in _VERTEX_TYPE and ice_vertex_type(*q) is None
 
 
 def test_vertex_type_covers_exactly_six():
