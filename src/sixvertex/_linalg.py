@@ -8,10 +8,12 @@ Two routes are kept deliberately distinct so they can cross-check each other:
   returns the norms h_k = D_{k+1}/D_k of the monic orthogonal polynomials,
   the leading-principal-minor ratios of the Hankel matrix.  For the moments
   of a positive measure every h_k is positive.  Every Z_n and tau_n the
-  package computes is a prefix product of these norms;
-* ``hankel_determinant`` uses partially pivoted LU on the Hankel matrix, good
-  for any nonsingular matrix and insensitive to pivot ordering.  It serves
-  only ``hankel.hankel_det``, the reference the norms are checked against.
+  package computes is a prefix product of these norms.  Its O(n^2) mixed
+  moments run on integer mantissas, each formed exactly and rounded once;
+* ``hankel_determinant`` uses partially pivoted LU in mpf arithmetic on the
+  Hankel matrix, good for any nonsingular matrix and insensitive to pivot
+  ordering.  It serves only ``hankel.hankel_det``, the reference the norms
+  are checked against.
 """
 
 from __future__ import annotations
@@ -53,10 +55,26 @@ def _lu_det(a: List[List]):
     return det
 
 
+# Exponent that _split gives an exact zero: above that of every finite value
+# the kernel meets, so a zero term never sets the alignment of a sum.
+_ZERO_EXP = 1 << 40
+
+
+def _split(x):
+    """(man, exp), Python ints with man 2^exp equal to x rounded to ambient
+    precision; an exact zero is (0, _ZERO_EXP)."""
+    sign, man, exp, bc = mp.mpf(x)._mpf_
+    if not man:
+        if bc:  # mpmath's inf and nan have a zero mantissa and a nonzero bc
+            raise ValueError(f"non-finite value {x}")
+        return 0, _ZERO_EXP
+    return (-man if sign else man), exp
+
+
 def _forward_pivots(moments: List) -> List:
     """Norms h_0..h_{n-1} from mu_0..mu_{2n-2} by Chebyshev's algorithm
     (W. Gautschi, SIAM J. Sci. Stat. Comput. 3 (1982) 289), in O(n^2)
-    operations of whatever arithmetic the moments carry.
+    operations at ambient precision P = mp.prec.
 
     With sigma_{0,l} = mu_l and sigma_{-1,l} = 0, the mixed moments
     sigma_{k,l} = sigma_{k-1,l+1} - alpha_{k-1} sigma_{k-1,l}
@@ -64,27 +82,50 @@ def _forward_pivots(moments: List) -> List:
     coefficients alpha_k = sigma_{k,k+1}/h_k - sigma_{k-1,k}/h_{k-1},
     beta_k = h_k/h_{k-1}.
 
+    Each moment is rounded to P bits and split once into integers
+    (man, exp).  Each sigma_{k,l} is formed exactly from its three integer
+    terms, aligned to their smallest exponent, and rounded once, to nearest,
+    to P bits, so an entry costs one rounding where mpf arithmetic takes
+    four.  Exact zeros stay exact: the odd moments of a symmetric measure,
+    the alpha_k = 0 they give and the mixed moments of odd k + l.  The O(n)
+    scalars alpha_k, beta_k and h_k are mpf, and the norms are returned as
+    mpf.
+
     Raises PrecisionFailureError on a non-positive h_k: the moments fed in
     here are those of positive measures, whose norms are all positive, so a
     sign flip can only be numerical.
     """
+    prec = mp.prec
     m = len(moments)
-    prev, row = [0] * m, list(moments)  # sigma_{k-1,l}, sigma_{k,l}
-    alpha = beta = ratio = 0
+    # sigma_{k-1,l} and sigma_{k,l} as (man, exp); row k starts at l = k
+    prev, row = [(0, _ZERO_EXP)] * m, [_split(mu) for mu in moments]
+    am, ae = bm, be = 0, _ZERO_EXP  # alpha_{k-1} and beta_{k-1}, split
+    ratio = mp.zero
     norms = []
     for k in range((m + 1) // 2):
         if k:
-            prev, row = row, [0] * k + [
-                row[l + 1] - alpha * row[l] - beta * prev[l] for l in range(k, m - k)
-            ]
-        h = row[k]
+            new = [None] * k
+            for (m1, e1), (m2, e2), (m3, e3) in zip(
+                row[k + 1 : m - k + 1], row[k : m - k], prev[k : m - k]
+            ):
+                e2 += ae
+                e3 += be
+                e = min(e1, e2, e3)
+                s = (m1 << (e1 - e)) - ((am * m2) << (e2 - e)) - ((bm * m3) << (e3 - e))
+                excess = s.bit_length() - prec
+                if excess > 0:  # to nearest, ties up
+                    new.append((((s >> (excess - 1)) + 1) >> 1, e + excess))
+                else:
+                    new.append((s, e if s else _ZERO_EXP))
+            prev, row = row, new
+        h = mp.mpf(row[k])
         if not h > 0:
             raise PrecisionFailureError(f"non-positive norm h_{k}; raise bits")
         if k + 1 < m - k:  # sigma_{k,k+1} is known, so alpha_k is needed
-            last, ratio = ratio, row[k + 1] / h
-            alpha = ratio - last
+            last, ratio = ratio, mp.mpf(row[k + 1]) / h
+            am, ae = _split(ratio - last)
         if norms:
-            beta = h / norms[-1]
+            bm, be = _split(h / norms[-1])
         norms.append(h)
     return norms
 

@@ -101,9 +101,12 @@ def _on_ladder(args, body: Callable):
     above the guard precision of every rung (each is below 2 max(bits,
     24 size) + 64 bits): it predicts the loss, no rung loses a digit of a
     long literal, and a difference such as t - gamma near a domain edge
-    keeps every bit a rung resolves."""
-    given = vars(args)  # each subcommand defines only its own flags
-    size = given.get("nmax") or given.get("n") or 0
+    keeps every bit a rung resolves.  A size below 1 is refused by the flag
+    that set it."""
+    flag = "nmax" if "nmax" in vars(args) else "n"  # each subcommand has one
+    size = getattr(args, flag)
+    if size < 1:
+        raise ParameterDomainError(f"--{flag} >= 1 required, got {size}")
     params = _phase_params(args, PrecisionContext(2 * max(64, args.bits, 24 * size)))
     return hankel.on_ladder(params, size, args.bits, lambda ctx: body(args, params, ctx))
 

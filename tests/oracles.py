@@ -1,9 +1,10 @@
 """Brute-force oracles kept independent of the library code paths they check:
 truncated series summation, adaptive quadrature, central differences,
-O(n^3) elimination on the Hankel moment matrix, closed-form exact moments of
-the critical lines, exact negative-order polylogarithms, exact
-phi-derivatives at rational cot/coth values, the ASM count, and a vertex
-classifier for domain-wall lattice configurations.
+O(n^3) elimination on the Hankel moment matrix, Chebyshev's algorithm in the
+arithmetic of its moments, closed-form exact moments of the critical lines,
+exact negative-order polylogarithms, exact phi-derivatives at rational
+cot/coth values, the ASM count, and a vertex classifier for domain-wall
+lattice configurations.
 
 Parameters are converted to mpf inside the stated working precision, so pass
 exact values (ints, Fractions, decimal strings)."""
@@ -95,6 +96,36 @@ def elimination_pivots(moments, n):
             for k in range(col + 1, n):
                 row_r[k] -= f * row_c[k]
     return pivots
+
+
+def chebyshev_norms(moments):
+    """Norms h_0..h_{n-1} from mu_0..mu_{2n-2} by Chebyshev's algorithm
+    (W. Gautschi, SIAM J. Sci. Stat. Comput. 3 (1982) 289), in O(n^2)
+    operations of the arithmetic the moments carry: exact for Fractions.
+
+    With sigma_{0,l} = mu_l and sigma_{-1,l} = 0, the mixed moments
+    sigma_{k,l} = sigma_{k-1,l+1} - alpha_{k-1} sigma_{k-1,l}
+    - beta_{k-1} sigma_{k-2,l} give h_k = sigma_{k,k},
+    alpha_k = sigma_{k,k+1}/h_k - sigma_{k-1,k}/h_{k-1} and
+    beta_k = h_k/h_{k-1}.
+    """
+    m = len(moments)
+    prev, row = [0] * m, list(moments)  # sigma_{k-1,l}, sigma_{k,l}
+    alpha = beta = ratio = 0
+    norms = []
+    for k in range((m + 1) // 2):
+        if k:
+            prev, row = row, [0] * k + [
+                row[l + 1] - alpha * row[l] - beta * prev[l] for l in range(k, m - k)
+            ]
+        h = row[k]
+        if k + 1 < m - k:
+            last, ratio = ratio, row[k + 1] / h
+            alpha = ratio - last
+        if norms:
+            beta = h / norms[-1]
+        norms.append(h)
+    return norms
 
 
 def crit_fd_exact_moments(alpha: Fraction, kmax: int):

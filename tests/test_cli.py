@@ -360,6 +360,24 @@ def test_exit_code_mismatched_params(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norms", "--phase", "critical-fd", "--alpha", "3", "--n", "0"],
+        ["norms", "--phase", "af", "--t", "0.3", "--gamma", "1", "--n", "-2"],
+        ["compare", "--phase", "disordered", "--t", "0", "--gamma", "1", "--nmax", "0"],
+        ["fit", "--phase", "ferro", "--t", "2", "--gamma", "1", "--nmax", "0"],
+    ],
+    ids=["norms", "norms-negative", "compare", "fit"],
+)
+def test_exit_code_size_below_one_names_its_flag(capsys, argv):
+    # the message names the flag the user set, not the moment order it implies
+    flag, size = argv[-2:]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == f"{flag} >= 1 required, got {size}"
+
+
 def test_exit_code_toda_on_a_critical_line(capsys):
     code = cli.run(["toda", "--phase", "critical-fd", "--alpha", "3", "--n", "2",
                     "--h", "1e-10"])

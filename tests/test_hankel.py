@@ -9,12 +9,13 @@ import pytest
 from mpmath import mp
 
 import sixvertex as sv
-from sixvertex import _linalg
+from sixvertex import _linalg, cli
 from sixvertex.errors import ParameterDomainError, PrecisionFailureError
 
 from conftest import CTX256, CTX512, RATIONAL_POINTS, _hyperbolic_point, rel_to
 from oracles import (
     asm_count,
+    chebyshev_norms,
     crit_afd_exact_moments,
     crit_fd_exact_moments,
     exact_phi_derivatives,
@@ -396,7 +397,7 @@ def exact_hankel_series(point, nmax):
     moments = exact_phi_derivatives(
         point.s, point.sigma, point.x_plus, point.x_minus, 2 * nmax - 2
     )
-    norms = _linalg._forward_pivots(moments)
+    norms = chebyshev_norms(moments)
     ab = point.weights.a * point.weights.b
     out, tau, superfactorial = [], Fraction(1), 1
     for n in range(1, nmax + 1):
@@ -438,7 +439,7 @@ def exact_series(name, nmax):
         return exact_hankel_series(RATIONAL_POINTS[name], nmax)
     phase, alpha = CRITICAL_POINTS[name]
     moments_of = crit_fd_exact_moments if phase is sv.Phase.CRITICAL_FD else crit_afd_exact_moments
-    norms = _linalg._forward_pivots(moments_of(alpha, 2 * nmax - 2))
+    norms = chebyshev_norms(moments_of(alpha, 2 * nmax - 2))
     out, tau, superfactorial = [], Fraction(1), 1
     for n in range(1, nmax + 1):
         tau *= norms[n - 1]
@@ -513,6 +514,49 @@ def test_zn_series_log_zn_is_the_log_of_zn(phase, point):
     for r in sv.zn_series(p, 24, ctx):
         with ctx.guardprec():
             assert abs(r.log_zn - mp.log(r.zn)) <= mp.mpf(2) ** -ctx.bits, r.n
+
+
+def dyadic(x):
+    """The mpf x as an exact Fraction."""
+    sign, man, exp, _ = x._mpf_
+    value = Fraction(man) * Fraction(2) ** exp
+    return -value if sign else value
+
+
+# the disordered points at t = 0 and t != 0, then one point of each other family
+KERNEL_GRID = [AGREEMENT_GRID[i] for i in (0, 1, 3, 5, 7, 9)]
+
+
+@pytest.mark.parametrize("n", [8, 24])
+@pytest.mark.parametrize("phase,point", KERNEL_GRID)
+def test_chebyshev_kernel_meets_the_claim_against_exact_chebyshev(phase, point, n):
+    # the integer-mantissa kernel against exact Chebyshev on the same moments,
+    # rounded to the rung's bits and to its guard bits
+    p, ctx = first_rung_at(phase, point, n)
+    values = cli._PHASES[phase].moments(p, 2 * n - 2, ctx).values_for(ctx)
+    for bits in (ctx.bits, ctx.guard_bits):
+        with mp.workprec(bits):
+            mus = [+mu for mu in values]
+            norms = _linalg._forward_pivots(mus)
+        exact = chebyshev_norms([dyadic(mu) for mu in mus])
+        assert len(norms) == len(exact) == n
+        for k, (h, e) in enumerate(zip(norms, exact)):
+            assert e > 0 and abs(dyadic(h) - e) <= e / 2**ctx.claim_bits, (bits, k)
+
+
+def test_chebyshev_kernel_raises_on_a_negative_norm():
+    # mu = 1, 1, 1/2 gives h_1 = mu_2 - mu_1^2 / mu_0 = -1/2
+    with mp.workprec(64):
+        with pytest.raises(PrecisionFailureError, match="h_1"):
+            _linalg._forward_pivots([mp.mpf(1), mp.mpf(1), mp.mpf(0.5)])
+
+
+@pytest.mark.parametrize("bad", [mp.nan, mp.inf])
+def test_chebyshev_kernel_rejects_a_non_finite_moment(bad):
+    # inf and nan carry a zero mantissa, which the kernel must not read as 0
+    with mp.workprec(64):
+        with pytest.raises(ValueError, match="non-finite"):
+            _linalg._forward_pivots([mp.mpf(1), mp.mpf(0), bad])
 
 
 def test_moments_serve_runs_at_their_context_or_below():

@@ -12,7 +12,12 @@ from sixvertex import _linalg
 from sixvertex.errors import ParameterDomainError
 
 from conftest import CTX256, CTX512, rel_to
-from oracles import crit_afd_exact_moments, crit_fd_exact_moments, elimination_pivots
+from oracles import (
+    chebyshev_norms,
+    crit_afd_exact_moments,
+    crit_fd_exact_moments,
+    elimination_pivots,
+)
 
 TOL30 = mp.mpf("1e-30")
 
@@ -246,7 +251,7 @@ def test_norms_exact_over_fractions(alpha):
     exact = elimination_pivots(mus, nmax)
     assert all(isinstance(h, Fraction) and h > 0 for h in exact)
     for n in range(1, nmax + 1):
-        assert _linalg._forward_pivots(mus[: 2 * n - 1]) == exact[:n]
+        assert chebyshev_norms(mus[: 2 * n - 1]) == exact[:n]
     # the verified mpf norms agree with the exact minor ratios
     norms = sv.norms_from_moments(sv.crit_fd_moments(2 * nmax - 2, alpha, CTX256), nmax, CTX256)
     tol = CTX256.verify_tolerance()
@@ -268,7 +273,7 @@ def test_exact_norms_give_lattice_zn_on_critical_lines(moments_of, alpha):
     # Z_n = ((1+alpha)/2)^(n^2) prod h_k / (prod k!)^2 over Fractions is the
     # exact lattice Z_n at (|alpha-1|/2, (1+alpha)/2, 1), both sides exact
     nmax = 12
-    norms = _linalg._forward_pivots(moments_of(alpha, 2 * nmax - 2))
+    norms = chebyshev_norms(moments_of(alpha, 2 * nmax - 2))
     w = sv.Weights(abs(alpha - 1) / 2, (1 + alpha) / 2, Fraction(1))
     tau, superfactorial = Fraction(1), 1
     for n in range(1, nmax + 1):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from sixvertex import Weights, _linalg, cli, transfer_matrix_zn
+from sixvertex import PrecisionContext, Weights, _linalg, cli, transfer_matrix_zn
 
 from oracles import asm_count
 
@@ -79,6 +79,21 @@ def test_traced_compare_reaches_every_layer(tracer, capsys, params):
     for counter in ("asymptotics.predict_calls", "specfun.kernel_calls",
                     "specfun.moments_calls", "linalg.elim_calls"):
         assert tracer.counts[counter] > 0, counter
+
+
+def test_traced_compare_splits_the_chebyshev_runs(tracer, capsys, rungs):
+    # the tracer finds _forward_pivots by name and tells the base run from the
+    # guard run by mp.prec, which the benchmark's per-layer split depends on
+    assert cli.run(["compare", "--phase", "af", "--t", "0.1", "--gamma", "1",
+                    "--nmax", "4"]) == 0
+    capsys.readouterr()
+    assert len(rungs) == 1
+    times = tracer.self_times()
+    assert times["linalg.elim_base_s"] > 0 and times["linalg.elim_guard_s"] > 0
+    calls = tracer.counts["linalg.elim_calls"]
+    assert calls > 0 and calls % 2 == 0
+    guard_bits = PrecisionContext(rungs[0], claim=128).guard_bits  # --bits 256
+    assert tracer.counts["linalg.guard_bits_max"] == guard_bits
 
 
 def test_exact_lattice_jobs_through_cli(capsys):
