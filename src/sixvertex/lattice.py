@@ -8,8 +8,14 @@ carried horizontal arrow, each keyed by the int mask of the vertical edges.
 At a vertex the ice rule comes down to two moves: pass both arrows on
 (weight a where the carry and the bottom arrow agree, b where they differ),
 or, where they differ, turn both (weight c), which flips the mask bit and
-moves the state to the other frontier.  The DFS walks whole rows: the rows
-that fit above each tuple of bottom edges are built once per call.
+moves the state to the other frontier.  It scans only the lower ceil(n/2)
+rows.  The 180-degree rotation (column j to n-1-j, every arrow reversed)
+maps the lattice, its domain wall and its weights to themselves, so the top
+floor(n/2) rows over a mask weigh what the bottom floor(n/2) rows weigh
+over rho(mask), the mask reversed and complemented: Z_n joins the frontier
+after ceil(n/2) rows with the one after floor(n/2) rows through rho.  The
+DFS walks whole rows: the rows that fit above each tuple of bottom edges are
+built once per call.
 
 Every DWBC configuration has exactly n^2 vertices, so Z_n is homogeneous of
 degree n^2 in (a, b, c): Z_n(a, b, c) = Z_n(Da, Db, Dc) / D^(n^2).  In exact
@@ -176,7 +182,8 @@ def transfer_matrix_zn(
     exact: Optional[bool] = None,
     ctx: Optional[PrecisionContext] = None,
 ):
-    """Z_n by a row-scanning dynamic program over 2^n vertical-edge states.
+    """Z_n by a row-scanning dynamic program over 2^n vertical-edge states,
+    run for the lower ceil(n/2) rows and joined with itself.
 
     Two frontiers, ``left`` and ``right`` by the horizontal edge carried into
     the next vertex, map the vertical-edge bitmask to the accumulated weight;
@@ -184,11 +191,23 @@ def transfer_matrix_zn(
     column j every state passes on, keeping its mask, with weight a where
     carry and bit j agree and b where they differ; where they differ it also
     turns with weight c, flipping bit j and changing frontier.  A row starts
-    from ``left`` and ends keeping ``right`` only (the side walls).  In exact
-    mode the weights are the integers Da, Db, Dc, so every multiply-add is an
-    int operation, and the final weight is divided once by D^(n^2) into a
-    Fraction in lowest terms.  Agrees exactly with enumerate_dfs in rational
-    mode.
+    from ``left`` and ends keeping ``right`` only (the side walls), so F_r,
+    the frontier after r rows, maps each mask of the edges above row r - 1
+    to the weight of the bottom r rows beneath it.
+
+    The 180-degree rotation maps the lattice to itself with the same
+    weights: column j goes to n-1-j and every arrow reverses, which swaps
+    types 1 and 2 and types 3 and 4 and fixes 5 and 6, and keeps the domain
+    wall.  The top n-r rows over a mask are thus the bottom n-r rows over
+    rho(mask), the mask with its n bits reversed and complemented, and with
+    m = ceil(n/2)
+
+        Z_n = sum over masks of F_m(mask) * F_{n-m}(rho(mask)).
+
+    In exact mode the weights are the integers Da, Db, Dc, so every
+    multiply-add is an int operation, and the joined weight is divided once
+    by D^(n^2) into a Fraction in lowest terms.  Agrees exactly with
+    enumerate_dfs in rational mode.
     """
     if not 1 <= n <= MAX_TRANSFER_N:
         raise ParameterDomainError(
@@ -198,8 +217,11 @@ def transfer_matrix_zn(
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         a, b, c, d = _prepare_weights(w, exact)
-        left, right = {(1 << n) - 1: 1}, {}  # bottom boundary: all Up
-        for _ in range(n):
+        full, half = (1 << n) - 1, n // 2
+        left, right = {full: 1}, {}  # bottom boundary: all Up
+        for row in range(n - half):
+            if row == half:
+                lower = left  # F_{n//2} for odd n
             for j in range(n):
                 bit = 1 << j
                 # pass on: a where carry and bottom agree, b where they differ
@@ -215,4 +237,10 @@ def transfer_matrix_zn(
                 left, right = new_left, new_right
             # right boundary: carry Right only; the next row starts with Left
             left, right = right, {}
-        return _rescale(left[0], d, n)  # top boundary: all Down
+        if 2 * half == n:
+            lower = left  # F_{n/2} for even n: the DP is joined with itself
+        # rho: reverse the n mask bits, then complement them
+        total = sum(
+            wt * lower[int(f"{m:0{n}b}"[::-1], 2) ^ full] for m, wt in left.items()
+        )
+        return _rescale(total, d, n)

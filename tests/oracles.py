@@ -3,15 +3,15 @@ truncated series summation, adaptive quadrature, central differences,
 O(n^3) elimination on the Hankel moment matrix, Chebyshev's algorithm in the
 arithmetic of its moments, closed-form exact moments of the critical lines,
 exact negative-order polylogarithms, exact phi-derivatives at rational
-cot/coth values, the ASM count, and a vertex classifier for domain-wall
-lattice configurations.
+cot/coth values, the ASM count, a vertex classifier for domain-wall lattice
+configurations, and the transfer-matrix DP over all n rows.
 
 Parameters are converted to mpf inside the stated working precision, so pass
 exact values (ints, Fractions, decimal strings)."""
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from mpmath import mp
 
@@ -262,3 +262,37 @@ def dwbc_vertex_types(n, h, v):
             row.append(vt)
         types.append(tuple(row))
     return tuple(types)
+
+
+def transfer_matrix_rows(n, a, b, c):
+    """Z_n by the two-frontier transfer-matrix DP run over all n rows, with no
+    use of the lattice's symmetry.  Rational weights (ints or Fractions) run
+    over the ints Da, Db, Dc, with D the lcm of their denominators, and give
+    the Fraction total / D^(n^2); mpf weights run at the ambient precision.
+
+    ``left`` and ``right``, by the horizontal arrow carried into the next
+    vertex, map the mask of vertical edges (bit j set: Up in column j) to the
+    weight so far.  A state passes on with a where carry and bit j agree and
+    b where they differ; where they differ it also turns with c, flipping
+    bit j and changing frontier.  Rows start from ``left``, keep ``right``
+    only at the right wall, and the top wall keeps the all-Down mask."""
+    d = None
+    if all(isinstance(x, (int, Fraction)) for x in (a, b, c)):
+        fracs = [Fraction(x) for x in (a, b, c)]
+        d = lcm(*(x.denominator for x in fracs))
+        a, b, c = (x.numerator * (d // x.denominator) for x in fracs)
+    left, right = {(1 << n) - 1: 1}, {}
+    for _ in range(n):
+        for j in range(n):
+            bit = 1 << j
+            new_left = {m: wt * b if m & bit else wt * a for m, wt in left.items()}
+            new_right = {m: wt * a if m & bit else wt * b for m, wt in right.items()}
+            for m, wt in left.items():
+                if m & bit:
+                    new_right[m ^ bit] = new_right.get(m ^ bit, 0) + wt * c
+            for m, wt in right.items():
+                if not m & bit:
+                    new_left[m | bit] = new_left.get(m | bit, 0) + wt * c
+            left, right = new_left, new_right
+        left, right = right, {}
+    return left[0] if d is None else Fraction(left[0], d ** (n * n))

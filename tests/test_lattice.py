@@ -1,6 +1,8 @@
 """The two exact Z_n routines, the DFS walk and the transfer-matrix DP, and
 their invariants.  The walk's edge lists are checked against an ice-rule
-classifier in oracles.py that does not read the lattice's vertex table."""
+classifier in oracles.py that does not read the lattice's vertex table, and
+the DP, which joins the lower half of the lattice with its own 180-degree
+rotation, against the full-row DP in oracles.py."""
 
 from collections import Counter
 from fractions import Fraction
@@ -12,11 +14,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
 import sixvertex as sv
-from sixvertex.lattice import _VERTEX_TYPE, _walk, DOWN, LEFT, RIGHT, UP
+from sixvertex.lattice import _VERTEX_TYPE, _WEIGHT_CLASS, _walk, DOWN, LEFT, RIGHT, UP
 from sixvertex.errors import ParameterDomainError
 
 from conftest import rational_weights
-from oracles import asm_count, dwbc_vertex_types, ice_vertex_type
+from oracles import asm_count, dwbc_vertex_types, ice_vertex_type, transfer_matrix_rows
 
 
 def walk_snapshots(n):
@@ -44,6 +46,37 @@ def test_vertex_type_covers_exactly_six():
     # types them
     ice = {q: ice_vertex_type(*q) for q in product((0, 1), repeat=4)}
     assert {q: vt for q, vt in ice.items() if vt is not None} == _VERTEX_TYPE
+
+
+# the 180-degree rotation reverses every arrow and swaps the sides of a
+# vertex: types 1 <-> 2 and 3 <-> 4, while 5 and 6 stay
+ROTATED_TYPE = {1: 2, 2: 1, 3: 4, 4: 3, 5: 5, 6: 6}
+
+
+def rotate(n, h, v):
+    """The configuration (h, v) turned by 180 degrees: row i and column j go
+    to row n-1-i and column n-1-j, and every arrow reverses."""
+    h2 = tuple(tuple(1 - h[n - 1 - i][n - j] for j in range(n + 1)) for i in range(n))
+    v2 = tuple(tuple(1 - v[n - i][n - 1 - j] for j in range(n)) for i in range(n + 1))
+    return h2, v2
+
+
+def test_rotation_keeps_the_weight_of_each_vertex():
+    # the transfer DP joins the lower rows with their rotated copy, so the
+    # rotation must map each vertex to a type of the same weight
+    for (left, right, bottom, top), vt in _VERTEX_TYPE.items():
+        image = ice_vertex_type(1 - right, 1 - left, 1 - top, 1 - bottom)
+        assert image == ROTATED_TYPE[ice_vertex_type(left, right, bottom, top)]
+        assert _WEIGHT_CLASS[image] == _WEIGHT_CLASS[vt]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rotation_maps_the_walk_onto_itself(n):
+    tallies_of = {(h, v): tallies for h, v, tallies in walk_snapshots(n)}
+    for (h, v), tallies in tallies_of.items():
+        image = rotate(n, h, v)
+        k = type_counts(n, *image)  # raises unless the image is a DWBC configuration
+        assert tallies_of[image] == tallies == (k[1] + k[2], k[3] + k[4], k[5] + k[6])
 
 
 def test_n1_single_c_vertex():
@@ -96,6 +129,32 @@ def test_dfs_equals_transfer_matrix_n7():
     w = sv.Weights(Fraction(2, 7), Fraction(5, 11), Fraction(13, 3))
     z, count = sv.enumerate_dfs(7, w)
     assert z == sv.transfer_matrix_zn(7, w) and count == asm_count(7)
+
+
+GENERIC_TRIPLES = [
+    (Fraction(2, 7), Fraction(5, 11), Fraction(13, 3)),  # coprime denominators
+    (Fraction(3, 4), Fraction(5, 6), Fraction(7, 10)),
+]
+
+
+@pytest.mark.parametrize("tr", GENERIC_TRIPLES)
+@pytest.mark.parametrize("n", [8, 9, 12, 13, 14])
+def test_transfer_matrix_equals_full_row_dp(tr, n):
+    # past the DFS's n <= 7, at weights off the closed-form families
+    assert sv.transfer_matrix_zn(n, sv.Weights(*tr)) == transfer_matrix_rows(n, *tr)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_transfer_matrix_float_mode_equals_full_row_dp(n):
+    ctx = sv.PrecisionContext(128)
+    tr = GENERIC_TRIPLES[0]
+    exact = transfer_matrix_rows(n, *tr)
+    with ctx.guardprec():
+        wf = sv.Weights(*(mp.mpf(x.numerator) / x.denominator for x in tr))
+    approx = sv.transfer_matrix_zn(n, wf, ctx=ctx)
+    with ctx.guardprec():
+        ref = mp.mpf(exact.numerator) / exact.denominator
+        assert abs(approx - ref) / ref < mp.mpf(2) ** (-200)
 
 
 def test_transfer_matrix_exact_equivalence_example():
@@ -181,7 +240,7 @@ def test_reflection_symmetry_n5():
 def test_transfer_matrix_ice_point_is_asm_count(a):
     # a = b = c: every configuration weighs a^(n^2), and there are A_n of them
     w = sv.Weights(a, a, a)
-    for n in range(1, 14):
+    for n in range(1, sv.lattice.MAX_TRANSFER_N + 1):
         assert sv.transfer_matrix_zn(n, w, exact=True) == asm_count(n) * a ** (n * n)
 
 
@@ -190,7 +249,7 @@ def test_transfer_matrix_ice_point_is_asm_count(a):
 )
 def test_transfer_matrix_free_fermion_is_one(a, b):
     # a^2 + b^2 = c^2 = 1: Z_n = c^(n^2) = 1
-    for n in range(1, 13):
+    for n in range(1, sv.lattice.MAX_TRANSFER_N + 1):
         assert sv.transfer_matrix_zn(n, sv.Weights(a, b, Fraction(1)), exact=True) == 1
 
 

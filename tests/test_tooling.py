@@ -128,7 +128,7 @@ def test_benchmark_jobs_stay_on_the_first_rung(capsys, rungs, workload):
         assert len(rungs) <= 1, (job.argv, rungs)  # toda runs off the ladder
 
 
-@pytest.mark.parametrize("workload", ["fit-series", "compare-grid"])
+@pytest.mark.parametrize("workload", ["fit-series", "compare-grid", "exact-lattice"])
 def test_benchmark_jobs_pass_the_benchmark_checker(capsys, workload):
     # the checker that counts the benchmark's failed jobs, run here first;
     # reference.py imports its job list as the top-level module `workloads`
