@@ -22,7 +22,7 @@ from typing import List, Sequence
 
 from mpmath import mp
 
-from .errors import PrecisionFailureError
+from .errors import ParameterDomainError, PrecisionFailureError
 from .model import PrecisionContext
 
 
@@ -157,7 +157,9 @@ def hankel_determinant(moments: Sequence, n: int, ctx: PrecisionContext):
     Returns the guard-precision value and the bits on which the two agree.
     """
     if len(moments) < 2 * n - 1:
-        raise ValueError(f"need moments up to order {2 * n - 2}, got {len(moments) - 1}")
+        raise ParameterDomainError(
+            f"need moments up to order {2 * n - 2}, got {len(moments) - 1}"
+        )
     with mp.workprec(ctx.bits):
         base = _lu_det(_hankel_matrix(moments, n))
     with mp.workprec(ctx.guard_bits):
@@ -173,7 +175,9 @@ def hankel_pivots(moments: Sequence, n: int, ctx: PrecisionContext):
     the guard-precision norms and, for each, the bits on which the runs
     agree."""
     if len(moments) < 2 * n - 1:
-        raise ValueError(f"need moments up to order {2 * n - 2}, got {len(moments) - 1}")
+        raise ParameterDomainError(
+            f"need moments up to order {2 * n - 2}, got {len(moments) - 1}"
+        )
     with mp.workprec(ctx.bits):
         base = _forward_pivots([+mu for mu in moments[: 2 * n - 1]])
     with mp.workprec(ctx.guard_bits):

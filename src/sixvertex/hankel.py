@@ -72,21 +72,13 @@ def on_ladder(p: PhaseParams, n: int, bits: int, run: Callable):
 
 @dataclass(frozen=True)
 class HankelResult:
+    """Hankel determinant tau_n with its precision: the context of the run and
+    the bits on which the base and guard runs agreed on tau_n."""
+
     n: int
     tau: object
-    log_tau: object
-    precision_used: int
-    agreement_bits: int  # base/guard agreement of tau
-
-    def to_json(self) -> dict:
-        dps = PrecisionContext(self.precision_used).dps
-        return {
-            "n": self.n,
-            "tau": mp.nstr(self.tau, dps),
-            "log_tau": mp.nstr(self.log_tau, dps),
-            "precision_used": self.precision_used,
-            "agreement_bits": self.agreement_bits,
-        }
+    ctx: PrecisionContext
+    agreement_bits: int
 
 
 @dataclass(frozen=True)
@@ -111,20 +103,6 @@ class ZnResult:
         """log Z_n at the run's guard precision, taken on first read."""
         with self.ctx.guardprec():
             return mp.log(self.zn)
-
-    def to_json(self) -> dict:
-        dps = self.ctx.dps
-        return {
-            "n": self.n,
-            "zn": mp.nstr(self.zn, dps),
-            "log_zn": mp.nstr(self.log_zn, dps),
-            "phase": self.phase.value,
-            "params": [mp.nstr(to_mpf(p), dps) for p in self.params],
-            "bits": self.bits,
-            "claim_bits": self.ctx.claim_bits,
-            "guard_bits": self.ctx.guard_bits,
-            "agreement_bits": self.agreement_bits,
-        }
 
 
 @lru_cache(maxsize=None)
@@ -154,9 +132,7 @@ def hankel_det(
         raise PrecisionFailureError(
             f"tau_{n} <= 0 for a positive-measure moment sequence; raise bits"
         )
-    with ctx.guardprec():
-        log_tau = mp.log(tau)
-    return HankelResult(n, tau, log_tau, ctx.bits, agreement)
+    return HankelResult(n, tau, ctx, agreement)
 
 
 def _taus(m: MomentSequence, size: int, ctx: PrecisionContext) -> List[Tuple]:

@@ -77,9 +77,6 @@ class PrecisionContext:
         """Decimal digits carried by ``bits`` mantissa bits."""
         return int(self.bits * 0.3010299956639812) + 2
 
-    def workprec(self):
-        return mp.workprec(self.bits)
-
     def guardprec(self):
         return mp.workprec(self.guard_bits)
 

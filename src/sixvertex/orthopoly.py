@@ -42,18 +42,6 @@ class NormSequence:
     def __getitem__(self, k: int):
         return self.h[k]
 
-    def to_json(self) -> dict:
-        dps = self.ctx.dps
-        return {
-            "family": self.family.value,
-            "params": [mp.nstr(to_mpf(p), dps) for p in self.params],
-            "bits": self.ctx.bits,
-            "claim_bits": self.ctx.claim_bits,
-            "guard_bits": self.ctx.guard_bits,
-            "agreement_bits": self.agreement_bits,
-            "h": [mp.nstr(v, dps) for v in self.h],
-        }
-
 
 def norms_from_moments(
     m: MomentSequence, n: int, ctx: Optional[PrecisionContext] = None

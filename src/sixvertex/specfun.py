@@ -204,49 +204,52 @@ def af_moment(k: int, t, gamma, ctx: Optional[PrecisionContext] = None):
 # Closed-form moments of the two critical lines.
 
 
-def crit_fd_moment(k: int, alpha, ctx: Optional[PrecisionContext] = None):
-    """int_0^inf x^k (e^{-x} - e^{-rx}) dx = k! (1 - r^{-(k+1)}), r=(alpha+1)/(alpha-1)."""
+def crit_fd_moments(
+    kmax: int, alpha, ctx: Optional[PrecisionContext] = None
+) -> MomentSequence:
+    """mu_k = int_0^inf x^k (e^{-x} - e^{-rx}) dx = k! (1 - r^{-(k+1)}) for
+    k = 0..kmax, r = (alpha+1)/(alpha-1) and alpha > 1."""
     PhaseParams(Phase.CRITICAL_FD, alpha=alpha)
+    if kmax < 0:
+        raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         a = to_mpf(alpha)
         r = (a + 1) / (a - 1)
-        return mp.mpf(math.factorial(k)) * (1 - r ** (-(k + 1)))
-
-
-def crit_afd_moment(k: int, alpha, ctx: Optional[PrecisionContext] = None):
-    """Moments of the two-sided exponential weight e^{-x} (x>=0) / e^{rx} (x<0):
-    k! (1 + (-1)^k r^{-(k+1)}), r=(1+alpha)/(1-alpha)."""
-    PhaseParams(Phase.CRITICAL_AFD, alpha=alpha)
-    ctx = ctx or DEFAULT_CONTEXT
-    with ctx.guardprec():
-        a = to_mpf(alpha)
-        r = (1 + a) / (1 - a)
-        sign = 1 if k % 2 == 0 else -1
-        return mp.mpf(math.factorial(k)) * (1 + sign * r ** (-(k + 1)))
-
-
-def _moment_sequence(
-    family: MomentFamily, params: Tuple, moment, kmax: int, ctx: Optional[PrecisionContext]
-) -> MomentSequence:
-    """mu_0..mu_kmax of a closed-form family, mu_k = moment(k, *params, ctx)."""
-    if kmax < 0:
-        raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
-    ctx = ctx or DEFAULT_CONTEXT
-    vals = tuple(moment(k, *params, ctx) for k in range(kmax + 1))
-    return MomentSequence(family, params, vals, ctx)
-
-
-def crit_fd_moments(
-    kmax: int, alpha, ctx: Optional[PrecisionContext] = None
-) -> MomentSequence:
-    return _moment_sequence(MomentFamily.CRIT_FD, (alpha,), crit_fd_moment, kmax, ctx)
+        vals = tuple(
+            mp.mpf(math.factorial(k)) * (1 - r ** (-(k + 1))) for k in range(kmax + 1)
+        )
+    return MomentSequence(MomentFamily.CRIT_FD, (alpha,), vals, ctx)
 
 
 def crit_afd_moments(
     kmax: int, alpha, ctx: Optional[PrecisionContext] = None
 ) -> MomentSequence:
-    return _moment_sequence(MomentFamily.CRIT_AFD, (alpha,), crit_afd_moment, kmax, ctx)
+    """Moments of the two-sided exponential weight e^{-x} (x>=0) / e^{rx} (x<0):
+    k! (1 + (-1)^k r^{-(k+1)}) for k = 0..kmax, r = (1+alpha)/(1-alpha) and
+    -1 < alpha < 1."""
+    PhaseParams(Phase.CRITICAL_AFD, alpha=alpha)
+    if kmax < 0:
+        raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
+    ctx = ctx or DEFAULT_CONTEXT
+    with ctx.guardprec():
+        a = to_mpf(alpha)
+        r = (1 + a) / (1 - a)
+        vals = tuple(
+            mp.mpf(math.factorial(k)) * (1 + (-1) ** k * r ** (-(k + 1)))
+            for k in range(kmax + 1)
+        )
+    return MomentSequence(MomentFamily.CRIT_AFD, (alpha,), vals, ctx)
+
+
+def crit_fd_moment(k: int, alpha, ctx: Optional[PrecisionContext] = None):
+    """mu_k of ``crit_fd_moments``."""
+    return crit_fd_moments(k, alpha, ctx)[k]
+
+
+def crit_afd_moment(k: int, alpha, ctx: Optional[PrecisionContext] = None):
+    """mu_k of ``crit_afd_moments``."""
+    return crit_afd_moments(k, alpha, ctx)[k]
 
 
 # ---------------------------------------------------------------------------

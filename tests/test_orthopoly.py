@@ -1,6 +1,5 @@
 """Orthogonal-polynomial norms, Meixner closed forms, critical-line Z_n."""
 
-import json
 from fractions import Fraction
 from math import factorial
 
@@ -73,17 +72,6 @@ def test_norms_product_equals_determinant(af_031):
             prod *= h
             tau = sv.hankel_det(ms, k, CTX512)
             assert rel_to(prod, tau.tau) < TOL30
-
-
-def test_norm_sequence_json(disordered_pi3):
-    ms = sv.phi_derivatives(disordered_pi3, 4, CTX256)
-    norms = sv.norms_from_moments(ms, 3, CTX256)
-    blob = json.loads(json.dumps(norms.to_json()))
-    assert blob["family"] == "disordered-phi"
-    assert len(blob["h"]) == 3
-    with CTX256.guardprec():
-        for s, v in zip(blob["h"], norms.h):
-            assert rel_to(mp.mpf(s), v, prec=512) < mp.mpf("1e-70")
 
 
 def test_meixner_norm_q_half():
@@ -239,9 +227,10 @@ def test_norms_report_their_agreement(family, n):
     _, per_k = _linalg.hankel_pivots(ms.values, n, ctx)
     assert norms.agreement_bits == min(per_k)
     assert ctx.claim_bits <= norms.agreement_bits <= ctx.bits
-    blob = norms.to_json()
-    assert blob["agreement_bits"] == norms.agreement_bits
-    assert (blob["claim_bits"], blob["bits"], blob["guard_bits"]) == (128, ctx.bits, ctx.bits + 64)
+    assert (norms.family, norms.params) == (ms.family, ms.params)
+    run = norms.ctx
+    assert run == ctx
+    assert (run.claim_bits, run.bits, run.guard_bits) == (128, ctx.bits, ctx.bits + 64)
 
 
 @pytest.mark.parametrize("alpha", [Fraction(3), Fraction(3, 2), Fraction(11, 9)])

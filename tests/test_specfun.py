@@ -251,6 +251,19 @@ def test_moment_domain_rejections():
 
 
 @pytest.mark.parametrize(
+    "moment, moments, alpha",
+    [
+        (sv.crit_fd_moment, sv.crit_fd_moments, Fraction(7, 3)),
+        (sv.crit_afd_moment, sv.crit_afd_moments, Fraction(-1, 2)),
+    ],
+    ids=["crit-fd", "crit-afd"],
+)
+def test_critical_scalar_moments_are_sequence_entries(moment, moments, alpha):
+    seq = moments(10, alpha, CTX512)
+    assert [moment(k, alpha, CTX512) for k in range(11)] == list(seq.values)
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda kmax: sv.phi_derivatives(_disordered(0, 1), kmax),
@@ -258,8 +271,15 @@ def test_moment_domain_rejections():
         lambda kmax: sv.af_moments(kmax, Fraction(3, 10), 1),
         lambda kmax: sv.crit_fd_moments(kmax, 3),
         lambda kmax: sv.crit_afd_moments(kmax, Fraction(1, 2)),
+        lambda k: sv.ferro_moment(k, 2, 1),
+        lambda k: sv.af_moment(k, Fraction(3, 10), 1),
+        lambda k: sv.crit_fd_moment(k, 3),
+        lambda k: sv.crit_afd_moment(k, Fraction(1, 3)),
     ],
-    ids=["phi", "ferro", "af", "crit-fd", "crit-afd"],
+    ids=[
+        "phi", "ferro", "af", "crit-fd", "crit-afd",
+        "ferro-scalar", "af-scalar", "crit-fd-scalar", "crit-afd-scalar",
+    ],
 )
 def test_moment_builders_reject_negative_kmax(build):
     with pytest.raises(ParameterDomainError, match="kmax >= 0"):

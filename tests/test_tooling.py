@@ -53,6 +53,15 @@ def test_every_traced_name_resolves():
         assert not missing, f"sixvertex.{module} lacks {missing}"
 
 
+def test_reference_context_keeps_its_verify_factor():
+    # perfbench/reference.py:98 builds its lattice context as
+    # PrecisionContext(self.prec, 2), with verify_factor passed by position:
+    # the checker's guard run is at twice its precision and claims half of it
+    ctx = PrecisionContext(300, 2)
+    assert ctx.claim is None
+    assert (ctx.guard_bits, ctx.claim_bits) == (600, 150)
+
+
 def test_readme_library_map_names_resolve():
     # every backticked identifier in a row names an attribute of the row's
     # module; patterns such as `predict_*` are not identifiers and are skipped
