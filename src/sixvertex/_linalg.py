@@ -71,6 +71,22 @@ def _split(x):
     return (-man if sign else man), exp
 
 
+def _round(man: int, exp: int, prec: int):
+    """man 2^exp rounded to nearest with prec bits, ties toward +inf, as
+    (man, exp); an exact zero is (0, _ZERO_EXP)."""
+    excess = man.bit_length() - prec
+    if excess > 0:
+        return ((man >> (excess - 1)) + 1) >> 1, exp + excess
+    return (man, exp) if man else (0, _ZERO_EXP)
+
+
+def _div(man: int, exp: int, den: int, prec: int):
+    """man 2^exp / den for an int den > 0, rounded as ``_round`` rounds.  A
+    floored quotient of more than prec bits rounds as the exact one does."""
+    shift = max(0, prec + 1 + den.bit_length() - man.bit_length())
+    return _round((man << shift) // den, exp - shift, prec)
+
+
 def _forward_pivots(moments: List) -> List:
     """Norms h_0..h_{n-1} from mu_0..mu_{2n-2} by Chebyshev's algorithm
     (W. Gautschi, SIAM J. Sci. Stat. Comput. 3 (1982) 289), in O(n^2)
@@ -83,13 +99,15 @@ def _forward_pivots(moments: List) -> List:
     beta_k = h_k/h_{k-1}.
 
     Each moment is rounded to P bits and split once into integers
-    (man, exp).  Each sigma_{k,l} is formed exactly from its three integer
-    terms, aligned to their smallest exponent, and rounded once, to nearest,
-    to P bits, so an entry costs one rounding where mpf arithmetic takes
-    four.  Exact zeros stay exact: the odd moments of a symmetric measure,
-    the alpha_k = 0 they give and the mixed moments of odd k + l.  The O(n)
-    scalars alpha_k, beta_k and h_k are mpf, and the norms are returned as
-    mpf.
+    (man, exp), and everything after runs on such pairs.  Each sigma_{k,l}
+    is formed exactly from its three integer terms, aligned to their
+    smallest exponent, and rounded once to P bits by ``_round``, so an entry
+    costs one rounding where mpf arithmetic takes four.  beta_k and each
+    ratio sigma_{k,k+1}/h_k are one rounded division (``_div``), and alpha_k
+    is the exact difference of two ratios, rounded once.  Exact zeros stay
+    exact: when every odd moment is 0 (a symmetric measure) so is every
+    alpha_k and every sigma_{k,l} of odd k + l, and those are not formed.
+    The norms are returned as mpf.
 
     Raises PrecisionFailureError on a non-positive h_k: the moments fed in
     here are those of positive measures, whose norms are all positive, so a
@@ -99,34 +117,35 @@ def _forward_pivots(moments: List) -> List:
     m = len(moments)
     # sigma_{k-1,l} and sigma_{k,l} as (man, exp); row k starts at l = k
     prev, row = [(0, _ZERO_EXP)] * m, [_split(mu) for mu in moments]
-    am, ae = bm, be = 0, _ZERO_EXP  # alpha_{k-1} and beta_{k-1}, split
-    ratio = mp.zero
+    step = 1 if any(man for man, _ in row[1::2]) else 2
+    am, ae = bm, be = lm, le = 0, _ZERO_EXP  # alpha_{k-1}, beta_{k-1}, last ratio
     norms = []
     for k in range((m + 1) // 2):
         if k:
-            new = [None] * k
+            out = []
             for (m1, e1), (m2, e2), (m3, e3) in zip(
-                row[k + 1 : m - k + 1], row[k : m - k], prev[k : m - k]
+                row[k + 1 : m - k + 1 : step], row[k : m - k : step], prev[k : m - k : step]
             ):
                 e2 += ae
                 e3 += be
                 e = min(e1, e2, e3)
                 s = (m1 << (e1 - e)) - ((am * m2) << (e2 - e)) - ((bm * m3) << (e3 - e))
-                excess = s.bit_length() - prec
-                if excess > 0:  # to nearest, ties up
-                    new.append((((s >> (excess - 1)) + 1) >> 1, e + excess))
-                else:
-                    new.append((s, e if s else _ZERO_EXP))
+                out.append(_round(s, e, prec))
+            new = [(0, _ZERO_EXP)] * (m - k)
+            new[k::step] = out
             prev, row = row, new
-        h = mp.mpf(row[k])
-        if not h > 0:
+        hm, he = row[k]
+        if hm <= 0:
             raise PrecisionFailureError(f"non-positive norm h_{k}; raise bits")
         if k + 1 < m - k:  # sigma_{k,k+1} is known, so alpha_k is needed
-            last, ratio = ratio, mp.mpf(row[k + 1]) / h
-            am, ae = _split(ratio - last)
+            rm, re = _div(row[k + 1][0], row[k + 1][1] - he, hm, prec)
+            e = min(re, le)
+            am, ae = _round((rm << (re - e)) - (lm << (le - e)), e, prec)
+            lm, le = rm, re
         if norms:
-            bm, be = _split(h / norms[-1])
-        norms.append(h)
+            bm, be = _div(hm, he - pe, pm, prec)
+        pm, pe = hm, he
+        norms.append(mp.mpf((hm, he)))
     return norms
 
 

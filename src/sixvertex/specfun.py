@@ -12,7 +12,9 @@ phi = s (x(gamma - t) + x(gamma + t)) of the bulk chart (``model.BulkChart``):
 Since x = cot or coth obeys the Riccati equation x' = sigma - x^2, its
 Taylor coefficients c_k at the two arguments follow from a quadratic
 recurrence, and phi^(k) = s k! (c_k(gamma + t) + (-1)^k c_k(gamma - t));
-no numerical differentiation is involved.
+no numerical differentiation is involved.  The recurrence runs on integer
+mantissas (``_linalg._split``): each c_k is formed exactly from its
+convolution and rounded once, and so is each phi^(k).
 
 In the ferroelectric and antiferroelectric phases phi is the Laplace
 transform of a measure on the integers, so the discrete moments are the
@@ -22,7 +24,6 @@ closed-form moments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -30,6 +31,7 @@ from typing import Optional, Tuple
 
 from mpmath import mp
 
+from ._linalg import _div, _split
 from .errors import ParameterDomainError, PrecisionFailureError
 from .model import DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, bulk_chart, to_mpf
 
@@ -101,15 +103,24 @@ class MomentSequence:
 
 
 def _taylor(x0, sigma: int, kmax: int) -> list:
-    """c_0..c_kmax of x(u + h) for x(u) = x0, at ambient precision.  Each
-    convolution is symmetric, so half of it is summed with one fdot."""
-    c = [x0]
+    """c_0..c_kmax of x(u + h) for x(u) = x0, at ambient precision P, as
+    integer (man, exp) pairs (``_linalg._split``).  The convolution is
+    symmetric: its half products m_i m_{j-i} at exponent e_i + e_{j-i} are
+    aligned to the smallest exponent and summed exactly, then doubled and
+    joined by the middle square and sigma, so each c_{j+1} costs one
+    rounding to P bits, taken together with the division by j + 1."""
+    prec = mp.prec
+    c = [_split(x0)]
     for j in range(kmax):
-        half = (j + 1) // 2
-        conv = 2 * mp.fdot(c[:half], c[j : j - half : -1])
+        # doubled half products (exponent + 1), the middle square, sigma
+        terms = [(m1 * m2, e1 + e2 + 1) for (m1, e1), (m2, e2) in zip(c, c[j : j // 2 : -1])]
         if j % 2 == 0:
-            conv += c[j // 2] ** 2
-        c.append(((sigma if j == 0 else 0) - conv) / (j + 1))
+            m, f = c[j // 2]
+            terms.append((m * m, 2 * f))
+        if j == 0:
+            terms.append((-sigma, 0))
+        e = min(f for _, f in terms)
+        c.append(_div(-sum(m << (f - e) for m, f in terms), e, j + 1, prec))
     return c
 
 
@@ -140,11 +151,13 @@ def _phi_values(p: PhaseParams, kmax: int, ctx: PrecisionContext) -> Tuple:
         t, g = to_mpf(p.t), to_mpf(p.gamma)
         cp = _taylor(chart.x(g + t), chart.sigma, kmax)
         cm = _taylor(chart.x(g - t), chart.sigma, kmax)
-        values = []
-        for k in range(kmax + 1):
+        values, fact = [], chart.s  # s k!
+        for k, ((m1, e1), (m2, e2)) in enumerate(zip(cp, cm)):
+            fact *= max(k, 1)
             # each t-derivative of a function of gamma - t brings a factor -1
-            pair = cp[k] + cm[k] if k % 2 == 0 else cp[k] - cm[k]
-            values.append(chart.s * math.factorial(k) * pair)
+            m2 = m2 if k % 2 == 0 else -m2
+            e = min(e1, e2)
+            values.append(mp.mpf((fact * ((m1 << (e1 - e)) + (m2 << (e2 - e))), e)))
     return tuple(values)
 
 
@@ -201,7 +214,30 @@ def af_moment(k: int, t, gamma, ctx: Optional[PrecisionContext] = None):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form moments of the two critical lines.
+# Closed-form moments of the two critical lines.  Both are
+# mu_k = k! (1 - q^(k+1)) with q = (alpha - 1)/(alpha + 1): q = 1/r on the
+# critical-fd line and q = -1/r on the critical-afd line.
+
+
+def _critical_moments(
+    family: MomentFamily, phase: Phase, kmax: int, alpha, ctx: Optional[PrecisionContext]
+) -> MomentSequence:
+    """mu_0..mu_kmax of a critical line at the guard precision of ctx, from a
+    running int k! and a running power of q, each step rounding q^(k+1)
+    once, so its error grows by at most about one ulp per k."""
+    PhaseParams(phase, alpha=alpha)
+    if kmax < 0:
+        raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
+    ctx = ctx or DEFAULT_CONTEXT
+    with ctx.guardprec():
+        a = to_mpf(alpha)
+        q = (a - 1) / (a + 1)
+        vals, fact, power = [], 1, q
+        for k in range(kmax + 1):
+            fact *= max(k, 1)
+            vals.append(fact * (1 - power))
+            power *= q
+    return MomentSequence(family, (alpha,), tuple(vals), ctx)
 
 
 def crit_fd_moments(
@@ -209,17 +245,7 @@ def crit_fd_moments(
 ) -> MomentSequence:
     """mu_k = int_0^inf x^k (e^{-x} - e^{-rx}) dx = k! (1 - r^{-(k+1)}) for
     k = 0..kmax, r = (alpha+1)/(alpha-1) and alpha > 1."""
-    PhaseParams(Phase.CRITICAL_FD, alpha=alpha)
-    if kmax < 0:
-        raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
-    ctx = ctx or DEFAULT_CONTEXT
-    with ctx.guardprec():
-        a = to_mpf(alpha)
-        r = (a + 1) / (a - 1)
-        vals = tuple(
-            mp.mpf(math.factorial(k)) * (1 - r ** (-(k + 1))) for k in range(kmax + 1)
-        )
-    return MomentSequence(MomentFamily.CRIT_FD, (alpha,), vals, ctx)
+    return _critical_moments(MomentFamily.CRIT_FD, Phase.CRITICAL_FD, kmax, alpha, ctx)
 
 
 def crit_afd_moments(
@@ -228,18 +254,7 @@ def crit_afd_moments(
     """Moments of the two-sided exponential weight e^{-x} (x>=0) / e^{rx} (x<0):
     k! (1 + (-1)^k r^{-(k+1)}) for k = 0..kmax, r = (1+alpha)/(1-alpha) and
     -1 < alpha < 1."""
-    PhaseParams(Phase.CRITICAL_AFD, alpha=alpha)
-    if kmax < 0:
-        raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
-    ctx = ctx or DEFAULT_CONTEXT
-    with ctx.guardprec():
-        a = to_mpf(alpha)
-        r = (1 + a) / (1 - a)
-        vals = tuple(
-            mp.mpf(math.factorial(k)) * (1 + (-1) ** k * r ** (-(k + 1)))
-            for k in range(kmax + 1)
-        )
-    return MomentSequence(MomentFamily.CRIT_AFD, (alpha,), vals, ctx)
+    return _critical_moments(MomentFamily.CRIT_AFD, Phase.CRITICAL_AFD, kmax, alpha, ctx)
 
 
 def crit_fd_moment(k: int, alpha, ctx: Optional[PrecisionContext] = None):

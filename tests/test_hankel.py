@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, floor
 
 import pytest
+from hypothesis import example, given, strategies as st
 from mpmath import mp
 
 import sixvertex as sv
@@ -549,6 +550,64 @@ def test_chebyshev_kernel_rejects_a_non_finite_moment(bad):
     with mp.workprec(64):
         with pytest.raises(ValueError, match="non-finite"):
             _linalg._forward_pivots([mp.mpf(1), mp.mpf(0), bad])
+
+
+def test_chebyshev_kernel_skips_only_exact_zero_odd_moments(disordered_pi3):
+    # zero odd moments (a symmetric measure) let the kernel skip the mixed
+    # moments of odd k + l; one odd moment of 2^-300 must not take that skip.
+    # It moves the norms by about 2^-600, so the claim is set past 600 bits
+    n = 12
+    ctx = sv.PrecisionContext(1024, claim=700)
+    values = list(sv.phi_derivatives(disordered_pi3, 2 * n - 2, ctx).values)
+    assert all(mu == 0 for mu in values[1::2])
+    values[3] = mp.ldexp(1, -300)
+    for bits in (ctx.bits, ctx.guard_bits):
+        with mp.workprec(bits):
+            mus = [+mu for mu in values]
+            norms = _linalg._forward_pivots(mus)
+        exact_mus = [dyadic(mu) for mu in mus]
+        exact = chebyshev_norms(exact_mus)
+        for k, (h, e) in enumerate(zip(norms, exact)):
+            assert e > 0 and abs(dyadic(h) - e) <= e / 2**ctx.claim_bits, (bits, k)
+    # the claim sees the odd moment: without it the norms move past the claim
+    symmetric = chebyshev_norms(exact_mus[:3] + [Fraction(0)] + exact_mus[4:])
+    assert any(abs(s - e) > e / 2**ctx.claim_bits for s, e in zip(symmetric, exact))
+
+
+def _nearest(x: Fraction, prec: int) -> Fraction:
+    """x rounded to nearest with prec bits, ties toward +inf."""
+    num, den = abs(x.numerator), x.denominator
+    top = num.bit_length() - den.bit_length()  # floor(log2 |x|) or one above
+    if num < den * Fraction(2) ** top:
+        top -= 1
+    ulp = Fraction(2) ** (top - prec + 1)
+    return floor(x / ulp + Fraction(1, 2)) * ulp
+
+
+def _assert_rounded(pair, x: Fraction, prec: int):
+    man, exp = pair
+    if x == 0:
+        assert pair == (0, _linalg._ZERO_EXP)
+        return
+    assert man * Fraction(2) ** exp == _nearest(x, prec)
+    assert abs(man).bit_length() <= prec + 1  # 2^prec after a carry
+
+
+@given(
+    man=st.integers(-(1 << 4100), 1 << 4100) | st.integers(-(1 << 70), 1 << 70),
+    exp=st.integers(-5000, 5000),
+    den=st.integers(1, 200),
+    prec=st.integers(53, 2000),
+)
+@example(man=0, exp=7, den=3, prec=53)
+@example(man=(1 << 60) - 1, exp=0, den=1, prec=53)  # rounds up to 2^60
+@example(man=-((1 << 54) + 1), exp=-4, den=1, prec=54)  # a tie, rounds toward +inf
+@example(man=5 << 200, exp=0, den=5, prec=53)  # an exact quotient
+def test_round_and_div_give_the_nearest_value(man, exp, den, prec):
+    _assert_rounded(_linalg._round(man, exp, prec), Fraction(man) * Fraction(2) ** exp, prec)
+    _assert_rounded(
+        _linalg._div(man, exp, den, prec), Fraction(man, den) * Fraction(2) ** exp, prec
+    )
 
 
 def test_moments_serve_runs_at_their_context_or_below():

@@ -106,19 +106,21 @@ def test_phi_derivative_matches_central_difference():
 @pytest.mark.parametrize("point", RATIONAL_POINTS.values(), ids=RATIONAL_POINTS)
 def test_phi_derivatives_match_exact_rational_moments(point, nmax):
     # moments for an nmax series lose at most 32 guard bits, near
-    # coth = -+1 (ferro-far) too
-    ctx = sv.PrecisionContext(max(256, 10 * nmax + 64))
+    # coth = -+1 (ferro-far) too, with a doubled guard run and on the first
+    # rung of the ladder (guard run at W + 64), as the series are run
     kmax = 2 * nmax - 2
-    got = sv.phi_derivatives(point.params(4 * ctx.guard_bits), kmax, ctx)
     want = oracles.exact_phi_derivatives(
         point.s, point.sigma, point.x_plus, point.x_minus, kmax
     )
-    tol = mp.mpf(2) ** -(ctx.guard_bits - 32)
-    prec = 8 * ctx.guard_bits
-    for k, (g, w) in enumerate(zip(got.values, want)):
-        with mp.workprec(prec):
-            ref = sv.to_mpf(w)
-        assert rel_to(g, ref, prec) < tol, k
+    first = next(sv.contexts(point.params(8192), nmax))
+    for ctx in (sv.PrecisionContext(max(256, 10 * nmax + 64)), first):
+        got = sv.phi_derivatives(point.params(4 * ctx.guard_bits), kmax, ctx)
+        tol = mp.mpf(2) ** -(ctx.guard_bits - 32)
+        prec = 8 * ctx.guard_bits
+        for k, (g, w) in enumerate(zip(got.values, want)):
+            with mp.workprec(prec):
+                ref = sv.to_mpf(w)
+            assert rel_to(g, ref, prec) < tol, (ctx, k)
 
 
 # --- exact polylogarithm oracle --------------------------------------------
@@ -237,6 +239,37 @@ def test_crit_afd_moment_quadrature_oracle():
     got = sv.crit_afd_moment(4, Fraction(1, 3), CTX512)
     ref = oracles.quad_crit_afd_moment(4, Fraction(1, 3), bits=700)
     assert rel_to(got, ref) < TOL30
+
+
+@pytest.mark.parametrize("n", [24, 48])
+@pytest.mark.parametrize(
+    "phase,alpha,exact",
+    [
+        (sv.Phase.CRITICAL_FD, alpha, oracles.crit_fd_exact_moments)
+        for alpha in (Fraction(1001, 1000), Fraction(3), Fraction(20))
+    ]
+    + [
+        (sv.Phase.CRITICAL_AFD, alpha, oracles.crit_afd_exact_moments)
+        for alpha in (Fraction(-999, 1000), Fraction(0), Fraction(1, 2), Fraction(19, 20))
+    ],
+)
+def test_critical_moments_match_the_exact_ones_entry_by_entry(phase, alpha, exact, n):
+    # the running k! and power of q, with the ~10 bits that 1 + alpha cancels
+    # at alpha = -0.999, stay within 16 guard bits up to k = 2n - 2
+    ctx = next(sv.contexts(sv.PhaseParams(phase, alpha=alpha), n))
+    build = sv.crit_fd_moments if phase is sv.Phase.CRITICAL_FD else sv.crit_afd_moments
+    got = build(2 * n - 2, alpha, ctx).values
+    want = exact(alpha, 2 * n - 2)
+    assert len(got) == len(want) == 2 * n - 1
+    tol = mp.mpf(2) ** -(ctx.guard_bits - 16)
+    prec = 8 * ctx.guard_bits
+    for k, (g, w) in enumerate(zip(got, want)):
+        if w == 0:  # the odd moments at alpha = 0
+            assert g == 0, k
+            continue
+        with mp.workprec(prec):
+            ref = sv.to_mpf(w)
+        assert rel_to(g, ref, prec) < tol, k
 
 
 def test_moment_domain_rejections():
