@@ -1,8 +1,7 @@
-"""Verified multiprecision Hankel computations from a moment sequence, each
-run twice: once at the working precision and once at the context's guard
-precision.
-
-Two routes are kept deliberately distinct so they can cross-check each other:
+"""Verified multiprecision Hankel computations from a moment sequence.  One
+runner, ``_verified_run``, checks n and the moments' order and runs a kernel
+on mu_0..mu_{2n-2} at the working and then at the guard precision; each
+kernel rounds its own inputs.  Its two routes cross-check each other:
 
 * ``hankel_pivots`` uses Chebyshev's algorithm on the moments themselves and
   returns the norms h_k = D_{k+1}/D_k of the monic orthogonal polynomials,
@@ -26,9 +25,10 @@ from .errors import ParameterDomainError, PrecisionFailureError
 from .model import PrecisionContext
 
 
-def _hankel_matrix(moments: Sequence, n: int) -> List[List]:
-    """n x n matrix with entry (i, k) = moments[i + k], rounded to ambient
-    precision."""
+def _hankel_matrix(moments: Sequence) -> List[List]:
+    """n x n matrix with entry (i, k) = mu_{i+k} of mu_0..mu_{2n-2}, rounded
+    to ambient precision."""
+    n = (len(moments) + 1) // 2
     return [[+moments[i + k] for k in range(n)] for i in range(n)]
 
 
@@ -168,39 +168,43 @@ def _check_agreement(base, guard, ctx: PrecisionContext, what: str) -> int:
     return min(ctx.bits, -exp + (mant == 0.5))
 
 
-def hankel_determinant(moments: Sequence, n: int, ctx: PrecisionContext):
-    """Verified determinant of the n x n Hankel matrix of ``moments``.
-
-    Computed once at ctx.bits (entries rounded to ctx.bits) and once at
-    ctx.guard_bits; relative agreement within 2^(-claim_bits) is required.
-    Returns the guard-precision value and the bits on which the two agree.
-    """
+def _verified_run(kernel, moments: Sequence, n: int, ctx: PrecisionContext):
+    """(base, guard): kernel(mu_0..mu_{2n-2}) run at ctx.bits and at
+    ctx.guard_bits.  The kernel rounds its inputs to the ambient precision."""
+    if n < 1:
+        raise ParameterDomainError(f"n >= 1 required, got {n}")
     if len(moments) < 2 * n - 1:
         raise ParameterDomainError(
             f"need moments up to order {2 * n - 2}, got {len(moments) - 1}"
         )
     with mp.workprec(ctx.bits):
-        base = _lu_det(_hankel_matrix(moments, n))
+        base = kernel(moments[: 2 * n - 1])
     with mp.workprec(ctx.guard_bits):
-        guard = _lu_det(_hankel_matrix(moments, n))
-    return guard, _check_agreement(base, guard, ctx, f"Hankel determinant (n={n})")
+        guard = kernel(moments[: 2 * n - 1])
+    return base, guard
+
+
+def hankel_determinant(moments: Sequence, n: int, ctx: PrecisionContext):
+    """Verified determinant tau_n of the n x n Hankel matrix of ``moments``
+    by pivoted LU: the base and guard runs must agree within 2^(-claim_bits)
+    relative, and then tau_n > 0, as for any positive measure.  Returns the
+    guard-precision value and the bits on which the two runs agree."""
+    base, tau = _verified_run(lambda mus: _lu_det(_hankel_matrix(mus)), moments, n, ctx)
+    agreement = _check_agreement(base, tau, ctx, f"Hankel determinant (n={n})")
+    if not tau > 0:
+        raise PrecisionFailureError(
+            f"tau_{n} <= 0 for a positive-measure moment sequence; raise bits"
+        )
+    return tau, agreement
 
 
 def hankel_pivots(moments: Sequence, n: int, ctx: PrecisionContext):
     """Verified norms h_0..h_{n-1} (leading-principal-minor ratios of the
-    n x n Hankel matrix) of ``moments``, from mu_0..mu_{2n-2} rounded to
-    ctx.bits and then to ctx.guard_bits.  Each h_k must be positive and agree
-    between the base and guard runs to within 2^(-claim_bits) relative.  Returns
-    the guard-precision norms and, for each, the bits on which the runs
-    agree."""
-    if len(moments) < 2 * n - 1:
-        raise ParameterDomainError(
-            f"need moments up to order {2 * n - 2}, got {len(moments) - 1}"
-        )
-    with mp.workprec(ctx.bits):
-        base = _forward_pivots([+mu for mu in moments[: 2 * n - 1]])
-    with mp.workprec(ctx.guard_bits):
-        guard = _forward_pivots([+mu for mu in moments[: 2 * n - 1]])
+    n x n Hankel matrix) of ``moments`` by Chebyshev's algorithm.  Each h_k
+    must be positive and agree between the base and guard runs within
+    2^(-claim_bits) relative.  Returns the guard-precision norms and, for
+    each, the bits on which the runs agree."""
+    base, guard = _verified_run(_forward_pivots, moments, n, ctx)
     agreement = [
         _check_agreement(b, g, ctx, f"Hankel pivot h_{k}")
         for k, (b, g) in enumerate(zip(base, guard))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterator, List, Optional, Tuple
@@ -24,7 +24,9 @@ from mpmath import mp
 
 from . import _linalg
 from .errors import ParameterDomainError, PrecisionFailureError
-from .model import Phase, PhaseParams, PrecisionContext, bulk_chart, to_mpf, weights_from_params
+from .model import (
+    Phase, PhaseParams, PrecisionContext, bulk_chart, exact_or_mpf, to_mpf, weights_from_params,
+)
 from .specfun import MomentSequence, crit_afd_moments, crit_fd_moments, phi_derivatives
 
 
@@ -105,15 +107,6 @@ class ZnResult:
             return mp.log(self.zn)
 
 
-@lru_cache(maxsize=None)
-def _superfactorial_sq(n: int) -> int:
-    """The exact integer (prod_{k=0}^{n-1} k!)^2; cached, it gets huge."""
-    p = 1
-    for k in range(n):
-        p *= math.factorial(k)
-    return p * p
-
-
 def hankel_det(
     m: MomentSequence, n: int, ctx: Optional[PrecisionContext] = None
 ) -> HankelResult:
@@ -124,14 +117,8 @@ def hankel_det(
     the context's claim, or when the determinant of a positive-measure moment
     matrix comes out non-positive.
     """
-    if n < 1:
-        raise ParameterDomainError(f"n >= 1 required, got {n}")
     ctx = ctx or m.ctx
     tau, agreement = _linalg.hankel_determinant(m.values_for(ctx), n, ctx)
-    if not tau > 0:
-        raise PrecisionFailureError(
-            f"tau_{n} <= 0 for a positive-measure moment sequence; raise bits"
-        )
     return HankelResult(n, tau, ctx, agreement)
 
 
@@ -147,13 +134,15 @@ def _taus(m: MomentSequence, size: int, ctx: PrecisionContext) -> List[Tuple]:
 def _series(
     p: PhaseParams, moments: MomentSequence, nmax: int, ctx: PrecisionContext
 ) -> List[ZnResult]:
-    """Z_1..Z_nmax of p from its moments (order at least 2 nmax - 2)."""
+    """Z_1..Z_nmax of p from its moments (order at least 2 nmax - 2); a
+    rational alpha gives the critical base (1 + alpha)/2 exactly, rounded once."""
     w = None if p.phase.is_critical else weights_from_params(p, ctx)
-    out = []
+    out, superfactorial = [], 1  # prod_{k<n} k!
     with ctx.guardprec():
-        base = (1 + to_mpf(p.alpha)) / 2 if w is None else w.a * w.b
+        base = to_mpf((1 + exact_or_mpf(p.alpha)) / 2) if w is None else w.a * w.b
         for n, (tau, agree) in enumerate(_taus(moments, nmax, ctx), start=1):
-            zn = base ** (n * n) * tau / _superfactorial_sq(n)
+            superfactorial *= math.factorial(n - 1)
+            zn = base ** (n * n) * tau / superfactorial**2
             out.append(ZnResult(n, zn, p.phase, moments.params, ctx, agree))
     return out
 

@@ -94,6 +94,11 @@ def is_rational(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def exact_or_mpf(x):
+    """Fraction(x) for an int or Fraction x, so arithmetic on it stays exact; else to_mpf(x)."""
+    return Fraction(x) if is_rational(x) else to_mpf(x)
+
+
 def to_mpf(x) -> "mp.mpf":
     """Convert to mpf at the ambient precision.
 

@@ -49,8 +49,6 @@ def norms_from_moments(
     """h_0..h_{n-1} from mu_0..mu_{2n-2}; every h_k must come out positive and
     survive the doubled-precision verification, at ctx (default: the moments'
     own, which ctx may not exceed)."""
-    if n < 1:
-        raise ParameterDomainError(f"n >= 1 required, got {n}")
     ctx = ctx or m.ctx
     pivots, agreement = _linalg.hankel_pivots(m.values_for(ctx), n, ctx)
     return NormSequence(m.family, m.params, tuple(pivots), ctx, min(agreement))

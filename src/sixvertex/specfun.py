@@ -33,7 +33,9 @@ from mpmath import mp
 
 from ._linalg import _div, _split
 from .errors import ParameterDomainError, PrecisionFailureError
-from .model import DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, bulk_chart, to_mpf
+from .model import (
+    DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, bulk_chart, exact_or_mpf, to_mpf,
+)
 
 
 class MomentFamily(str, Enum):
@@ -224,14 +226,15 @@ def _critical_moments(
 ) -> MomentSequence:
     """mu_0..mu_kmax of a critical line at the guard precision of ctx, from a
     running int k! and a running power of q, each step rounding q^(k+1)
-    once, so its error grows by at most about one ulp per k."""
+    once, so its error grows by at most about one ulp per k.  A rational
+    alpha gives q = (alpha - 1)/(alpha + 1) exactly, rounded once."""
     PhaseParams(phase, alpha=alpha)
     if kmax < 0:
         raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
-        a = to_mpf(alpha)
-        q = (a - 1) / (a + 1)
+        a = exact_or_mpf(alpha)
+        q = to_mpf((a - 1) / (a + 1))
         vals, fact, power = [], 1, q
         for k in range(kmax + 1):
             fact *= max(k, 1)

@@ -1,17 +1,18 @@
 """Brute-force oracles kept independent of the library code paths they check:
 truncated series summation, adaptive quadrature, central differences,
 O(n^3) elimination on the Hankel moment matrix, Chebyshev's algorithm in the
-arithmetic of its moments, closed-form exact moments of the critical lines,
-exact negative-order polylogarithms, exact phi-derivatives at rational
-cot/coth values, the ASM count, a vertex classifier for domain-wall lattice
-configurations, and the transfer-matrix DP over all n rows.
+arithmetic of its moments and fraction-free over the integers, closed-form
+exact moments of the critical lines, exact negative-order polylogarithms,
+exact phi-derivatives at rational cot/coth values, the ASM count, a vertex
+classifier for domain-wall lattice configurations, and the transfer-matrix DP
+over all n rows.
 
 Parameters are converted to mpf inside the stated working precision, so pass
 exact values (ints, Fractions, decimal strings)."""
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from mpmath import mp
 
@@ -125,6 +126,41 @@ def chebyshev_norms(moments):
         if norms:
             beta = h / norms[-1]
         norms.append(h)
+    return norms
+
+
+def fraction_free_norms(moments):
+    """Norms h_0..h_{n-1} from rational mu_0..mu_{2n-2} by fraction-free
+    integer Chebyshev, equal to ``chebyshev_norms`` on the same Fractions.
+
+    D is built up over k until every nu_k = D^(k+1) mu_k is an integer; the
+    nu are the moments of D times the measure stretched by x -> D x.  With
+    D_k the k x k Hankel minor of the nu and sigma_{k,l} their mixed moments
+    (``chebyshev_norms``), T_{k,l} = D_k sigma_{k,l} are integers and
+    D_k^2 T_{k+1,l} = D_k (T_{k,k} T_{k,l+1} - T_{k,k+1} T_{k,l})
+    + T_{k,k} (T_{k-1,k} T_{k,l} - T_{k,k} T_{k-1,l}) divides exactly.  Then
+    D_{k+1} = T_{k,k} and h_k = D_{k+1} / (D_k D^(2k+1)).
+    """
+    scale = 1
+    for k, mu in enumerate(moments):
+        den = Fraction(mu).denominator
+        scale *= den // gcd(den, scale ** (k + 1))
+    m = len(moments)
+    prev = [0] * m  # T_{k-1,l}
+    row = [int(Fraction(mu) * scale ** (k + 1)) for k, mu in enumerate(moments)]
+    minor = 1  # D_k
+    norms = []
+    for k in range((m + 1) // 2):
+        norms.append(Fraction(row[k], minor * scale ** (2 * k + 1)))
+        if 2 * k + 2 >= m:
+            break
+        tkk, tkk1, tk1k = row[k], row[k + 1], prev[k]
+        new = [0] * m
+        for l in range(k + 1, m - k - 1):
+            num = minor * (tkk * row[l + 1] - tkk1 * row[l]) + tkk * (tk1k * row[l] - tkk * prev[l])
+            new[l], rem = divmod(num, minor * minor)
+            assert rem == 0
+        prev, row, minor = row, new, tkk
     return norms
 
 

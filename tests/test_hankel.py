@@ -19,6 +19,7 @@ from oracles import (
     crit_afd_exact_moments,
     crit_fd_exact_moments,
     exact_phi_derivatives,
+    fraction_free_norms,
 )
 
 TOL30 = mp.mpf("1e-30")
@@ -48,6 +49,27 @@ def test_hankel_det_requires_enough_moments(disordered_pi3):
         sv.hankel_det(ms, 3, CTX256)
     with pytest.raises(ParameterDomainError, match="moments up to order 4"):
         sv.norms_from_moments(ms, 3, CTX256)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_hankel_routes_require_n_at_least_one(disordered_pi3, n):
+    ms = sv.phi_derivatives(disordered_pi3, 4, CTX256)
+    for route in (sv.hankel_det, sv.norms_from_moments):
+        with pytest.raises(ParameterDomainError, match=f"n >= 1 required, got {n}"):
+            route(ms, n, CTX256)
+
+
+def test_kernels_round_their_own_inputs(disordered_pi3):
+    # both runs get the same moments, carried at guard precision; a kernel
+    # that used them unrounded would let the base run see the guard bits
+    ms = list(sv.phi_derivatives(disordered_pi3, 22, CTX512).values)
+    for bits in (100, 200):
+        with mp.workprec(bits):
+            rounded = [+mu for mu in ms]
+            assert rounded != ms
+            assert _linalg._forward_pivots(ms) == _linalg._forward_pivots(rounded)
+            lu = [_linalg._lu_det(_linalg._hankel_matrix(mus)) for mus in (ms, rounded)]
+            assert lu[0] == lu[1]
 
 
 @pytest.mark.parametrize("rung", [True, False], ids=["ladder-rung", "plain-256"])
@@ -382,21 +404,24 @@ def test_ladder_series_meets_its_claim_against_the_lattice(phase, alpha):
         assert rel_to(r.zn, exact) < sv.PrecisionContext(r.bits).verify_tolerance(), r.n
 
 
+def exact_zn(base, norms):
+    """Exact Z_1..Z_nmax from the exact norms h_0..h_{nmax-1} by
+    Izergin-Korepin, Z_n = base^(n^2) prod_{k<n} h_k / (prod_{k<n} k!)^2."""
+    out, tau, superfactorial = [], Fraction(1), 1
+    for n, h in enumerate(norms, start=1):
+        tau *= h
+        superfactorial *= factorial(n - 1)
+        out.append(base ** (n * n) * tau / superfactorial**2)
+    return out
+
+
 def exact_hankel_series(point, nmax):
-    """Exact Z_1..Z_nmax at a rational bulk point by Izergin-Korepin:
-    the oracle's phi-derivatives, Chebyshev's algorithm over Fractions and
-    Z_n = (ab)^(n^2) prod_{k<n} h_k / (prod_{k<n} k!)^2."""
+    """Exact Z_1..Z_nmax at a rational bulk point: the fraction-free
+    Chebyshev norms of the oracle's phi-derivatives, and base = ab."""
     moments = exact_phi_derivatives(
         point.s, point.sigma, point.x_plus, point.x_minus, 2 * nmax - 2
     )
-    norms = chebyshev_norms(moments)
-    ab = point.weights.a * point.weights.b
-    out, tau, superfactorial = [], Fraction(1), 1
-    for n in range(1, nmax + 1):
-        tau *= norms[n - 1]
-        superfactorial *= factorial(n - 1)
-        out.append(ab ** (n * n) * tau / superfactorial**2)
-    return out
+    return exact_zn(point.weights.a * point.weights.b, fraction_free_norms(moments))
 
 
 BULK_POINTS = ["disordered", "ferro", "af"]
@@ -421,23 +446,34 @@ def test_ladder_series_meets_its_claim_against_the_exact_hankel_route(name):
         assert rel_to(r.zn, ref, 8192) < claim, r.n
 
 
-@lru_cache(maxsize=None)
-def exact_series(name, nmax):
-    """Exact Z_1..Z_nmax at a RATIONAL_POINTS bulk point, or on a critical
-    line at the alpha of CRITICAL_POINTS: the oracle's exact moments,
-    Chebyshev's algorithm over Fractions, and Z_n = base^(n^2) prod_{k<n} h_k
-    / (prod_{k<n} k!)^2 with base = ab or (1 + alpha)/2."""
+def exact_moments(name, kmax):
+    """(base, exact mu_0..mu_kmax) at a RATIONAL_POINTS point (base ab, the
+    oracle's phi-derivatives) or on a critical line at the alpha of
+    CRITICAL_POINTS (base (1 + alpha)/2)."""
     if name in RATIONAL_POINTS:
-        return exact_hankel_series(RATIONAL_POINTS[name], nmax)
+        point = RATIONAL_POINTS[name]
+        return point.weights.a * point.weights.b, exact_phi_derivatives(
+            point.s, point.sigma, point.x_plus, point.x_minus, kmax
+        )
     phase, alpha = CRITICAL_POINTS[name]
     moments_of = crit_fd_exact_moments if phase is sv.Phase.CRITICAL_FD else crit_afd_exact_moments
-    norms = chebyshev_norms(moments_of(alpha, 2 * nmax - 2))
-    out, tau, superfactorial = [], Fraction(1), 1
-    for n in range(1, nmax + 1):
-        tau *= norms[n - 1]
-        superfactorial *= factorial(n - 1)
-        out.append(((1 + alpha) / 2) ** (n * n) * tau / superfactorial**2)
-    return out
+    return (1 + alpha) / 2, moments_of(alpha, kmax)
+
+
+@lru_cache(maxsize=None)
+def exact_series(name, nmax):
+    """Exact Z_1..Z_nmax of a RATIONAL_POINTS or CRITICAL_POINTS name from
+    the fraction-free Chebyshev norms of its exact moments."""
+    base, moments = exact_moments(name, 2 * nmax - 2)
+    return exact_zn(base, fraction_free_norms(moments))
+
+
+def ladder_params(name):
+    """PhaseParams of a RATIONAL_POINTS or CRITICAL_POINTS name."""
+    if name in RATIONAL_POINTS:
+        return RATIONAL_POINTS[name].params(8192)
+    phase, alpha = CRITICAL_POINTS[name]
+    return sv.PhaseParams(phase, alpha=alpha)
 
 
 CRITICAL_POINTS = {
@@ -446,15 +482,19 @@ CRITICAL_POINTS = {
 }
 
 
+@pytest.mark.parametrize("name", list(RATIONAL_POINTS) + list(CRITICAL_POINTS))
+def test_fraction_free_norms_equal_exact_chebyshev(name):
+    _, moments = exact_moments(name, 39)
+    for n in range(1, 21):
+        for m in (2 * n - 1, 2 * n):  # the norms of mu_0..mu_{2n-2}, with and without mu_{2n-1}
+            assert fraction_free_norms(moments[:m]) == chebyshev_norms(moments[:m]), (n, m)
+
+
 @pytest.mark.parametrize("bits", [64, 256, 1024])
 @pytest.mark.parametrize("name", BULK_POINTS + list(CRITICAL_POINTS))
 def test_ladder_series_meets_the_claim_of_its_bits(name, bits):
     # a series on the ladder of --bits is within 2^-(bits/2) of the exact one
-    if name in RATIONAL_POINTS:
-        p = RATIONAL_POINTS[name].params(8192)
-    else:
-        phase, alpha = CRITICAL_POINTS[name]
-        p = sv.PhaseParams(phase, alpha=alpha)
+    p = ladder_params(name)
     series = sv.on_ladder(p, 40, bits, lambda ctx: sv.zn_series(p, 40, ctx))
     for r, zn in zip(series, exact_series(name, 40)):
         assert r.ctx.claim_bits == bits // 2
@@ -462,6 +502,29 @@ def test_ladder_series_meets_the_claim_of_its_bits(name, bits):
         with mp.workprec(8192):
             ref = sv.to_mpf(zn)
         assert rel_to(r.zn, ref, 8192) < mp.mpf(2) ** -(bits // 2), r.n
+
+
+@pytest.mark.parametrize("name", ["disordered", "critical-afd"])
+def test_ladder_series_meets_its_claim_at_n60_against_the_exact_hankel_route(name):
+    # past the lattice's reach; the exact series takes about 2 s
+    series = sv.zn_series(ladder_params(name), 60)
+    for r, zn in zip(series, exact_series(name, 60), strict=True):
+        assert r.ctx.claim_bits <= r.agreement_bits <= r.bits
+        with mp.workprec(8192):
+            ref = sv.to_mpf(zn)
+        assert rel_to(r.zn, ref, 8192) < r.ctx.verify_tolerance(), r.n
+
+
+def test_zn_series_meets_its_claim_next_to_alpha_minus_one():
+    # alpha = -1 + 10^-90: rounded before 1 + alpha was formed, it made the
+    # first rung's guard run divide by zero
+    alpha = Fraction(-1) + Fraction(1, 10**90)
+    series = sv.zn_series(sv.PhaseParams(sv.Phase.CRITICAL_AFD, alpha=alpha), 8)
+    exact = exact_zn((1 + alpha) / 2, chebyshev_norms(crit_afd_exact_moments(alpha, 14)))
+    for r, zn in zip(series, exact, strict=True):
+        with mp.workprec(8192):
+            ref = sv.to_mpf(zn)
+        assert rel_to(r.zn, ref, 8192) < r.ctx.verify_tolerance(), r.n
 
 
 AGREEMENT_GRID = [

@@ -250,12 +250,16 @@ def test_crit_afd_moment_quadrature_oracle():
     ]
     + [
         (sv.Phase.CRITICAL_AFD, alpha, oracles.crit_afd_exact_moments)
-        for alpha in (Fraction(-999, 1000), Fraction(0), Fraction(1, 2), Fraction(19, 20))
+        for alpha in (
+            Fraction(-999, 1000), -1 + Fraction(1, 10**30), Fraction(0), Fraction(1, 2),
+            Fraction(19, 20),
+        )
     ],
 )
 def test_critical_moments_match_the_exact_ones_entry_by_entry(phase, alpha, exact, n):
-    # the running k! and power of q, with the ~10 bits that 1 + alpha cancels
-    # at alpha = -0.999, stay within 16 guard bits up to k = 2n - 2
+    # the running k! and power of q stay within 16 guard bits up to
+    # k = 2n - 2; a rational alpha gives q exactly, so alpha -> -1 (and
+    # alpha -> 1 on the fd line) cancels no bits
     ctx = next(sv.contexts(sv.PhaseParams(phase, alpha=alpha), n))
     build = sv.crit_fd_moments if phase is sv.Phase.CRITICAL_FD else sv.crit_afd_moments
     got = build(2 * n - 2, alpha, ctx).values
