@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import ParameterDomainError
 
@@ -102,13 +103,13 @@ def exact_or_mpf(x):
 def to_mpf(x) -> "mp.mpf":
     """Convert to mpf at the ambient precision.
 
-    Values that are already mpf pass through unrounded; Fractions divide
-    exactly once at the ambient precision.
+    Values that are already mpf pass through unrounded; a Fraction is
+    rounded once, to nearest.
     """
     if isinstance(x, mp.mpf):
         return x
     if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec, round_nearest))
     return mp.mpf(x)
 
 
@@ -225,7 +226,10 @@ class PhaseParams:
         if not g > 0:
             raise ParameterDomainError(f"gamma > 0 required, got {g}")
         if self.phase is Phase.DISORDERED:
-            with mp.workprec(128):
+            # 128 bits past gamma's own size: an mpf gamma is held exactly
+            size = g.bc if isinstance(g, mp.mpf) else sum(
+                map(int.bit_length, g.as_integer_ratio()))
+            with mp.workprec(128 + size):
                 if not to_mpf(g) < mp.pi / 2:
                     raise ParameterDomainError(
                         f"disordered requires gamma < pi/2, got {g}"

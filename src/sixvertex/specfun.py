@@ -1,6 +1,7 @@
 """Arbitrary-precision scalar kernels: derivatives of the moment generating
 function phi, moment sequences for all five weight families, Jacobi theta
-series and zeta(3/2).
+functions (theta_1 by its series, theta_4 and theta_1'(0) by mp.jtheta) and
+zeta(3/2).
 
 Derivatives of phi are generated through the decomposition
 phi = s (x(gamma - t) + x(gamma + t)) of the bulk chart (``model.BulkChart``):
@@ -271,9 +272,11 @@ def crit_afd_moment(k: int, alpha, ctx: Optional[PrecisionContext] = None):
 
 
 # ---------------------------------------------------------------------------
-# Jacobi theta series.  Real z, real nome 0 < q < 0.9 (no modular transform:
-# larger nomes are rejected).  Truncation: stop once the next term's magnitude
-# bound falls below 2^(-bits-8) of the running scale.
+# Jacobi theta functions.  Real z, real nome 0 < q < 0.9 (no modular
+# transform: larger nomes are rejected).  theta_4 and theta_1'(0) are
+# mp.jtheta; theta_1 keeps its own series, since mp.jtheta forms it as
+# theta_2(z - pi/2), which is not 0 at z = 0 and loses relative accuracy
+# next to z = pi.
 
 
 def _check_nome(q) -> None:
@@ -286,36 +289,25 @@ def _check_nome(q) -> None:
 _THETA_MAX_TERMS = 10_000
 
 
-def _alternating_sum(s, k0: int, mag, wave, ctx: PrecisionContext, floor, running=False):
-    """s + sum_{k>=k0} (-1)^k mag(k) wave(k) at ambient precision, with mag(k)
-    the magnitude bound of term k, computed once.  Stops after term k once
-    mag(k+1) < 2^(-bits-8) max(floor, |s|), or with ``running`` once it is
-    below 2^(-bits-8) times the largest of floor and every partial |s|."""
-    thresh = mp.mpf(2) ** (-(ctx.bits + 8))
-    scale = floor
-    m = mag(k0)
-    for k in range(k0, _THETA_MAX_TERMS):
-        term = m * wave(k)
-        s += term if k % 2 == 0 else -term
-        scale = max(scale if running else floor, abs(s))
-        m = mag(k + 1)
-        if m < thresh * scale:
-            return s
-    raise PrecisionFailureError("theta series did not converge")  # pragma: no cover
-
-
 def theta1(z, q, ctx: Optional[PrecisionContext] = None):
-    """theta_1(z) = 2 sum_{k>=0} (-1)^k q^((k+1/2)^2) sin((2k+1) z)."""
+    """theta_1(z) = 2 sum_{k>=0} (-1)^k q^((k+1/2)^2) sin((2k+1) z), summed
+    until the next term's bound 2 q^((k+1/2)^2) falls below 2^(-bits-8)
+    times the largest of 2 q^(1/4) and every partial |sum|."""
     _check_nome(q)
     ctx = ctx or DEFAULT_CONTEXT
     with mp.workprec(ctx.guard_bits + 32):
         zz, qq = to_mpf(z), to_mpf(q)
-        return _alternating_sum(
-            mp.mpf(0), 0,
-            lambda k: 2 * qq ** (mp.mpf(2 * k + 1) ** 2 / 4),
-            lambda k: mp.sin((2 * k + 1) * zz),
-            ctx, floor=2 * qq ** mp.mpf(0.25), running=True,
-        )
+        thresh = mp.mpf(2) ** (-(ctx.bits + 8))
+        s = mp.mpf(0)
+        scale = m = 2 * qq ** mp.mpf(0.25)
+        for k in range(_THETA_MAX_TERMS):
+            term = m * mp.sin((2 * k + 1) * zz)
+            s += term if k % 2 == 0 else -term
+            scale = max(scale, abs(s))
+            m = 2 * qq ** (mp.mpf(2 * k + 3) ** 2 / 4)
+            if m < thresh * scale:
+                return s
+    raise PrecisionFailureError("theta series did not converge")  # pragma: no cover
 
 
 def theta4(z, q, ctx: Optional[PrecisionContext] = None):
@@ -323,13 +315,7 @@ def theta4(z, q, ctx: Optional[PrecisionContext] = None):
     _check_nome(q)
     ctx = ctx or DEFAULT_CONTEXT
     with mp.workprec(ctx.guard_bits + 32):
-        zz, qq = to_mpf(z), to_mpf(q)
-        return _alternating_sum(
-            mp.mpf(1), 1,
-            lambda k: 2 * qq ** (k * k),
-            lambda k: mp.cos(2 * k * zz),
-            ctx, floor=mp.mpf(1),
-        )
+        return mp.jtheta(4, to_mpf(z), to_mpf(q))
 
 
 def theta1_prime0(q, ctx: Optional[PrecisionContext] = None):
@@ -337,13 +323,7 @@ def theta1_prime0(q, ctx: Optional[PrecisionContext] = None):
     _check_nome(q)
     ctx = ctx or DEFAULT_CONTEXT
     with mp.workprec(ctx.guard_bits + 32):
-        qq = to_mpf(q)
-        return _alternating_sum(
-            mp.mpf(0), 0,
-            lambda k: 2 * (2 * k + 1) * qq ** (mp.mpf(2 * k + 1) ** 2 / 4),
-            lambda k: 1,
-            ctx, floor=0,
-        )
+        return mp.jtheta(1, 0, to_mpf(q), 1)
 
 
 # ---------------------------------------------------------------------------

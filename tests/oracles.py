@@ -1,11 +1,11 @@
 """Brute-force oracles kept independent of the library code paths they check:
-truncated series summation, adaptive quadrature, central differences,
-O(n^3) elimination on the Hankel moment matrix, Chebyshev's algorithm in the
-arithmetic of its moments and fraction-free over the integers, closed-form
-exact moments of the critical lines, exact negative-order polylogarithms,
-exact phi-derivatives at rational cot/coth values, the ASM count, a vertex
-classifier for domain-wall lattice configurations, and the transfer-matrix DP
-over all n rows.
+truncated series summation (moments, theta_4 and theta_1'(0)), adaptive
+quadrature, central differences, O(n^3) elimination on the Hankel moment
+matrix, Chebyshev's algorithm in the arithmetic of its moments and
+fraction-free over the integers, closed-form exact moments of the critical
+lines, exact negative-order polylogarithms, exact phi-derivatives at rational
+cot/coth values, the ASM count, a vertex classifier for domain-wall lattice
+configurations, and the transfer-matrix DP over all n rows.
 
 Parameters are converted to mpf inside the stated working precision, so pass
 exact values (ints, Fractions, decimal strings)."""
@@ -75,6 +75,33 @@ def central_diff(f, x, h, bits=1024):
     with mp.workprec(bits):
         x, h = to_mpf(x), to_mpf(h)
         return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def series_theta4(z, q, bits=512):
+    """1 + 2 sum_{k>=1} (-1)^k q^(k^2) cos(2kz), keeping every term whose
+    bound 2 q^(k^2) is above 2^-bits.  q^(k^2) and e^(2ikz) are running
+    products."""
+    with mp.workprec(bits):
+        z, q = to_mpf(z), to_mpf(q)
+        s, qk, step = mp.mpf(1), q, q**3  # q^(k^2) and q^(2k+1) at k = 1
+        e = w = mp.expj(2 * z)
+        sign, eps = -1, mp.mpf(2) ** -bits
+        while 2 * qk > eps:
+            s += 2 * sign * qk * e.real
+            qk, step, e, sign = qk * step, step * q * q, e * w, -sign
+        return s
+
+
+def series_theta1_prime0(q, bits=512):
+    """2 sum_{k>=0} (-1)^k (2k+1) q^((k+1/2)^2), keeping every term above
+    2^-bits."""
+    with mp.workprec(bits):
+        q = to_mpf(q)
+        s, k, eps = mp.mpf(0), 0, mp.mpf(2) ** -bits
+        while (term := 2 * (2 * k + 1) * q ** (mp.mpf(2 * k + 1) ** 2 / 4)) > eps:
+            s += (-1) ** k * term
+            k += 1
+        return s
 
 
 def elimination_pivots(moments, n):

@@ -504,9 +504,9 @@ def test_ladder_series_meets_the_claim_of_its_bits(name, bits):
         assert rel_to(r.zn, ref, 8192) < mp.mpf(2) ** -(bits // 2), r.n
 
 
-@pytest.mark.parametrize("name", ["disordered", "critical-afd"])
+@pytest.mark.parametrize("name", BULK_POINTS + list(CRITICAL_POINTS))
 def test_ladder_series_meets_its_claim_at_n60_against_the_exact_hankel_route(name):
-    # past the lattice's reach; the exact series takes about 2 s
+    # past the lattice's reach; each exact series takes 1-4 s
     series = sv.zn_series(ladder_params(name), 60)
     for r, zn in zip(series, exact_series(name, 60), strict=True):
         assert r.ctx.claim_bits <= r.agreement_bits <= r.bits

@@ -119,6 +119,22 @@ def test_phase_params_domain_rejections(phase, kwargs):
         sv.PhaseParams(phase, **kwargs)
 
 
+def _exact_fraction(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def test_disordered_gamma_next_to_pi_half():
+    # pi/2 rounded at 128 bits lies 9.4e-40 below pi/2, inside this gap
+    with mp.workprec(500):
+        below, above = mp.pi / 2 - mp.mpf("2.4e-40"), mp.pi / 2 + mp.mpf("2.4e-40")
+    for gamma in (below, _exact_fraction(below)):
+        assert sv.PhaseParams(sv.Phase.DISORDERED, t=0, gamma=gamma).gamma == gamma
+    for gamma in (above, _exact_fraction(above)):
+        with pytest.raises(ParameterDomainError, match="gamma < pi/2"):
+            sv.PhaseParams(sv.Phase.DISORDERED, t=0, gamma=gamma)
+
+
 def test_normalize_exact():
     w, scale = sv.normalize(sv.Weights(2, 3, 4))
     assert (w.a, w.b, w.c) == (Fraction(1, 2), Fraction(3, 4), Fraction(1))
@@ -155,6 +171,22 @@ def test_weights_must_be_positive():
 small_fractions = st.fractions(
     min_value=Fraction(1, 10), max_value=Fraction(10), max_denominator=20
 )
+
+
+# 10 to 700 bits, most of them wider than the precision they are rounded to
+wide_ints = st.integers(10, 700).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b - 1))
+
+
+@given(wide_ints, wide_ints, st.booleans(), st.integers(min_value=53, max_value=308))
+def test_to_mpf_rounds_a_fraction_once(num, den, negative, prec):
+    # correctly rounded: within half an ulp of the exact value at prec bits
+    f = Fraction(-num if negative else num, den)
+    with mp.workprec(prec):
+        got = sv.to_mpf(f)
+    e = num.bit_length() - den.bit_length()  # floor(log2 |f|), or one above
+    if abs(f) < Fraction(2) ** e:
+        e -= 1
+    assert abs(_exact_fraction(got) - f) <= Fraction(2) ** (e - prec)
 
 
 @given(small_fractions, small_fractions, small_fractions, small_fractions)

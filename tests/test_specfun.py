@@ -401,11 +401,31 @@ def test_theta_periodicity_and_parity_grid():
 
 
 def test_theta_against_mpmath():
+    # away from z = 0 and pi, where mp.jtheta's theta_2(z - pi/2) form of
+    # theta_1 keeps its relative accuracy
     with CTX256.guardprec():
         q = mp.mpf("0.2")
         z = mp.mpf("0.9")
         assert rel_to(sv.theta1(z, q, CTX256), mp.jtheta(1, z, q)) < TOL30
-        assert rel_to(sv.theta4(z, q, CTX256), mp.jtheta(4, z, q)) < TOL30
+
+
+@pytest.mark.parametrize("bits", [128, 328, 1024])
+def test_theta4_and_theta1_prime0_against_plain_series(bits):
+    # theta_4 and theta_1'(0) are mp.jtheta; the reference is their plain
+    # partial sums at 4x the bits.  z runs over n omega at the AF point
+    # (t, gamma) = (0.4, 1.5) for n <= 48 as well as fixed values.
+    ctx = sv.PrecisionContext(bits)
+    with ctx.guardprec():
+        qs = [mp.mpf(q) for q in ("1e-40", "0.004", "0.04", "0.2", "0.5", "0.89")]
+        omega = mp.pi / 2 * (1 + mp.mpf("0.4") / mp.mpf("1.5"))
+        zs = [mp.mpf(0), mp.mpf("0.3"), mp.pi / 2, mp.mpf(10) ** 6]
+        zs += [n * omega for n in range(1, 49)]
+    tol = mp.mpf(2) ** -bits
+    for q in qs:
+        ref = oracles.series_theta1_prime0(q, 4 * bits)
+        assert rel_to(sv.theta1_prime0(q, ctx), ref) < tol
+        for z in zs:
+            assert rel_to(sv.theta4(z, q, ctx), oracles.series_theta4(z, q, 4 * bits)) < tol
 
 
 def test_theta1_prime_finite_difference():

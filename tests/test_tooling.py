@@ -212,3 +212,19 @@ def test_toda_order_smoke(capsys):
     assert [row[0] for row in rows] == ["0.001", "0.0001"] + [f"1.0e-{k}" for k in range(5, 11)]
     # central differences: the residual falls as h^2
     assert all(abs(float(row[2]) - 2) < 0.05 for row in rows[1:])
+
+
+def test_job_digest_smoke(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the script extends it
+    digest = load_file(ROOT / "scripts" / "job_digest.py", "job_digest")
+    runs = []
+    for _ in range(2):
+        digest.main(["--workloads", "exact-lattice", "--seeds", "1"])
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    jobs = digest.workloads.build("exact-lattice", 1)
+    *lines, _ = runs[0]
+    assert [line.split()[:3] for line in lines] == [
+        ["exact-lattice", "1", str(i)] for i in range(len(jobs))
+    ]
+    assert all(re.fullmatch("[0-9a-f]{64}", line.split()[-1]) for line in runs[0])
