@@ -217,9 +217,11 @@ def test_toda_order_smoke(capsys):
 def test_job_digest_smoke(capsys, monkeypatch):
     monkeypatch.setattr(sys, "path", sys.path[:])  # the script extends it
     digest = load_file(ROOT / "scripts" / "job_digest.py", "job_digest")
+    lattice = digest.workloads.WORKLOADS["exact-lattice"]
+    monkeypatch.setattr(digest.workloads, "WORKLOADS", {"exact-lattice": lattice})
     runs = []
     for _ in range(2):
-        digest.main(["--workloads", "exact-lattice", "--seeds", "1"])
+        digest.main(["--seeds", "1"])
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
     jobs = digest.workloads.build("exact-lattice", 1)
