@@ -153,15 +153,23 @@ def predict_crit_fd(
     PhaseParams(Phase.CRITICAL_FD, alpha=alpha)
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
-        aa = to_mpf(alpha)
-        a, b = (aa - 1) / 2, (aa + 1) / 2
-        f = b
-        gg = mp.exp(-zeta_three_halves(ctx) * mp.sqrt(a / mp.pi))
+        f, log_f, gg, log_g = _crit_fd_law(to_mpf(alpha), ctx)
         kappa = mp.mpf(1) / 4
-        log_pred = n * n * mp.log(f) + mp.sqrt(n) * mp.log(gg) + kappa * mp.log(n)
+        log_pred = n * n * log_f + mp.sqrt(n) * log_g + kappa * mp.log(n)
     return AsymptoticPrediction(
         Phase.CRITICAL_FD, n, f, log_pred, kappa=kappa, g=gg, g_mode="sqrt_n"
     )
+
+
+@lru_cache(maxsize=None)
+def _crit_fd_law(aa, ctx: PrecisionContext):
+    """(F, log F, G, log G) at the mpf alpha aa.  None depends on n, so
+    zeta(3/2) and the transcendental work run once per (alpha, ctx) for a
+    whole series."""
+    with ctx.guardprec():
+        a, f = (aa - 1) / 2, (aa + 1) / 2
+        log_g = -zeta_three_halves(ctx) * mp.sqrt(a / mp.pi)
+        return f, mp.log(f), mp.exp(log_g), log_g
 
 
 def predict_af(
@@ -193,14 +201,17 @@ def _af_law(tt, g, ctx: PrecisionContext):
 
 
 # ---------------------------------------------------------------------------
-# Fitting.  The regressions are tiny, so they simply run at a precision high
-# enough to be exact relative to any series the package produces.
+# Fitting.  The regressions are tiny, so they run 64 bits above the widest
+# mantissa among their mpf inputs (any other input counts as 53 bits, like a
+# float): exact relative to the inputs, at no more cost than they need.
 
-_FIT_PREC = 2048
+
+def _fit_prec(values) -> int:
+    return 64 + max(v._mpf_[3] if isinstance(v, mp.mpf) else 53 for v in values)
 
 
 def _check_series(series) -> List[Tuple[int, object]]:
-    pts = [(int(n), to_mpf(v)) for n, v in series]
+    pts = [(int(n), v) for n, v in series]
     if len(pts) < 4:
         raise ParameterDomainError(f"need >= 4 points, got {len(pts)}")
     ns = [n for n, _ in pts]
@@ -230,7 +241,8 @@ def fit_free_energy(
     mean.  Returned per-n estimates pair each interior n with its estimate.
     """
     pts = _check_series(series)
-    with mp.workprec(_FIT_PREC):
+    with mp.workprec(_fit_prec(v for _, v in pts)):
+        pts = [(n, to_mpf(v)) for n, v in pts]
         ests = []
         for i in range(1, len(pts) - 1):
             n = pts[i][0]
@@ -258,23 +270,23 @@ def fit_kappa(
     if g_mode not in ("n", "sqrt_n"):
         raise ParameterDomainError(f"g_mode must be 'n' or 'sqrt_n', got {g_mode}")
     pts = _check_series(series)
-    with mp.workprec(_FIT_PREC):
+    inputs = [v for _, v in pts] + [x for x in (log_f, log_g) if x is not None]
+    with mp.workprec(_fit_prec(inputs)):
         lf = to_mpf(log_f)
         lg = to_mpf(log_g) if log_g is not None else None
         resid = []
         for n, lz in pts:
-            r = lz - n * n * lf
+            r = to_mpf(lz) - n * n * lf
             if lg is not None:
                 r -= (mp.mpf(n) if g_mode == "n" else mp.sqrt(n)) * lg
-            resid.append((n, r))
+            resid.append((n, mp.log(n), r))
         ests = []
-        for i in range(len(resid) - 1):
-            (n1, r1), (n2, r2) = resid[i], resid[i + 1]
-            ests.append((n2, (r2 - r1) / (mp.log(n2) - mp.log(n1))))
+        for (_, x1, r1), (n2, x2, r2) in zip(resid, resid[1:]):
+            ests.append((n2, (r2 - r1) / (x2 - x1)))
         w = _trailing_window(len(resid), window)
         tail = resid[-w:]
-        xs = [mp.log(n) for n, _ in tail]
-        ys = [r for _, r in tail]
+        xs = [x for _, x, _ in tail]
+        ys = [r for _, _, r in tail]
         xbar = mp.fsum(xs) / w
         ybar = mp.fsum(ys) / w
         sxx = mp.fsum((x - xbar) ** 2 for x in xs)

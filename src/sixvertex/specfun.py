@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from math import isqrt
 from typing import Optional, Tuple
 
 from mpmath import mp
@@ -153,7 +153,8 @@ def _phi_values(p: PhaseParams, kmax: int, ctx: PrecisionContext) -> Tuple:
     with ctx.guardprec():
         t, g = to_mpf(p.t), to_mpf(p.gamma)
         cp = _taylor(chart.x(g + t), chart.sigma, kmax)
-        cm = _taylor(chart.x(g - t), chart.sigma, kmax)
+        # at t = 0, gamma + t and gamma - t are the same mpf
+        cm = cp if t == 0 else _taylor(chart.x(g - t), chart.sigma, kmax)
         values, fact = [], chart.s  # s k!
         for k, ((m1, e1), (m2, e2)) in enumerate(zip(cp, cm)):
             fact *= max(k, 1)
@@ -327,24 +328,32 @@ def theta1_prime0(q, ctx: Optional[PrecisionContext] = None):
 
 
 # ---------------------------------------------------------------------------
-# zeta(3/2) through the alternating (eta) series with the Cohen / Rodriguez
-# Villegas / Zagier Chebyshev acceleration: error ~ (3 + sqrt 8)^(-terms).
-# Cached per context: every n of a critical-fd prediction needs the same value.
+# zeta(3/2) = (2 + sqrt 2) eta(3/2), with eta(3/2) = sum_{k>=0} (-1)^k (k+1)^(-3/2)
+# summed by the Chebyshev acceleration of H. Cohen, F. Rodriguez Villegas and
+# D. Zagier, Exp. Math. 9 (2000) 3-12: eta ~ sum_k c_k (k+1)^(-3/2) / d with
+# d = T_n(3) and error ~ (3 + sqrt 8)^(-n).  d, the coefficients b_k of T_n and
+# the running c_k are exact ints, each (k+1)^(-3/2) and sqrt 2 an integer
+# square root at P bits, and the sum is rounded once.  Not cached: the
+# critical-fd law (``asymptotics._crit_fd_law``) asks once per series.
 
 
-@lru_cache(maxsize=None)
 def zeta_three_halves(ctx: Optional[PrecisionContext] = None):
+    """zeta(3/2) as an mpf of ctx.guard_bits + 32 bits."""
     ctx = ctx or DEFAULT_CONTEXT
-    with mp.workprec(ctx.guard_bits + 32):
-        terms = int((ctx.guard_bits + 16) * 0.3933) + 4
-        d = (3 + 2 * mp.sqrt(2)) ** terms
-        d = (d + 1 / d) / 2
-        b = mp.mpf(-1)
-        c = -d
-        s = mp.mpf(0)
-        for k in range(terms):
-            c = b - c
-            s += c * mp.mpf(k + 1) ** mp.mpf(-1.5)
-            b *= mp.mpf((k + terms) * (k - terms)) / ((k + mp.mpf(0.5)) * (k + 1))
-        eta = s / d
-        return eta / (1 - 1 / mp.sqrt(2))
+    prec = ctx.guard_bits + 32
+    # P-bit fixed point: each term is off by under one ulp and |c_k| <= d,
+    # so the n terms lose under log2(n) of the 20 extra bits
+    P = prec + 20
+    n = int((ctx.guard_bits + 16) * 0.3933) + 4
+    t, d = 1, 3  # T_0(3), T_1(3); T_{k+1} = 6 T_k - T_{k-1}
+    for _ in range(n - 1):
+        t, d = d, 6 * d - t
+    one = 1 << (2 * P)
+    b, c, s = -1, -d, 0
+    for k in range(n):
+        c = b - c
+        s += c * isqrt(one // (k + 1) ** 3)
+        b = 2 * (k + n) * (k - n) * b // ((2 * k + 1) * (k + 1))  # exact
+    # zeta = (2 + sqrt 2) s / (d 2^P), with sqrt 2 = isqrt(2^(2P+1)) / 2^P
+    with mp.workprec(prec):
+        return mp.mpf(_div(((2 << P) + isqrt(2 * one)) * s, -2 * P, d, prec))

@@ -113,8 +113,8 @@ def test_prediction_json_round_trip():
 # --- fits -------------------------------------------------------------------
 
 
-def _synthetic_series(nmax, log_f, log_g=0, log_c=0, kappa=0):
-    with mp.workprec(300):
+def _synthetic_series(nmax, log_f, log_g=0, log_c=0, kappa=0, prec=300):
+    with mp.workprec(prec):
         out = []
         for n in range(1, nmax + 1):
             v = (
@@ -155,6 +155,20 @@ def test_fit_kappa_removes_g_term():
     series = _synthetic_series(20, log_f="0.4", log_g="-0.2", log_c="0.5", kappa="-0.1")
     fit = sv.fit_kappa(series, "0.4", log_g="-0.2", g_mode="n")
     assert rel_to(fit.extrapolated, "-0.1") < mp.mpf("1e-50")
+
+
+def test_fits_keep_the_bits_of_their_inputs():
+    # 1,200-bit inputs: a fit at a fixed 512 or 1,024 bits would stop near
+    # 2^-1000, above the 2^-1100 asserted here
+    tol = mp.mpf(2) ** -1100
+    with mp.workprec(1200):
+        log_f, log_g = mp.mpf("0.4"), mp.mpf("-0.2")
+    series = _synthetic_series(20, log_f, log_g, log_c="0.5", kappa="0.25", prec=1200)
+    fit = sv.fit_kappa(series, log_f, log_g=log_g, g_mode="n")
+    assert rel_to(fit.extrapolated, "0.25") < tol
+    assert rel_to(fit.log_c, "0.5") < tol
+    series = _synthetic_series(12, log_f, log_g, log_c="1.1", prec=1200)
+    assert rel_to(sv.fit_free_energy(series).extrapolated, log_f) < tol
 
 
 def test_fit_requires_enough_consecutive_points():

@@ -214,16 +214,22 @@ def test_norms_near_the_ferro_edge_meet_their_claim(capsys):
         assert abs(mp.mpf(out["h"][0]) - ref) / ref < mp.mpf(2) ** -128
 
 
-def test_compare_critical_fd_evaluates_zeta_once_per_precision(capsys):
-    # every n of the critical-fd law needs the same zeta(3/2)
+def test_compare_critical_fd_evaluates_zeta_once_per_precision(capsys, monkeypatch):
+    # every n of the critical-fd law needs the same zeta(3/2), F and G
+    calls = []
     zeta = sixvertex.specfun.zeta_three_halves
-    zeta.cache_clear()
+    monkeypatch.setattr(sixvertex.asymptotics, "zeta_three_halves",
+                        lambda ctx: calls.append(ctx) or zeta(ctx))
+    law = sixvertex.asymptotics._crit_fd_law
+    law.cache_clear()
     assert cli.run(["compare", "--phase", "critical-fd", "--alpha", "3", "--nmax", "6"]) == 0
     capsys.readouterr()
-    info = zeta.cache_info()
-    assert (info.misses, info.hits) == (1, 5)
     ctx = next(sixvertex.contexts(sixvertex.PhaseParams(sixvertex.Phase.CRITICAL_FD, alpha=3), 6))
-    assert zeta(ctx)._mpf_ == zeta.__wrapped__(ctx)._mpf_
+    assert calls == [ctx]
+    assert (law.cache_info().misses, law.cache_info().hits) == (1, 5)
+    point = (mp.mpf(3), ctx)
+    cached = law(*point)
+    assert [x._mpf_ for x in cached] == [x._mpf_ for x in law.__wrapped__(*point)]
 
 
 def test_compare_ferro_evaluates_its_law_once_per_precision(capsys, monkeypatch):

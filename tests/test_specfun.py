@@ -465,3 +465,22 @@ def test_zeta_lower_bound_partial_sum():
     with CTX256.guardprec():
         partial = mp.fsum(mp.mpf(k) ** mp.mpf("-1.5") for k in range(1, 11))
     assert sv.zeta_three_halves(CTX256) > partial
+
+
+ZETA_CONTEXTS = [
+    ctx
+    for bits in [*range(64, 1501, 37), 244, 328, 656, 1312]
+    for ctx in (sv.PrecisionContext(bits), sv.PrecisionContext(bits, claim=bits // 2))
+]
+
+
+def test_zeta_three_halves_against_mpmath_zeta():
+    # one reference at 2 guard_bits + 64 of the widest context serves all;
+    # Euler-Maclaurin is independent of the Chebyshev-accelerated series the
+    # kernel sums (and of mpmath's default for real s, Borwein's)
+    prec = 2 * max(ctx.guard_bits for ctx in ZETA_CONTEXTS) + 64
+    with mp.workprec(prec):
+        ref = mp.zeta(mp.mpf(3) / 2, method="euler-maclaurin")
+    for ctx in ZETA_CONTEXTS:
+        got = sv.zeta_three_halves(ctx)
+        assert rel_to(got, ref, prec) <= mp.mpf(2) ** -(ctx.guard_bits + 24), ctx

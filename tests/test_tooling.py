@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from sixvertex import PrecisionContext, Weights, _linalg, cli, transfer_matrix_zn
+from sixvertex import (
+    PrecisionContext, Weights, _linalg, asymptotics, cli, transfer_matrix_zn,
+)
 
 from oracles import asm_count
 
@@ -88,6 +90,20 @@ def test_traced_compare_reaches_every_layer(tracer, capsys, params):
     for counter in ("asymptotics.predict_calls", "specfun.kernel_calls",
                     "specfun.moments_calls", "linalg.elim_calls"):
         assert tracer.counts[counter] > 0, counter
+
+
+def test_traced_critical_fd_sees_the_kernel_and_the_fits(tracer, capsys):
+    # zeta(3/2) runs once inside the cached law, which the tracer does not
+    # wrap, and is still counted as a kernel call
+    asymptotics._crit_fd_law.cache_clear()
+    point = ["--phase", "critical-fd", "--alpha", "3", "--nmax", "6"]
+    assert cli.run(["compare", *point]) == 0
+    capsys.readouterr()
+    assert tracer.counts["specfun.kernel_calls"] == 1
+    assert tracer.counts["asymptotics.predict_calls"] == 6
+    assert cli.run(["fit", *point]) == 0
+    capsys.readouterr()
+    assert tracer.self_times()["asymptotics.fit_s"] > 0
 
 
 def test_traced_compare_splits_the_chebyshev_runs(tracer, capsys, rungs):
