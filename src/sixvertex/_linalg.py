@@ -55,20 +55,25 @@ def _lu_det(a: List[List]):
     return det
 
 
-# Exponent that _split gives an exact zero: above that of every finite value
+# Exponent that _exact gives an exact zero: above that of every finite value
 # the kernel meets, so a zero term never sets the alignment of a sum.
 _ZERO_EXP = 1 << 40
 
 
-def _split(x):
-    """(man, exp), Python ints with man 2^exp equal to x rounded to ambient
-    precision; an exact zero is (0, _ZERO_EXP)."""
-    sign, man, exp, bc = mp.mpf(x)._mpf_
+def _exact(x):
+    """(man, exp), Python ints with man 2^exp equal to the mpf x exactly; an
+    exact zero is (0, _ZERO_EXP)."""
+    sign, man, exp, bc = x._mpf_
     if not man:
         if bc:  # mpmath's inf and nan have a zero mantissa and a nonzero bc
             raise ValueError(f"non-finite value {x}")
         return 0, _ZERO_EXP
     return (-man if sign else man), exp
+
+
+def _split(x):
+    """``_exact`` of x rounded to ambient precision."""
+    return _exact(mp.mpf(x))
 
 
 def _round(man: int, exp: int, prec: int):
@@ -150,22 +155,27 @@ def _forward_pivots(moments: List) -> List:
 
 
 def _check_agreement(base, guard, ctx: PrecisionContext, what: str) -> int:
-    """Bits on which the base and guard values agree, floor(-log2 of
-    |base - guard| / |guard|) and at most ctx.bits.  Raises
-    PrecisionFailureError when they differ by more than 2^(-claim_bits)."""
-    tol = ctx.verify_tolerance()
-    with mp.workprec(ctx.guard_bits):
-        scale = abs(guard)
-        diff = abs(base - guard)
-        if scale == 0 or diff > tol * scale:
-            raise PrecisionFailureError(
-                f"{what} failed verification at {ctx.bits} bits "
-                f"(guard rerun at {ctx.guard_bits} bits disagrees); raise bits"
-            )
-        if diff == 0:
-            return ctx.bits
-        mant, exp = mp.frexp(diff / scale)  # 1/2 <= mant < 1
-    return min(ctx.bits, -exp + (mant == 0.5))
+    """Bits on which the mpf base and guard values agree, floor(-log2 of
+    |base - guard| / |guard|) and at most ctx.bits, computed exactly on their
+    integer mantissas.  Raises PrecisionFailureError when they differ by more
+    than 2^(-claim_bits)."""
+    (bm, be), (gm, ge) = _exact(base), _exact(guard)
+    d = s = 0
+    # a zero on either side, or leading bits two or more binades apart, puts
+    # |base - guard| above |guard| / 2, past every claim: no need to align
+    if bm and gm and abs(bm.bit_length() + be - gm.bit_length() - ge) < 2:
+        e = min(be, ge)
+        g = gm << (ge - e)
+        d, s = abs((bm << (be - e)) - g), abs(g)
+    if not s or d << ctx.claim_bits > s:
+        raise PrecisionFailureError(
+            f"{what} failed verification at {ctx.bits} bits "
+            f"(guard rerun at {ctx.guard_bits} bits disagrees); raise bits"
+        )
+    if not d:
+        return ctx.bits
+    k = s.bit_length() - d.bit_length()  # 2^(k-1) < s/d < 2^(k+1)
+    return min(ctx.bits, k if d << k <= s else k - 1)
 
 
 def _verified_run(kernel, moments: Sequence, n: int, ctx: PrecisionContext):

@@ -6,9 +6,10 @@ Z_n = (ab)^(n^2) tau_n / (prod_{k<n} k!)^2 with tau_n the n x n Hankel
 determinant of the derivatives of phi(t) = c/(ab); on the critical lines the
 moments are those of the critical weight and b/c replaces ab.  Every tau_n
 used here is a prefix product prod_{k<n} h_k of one run of Chebyshev norms;
-``hankel_det`` keeps pivoted LU as the independent reference.  tau_0 is
-defined as 1 so the Toda relation tau_n tau_n'' - (tau_n')^2 = tau_{n+1}
-tau_{n-1} is meaningful from n = 1.
+``hankel_det`` keeps pivoted LU as the independent reference.  The square
+(prod_{k<n} k!)^2 is divided out as its odd part times a power of two, the
+same value exactly.  tau_0 is defined as 1 so the Toda relation
+tau_n tau_n'' - (tau_n')^2 = tau_{n+1} tau_{n-1} is meaningful from n = 1.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import mul
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from . import _linalg
 from .errors import ParameterDomainError, PrecisionFailureError
@@ -131,18 +133,30 @@ def _taus(m: MomentSequence, size: int, ctx: PrecisionContext) -> List[Tuple]:
         return list(zip(accumulate(norms, mul), accumulate(agreement, min)))
 
 
+def _superfactorial_squares() -> Iterator[Tuple[int, int]]:
+    """(odd, twos) with (prod_{k<n} k!)^2 = odd 2^twos, for n = 1, 2, ...
+    mpmath normalizes an int slowly by its trailing zero bits, so the
+    division by the square reads it as this pair, the same value exactly."""
+    odd, twos = 1, 0
+    for m in count():  # m = n - 1
+        v = m - m.bit_count()  # 2-adic valuation of m!
+        odd *= (math.factorial(m) >> v) ** 2
+        twos += 2 * v
+        yield odd, twos
+
+
 def _series(
     p: PhaseParams, moments: MomentSequence, nmax: int, ctx: PrecisionContext
 ) -> List[ZnResult]:
     """Z_1..Z_nmax of p from its moments (order at least 2 nmax - 2); a
     rational alpha gives the critical base (1 + alpha)/2 exactly, rounded once."""
     w = None if p.phase.is_critical else weights_from_params(p, ctx)
-    out, superfactorial = [], 1  # prod_{k<n} k!
+    out = []
     with ctx.guardprec():
         base = to_mpf((1 + exact_or_mpf(p.alpha)) / 2) if w is None else w.a * w.b
-        for n, (tau, agree) in enumerate(_taus(moments, nmax, ctx), start=1):
-            superfactorial *= math.factorial(n - 1)
-            zn = base ** (n * n) * tau / superfactorial**2
+        taus = _taus(moments, nmax, ctx)
+        for n, (tau, agree), square in zip(count(1), taus, _superfactorial_squares()):
+            zn = base ** (n * n) * tau / mp.make_mpf(from_man_exp(*square))
             out.append(ZnResult(n, zn, p.phase, moments.params, ctx, agree))
     return out
 
@@ -187,7 +201,8 @@ def zn_series(
     moments, computed by Chebyshev's algorithm in O(nmax^2) operations.  In a
     bulk phase the moments are the phi-derivatives and base = ab; on a
     critical line they are the crit_fd/crit_afd moments and base = b/c =
-    (1+alpha)/2.  The superfactorial is divided out as an exact integer.
+    (1+alpha)/2.  The superfactorial's square is divided out as its odd part
+    times a power of two, the integer square's value exactly.
     Without ``ctx`` the series runs on the precision ladder of
     ``contexts(p, nmax)``; with one it runs at exactly that precision or raises.
     """

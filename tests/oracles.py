@@ -2,10 +2,11 @@
 truncated series summation (moments, theta_4 and theta_1'(0)), adaptive
 quadrature, central differences, O(n^3) elimination on the Hankel moment
 matrix, Chebyshev's algorithm in the arithmetic of its moments and
-fraction-free over the integers, closed-form exact moments of the critical
-lines, exact negative-order polylogarithms, exact phi-derivatives at rational
-cot/coth values, the ASM count, a vertex classifier for domain-wall lattice
-configurations, and the transfer-matrix DP over all n rows.
+fraction-free over the integers, the bits on which two values agree,
+closed-form exact moments of the critical lines, exact negative-order
+polylogarithms, exact phi-derivatives at rational cot/coth values, the ASM
+count, a vertex classifier for domain-wall lattice configurations, and the
+transfer-matrix DP over all n rows.
 
 Parameters are converted to mpf inside the stated working precision, so pass
 exact values (ints, Fractions, decimal strings)."""
@@ -49,12 +50,27 @@ def series_af_moments(kmax, t, gamma, bits=512, lmax=400):
         return _weighted_power_sums(kmax, nodes, weights)
 
 
+@lru_cache(maxsize=None)
+def _crit_fd_weight(x, r, prec):
+    """e^{-x} - e^{-rx} at prec bits: the tanh-sinh nodes do not depend on
+    k, so the quadratures of every moment at one precision share it."""
+    with mp.workprec(prec):
+        return mp.exp(-x) - mp.exp(-r * x)
+
+
+@lru_cache(maxsize=None)
+def _crit_afd_weight(x, r, prec):
+    """e^{-x} for x >= 0 and e^{rx} below, at prec bits, shared as above."""
+    with mp.workprec(prec):
+        return mp.exp(-x) if x >= 0 else mp.exp(r * x)
+
+
 def quad_crit_fd_moment(k, alpha, bits=512):
     """int_0^inf x^k (e^{-x} - e^{-rx}) dx by adaptive quadrature."""
     with mp.workprec(bits):
         a = to_mpf(alpha)
         r = (a + 1) / (a - 1)
-        return mp.quad(lambda x: x**k * (mp.exp(-x) - mp.exp(-r * x)), [0, mp.inf])
+        return mp.quad(lambda x: x**k * _crit_fd_weight(x, r, mp.prec), [0, mp.inf])
 
 
 def quad_crit_afd_moment(k, alpha, bits=512):
@@ -63,11 +79,7 @@ def quad_crit_afd_moment(k, alpha, bits=512):
     with mp.workprec(bits):
         a = to_mpf(alpha)
         r = (1 + a) / (1 - a)
-
-        def f(x):
-            return x**k * (mp.exp(-x) if x >= 0 else mp.exp(r * x))
-
-        return mp.quad(f, [-mp.inf, 0, mp.inf])
+        return mp.quad(lambda x: x**k * _crit_afd_weight(x, r, mp.prec), [-mp.inf, 0, mp.inf])
 
 
 def central_diff(f, x, h, bits=1024):
@@ -124,6 +136,23 @@ def elimination_pivots(moments, n):
             for k in range(col + 1, n):
                 row_r[k] -= f * row_c[k]
     return pivots
+
+
+def agreement_bits(base, guard, ctx):
+    """floor(-log2 |base - guard| / |guard|) of two mpf values, at most
+    ctx.bits (ctx.bits when they are equal), from their exact Fraction
+    values; None when guard is 0."""
+    b, g = ((-1 if x < 0 else 1) * Fraction(x.man) * Fraction(2) ** x.exp for x in (base, guard))
+    if g == 0:
+        return None
+    r = abs(b - g) / abs(g)
+    if r == 0:
+        return ctx.bits
+    # r < 2^-j < 4r: j is floor(-log2 r) or one below it
+    j = r.denominator.bit_length() - r.numerator.bit_length() - 1
+    while r <= Fraction(2) ** -(j + 1):
+        j += 1
+    return min(ctx.bits, j)
 
 
 def chebyshev_norms(moments):

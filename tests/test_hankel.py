@@ -1,19 +1,22 @@
 """Hankel determinants, the Izergin-Korepin formula, and the Toda check."""
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, floor
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import sixvertex as sv
 from sixvertex import _linalg, cli
 from sixvertex.errors import ParameterDomainError, PrecisionFailureError
+from sixvertex.model import exact_or_mpf
 
 from conftest import CTX256, CTX512, RATIONAL_POINTS, _hyperbolic_point, rel_to
 from oracles import (
+    agreement_bits,
     asm_count,
     chebyshev_norms,
     crit_afd_exact_moments,
@@ -515,6 +518,36 @@ def test_ladder_series_meets_its_claim_at_n60_against_the_exact_hankel_route(nam
         assert rel_to(r.zn, ref, 8192) < r.ctx.verify_tolerance(), r.n
 
 
+@pytest.mark.parametrize(
+    "name,nmax", [(name, 60) for name in BULK_POINTS + list(CRITICAL_POINTS)] + [("ferro", 120)]
+)
+def test_zn_series_divides_by_the_superfactorial_square_bit_for_bit(name, nmax):
+    # each Z_n is base^(n^2) tau_n / (prod_{k<n} k!)^2 with the square an
+    # int, formed from the same taus, to the last bit
+    p = ladder_params(name)
+    series = sv.zn_series(p, nmax)
+    ctx = series[-1].ctx
+    if p.phase.is_critical:
+        moments_of = sv.crit_fd_moments if p.phase is sv.Phase.CRITICAL_FD else sv.crit_afd_moments
+        moments = moments_of(2 * nmax - 2, p.alpha, ctx)
+    else:
+        moments = sv.phi_derivatives(p, 2 * nmax - 2, ctx)
+        w = sv.weights_from_params(p, ctx)
+    superfactorial = 1
+    with ctx.guardprec():
+        base = sv.to_mpf((1 + exact_or_mpf(p.alpha)) / 2) if p.phase.is_critical else w.a * w.b
+        for r, (tau, _) in zip(series, sv.hankel._taus(moments, nmax, ctx), strict=True):
+            superfactorial *= factorial(r.n - 1)
+            assert r.zn._mpf_ == (base ** (r.n * r.n) * tau / superfactorial**2)._mpf_, r.n
+
+
+def test_superfactorial_squares_are_the_odd_part_and_the_power_of_two():
+    square = 1
+    for n, (odd, twos) in zip(range(1, 301), sv.hankel._superfactorial_squares()):
+        square *= factorial(n - 1) ** 2
+        assert odd % 2 == 1 and odd << twos == square, n
+
+
 def test_zn_series_meets_its_claim_next_to_alpha_minus_one():
     # alpha = -1 + 10^-90: rounded before 1 + alpha was formed, it made the
     # first rung's guard run divide by zero
@@ -635,6 +668,107 @@ def test_chebyshev_kernel_skips_only_exact_zero_odd_moments(disordered_pi3):
     # the claim sees the odd moment: without it the norms move past the claim
     symmetric = chebyshev_norms(exact_mus[:3] + [Fraction(0)] + exact_mus[4:])
     assert any(abs(s - e) > e / 2**ctx.claim_bits for s, e in zip(symmetric, exact))
+
+
+LADDER_CONTEXTS = st.integers(64, 2048).flatmap(
+    lambda bits: st.builds(
+        lambda claim: sv.PrecisionContext(bits, claim=claim), st.integers(1, bits - 1)
+    )
+)
+CLAIMLESS_CONTEXTS = st.builds(sv.PrecisionContext, st.integers(64, 1024))
+
+
+def check_or_raise(base, guard, ctx):
+    """_check_agreement's bits, or None when it raises PrecisionFailureError."""
+    try:
+        return _linalg._check_agreement(base, guard, ctx, "value")
+    except PrecisionFailureError as exc:
+        assert "value failed verification" in str(exc)
+        return None
+
+
+def expected_agreement(base, guard, ctx):
+    """The exact oracle's bits, or None where they fall short of the claim."""
+    bits = agreement_bits(base, guard, ctx)
+    return None if bits is None or bits < ctx.claim_bits else bits
+
+
+@settings(max_examples=300)
+@given(ctx=LADDER_CONTEXTS | CLAIMLESS_CONTEXTS, data=st.data())
+def test_agreement_check_is_the_exact_floor_of_the_relative_difference(ctx, data):
+    # base = guard (1 + 2^-j (1 + eps 2^-20)) at ctx.bits, with the difference
+    # at every scale from past the bits down to a sign flip; j near the claim
+    # is drawn often
+    man = data.draw(st.integers(1, 2**ctx.guard_bits - 1))
+    exp = data.draw(st.integers(-400, 400))
+    sign, rel_sign = data.draw(st.sampled_from([1, -1])), data.draw(st.sampled_from([1, -1]))
+    claim = ctx.claim_bits
+    j = data.draw(st.integers(-2, ctx.bits + 4) | st.integers(claim - 3, claim + 3))
+    eps = data.draw(st.integers(-(2**20), 2**20))
+    with mp.workprec(ctx.guard_bits):
+        guard = sign * mp.ldexp(man, exp)
+    with mp.workprec(ctx.bits):
+        base = guard * (1 + rel_sign * mp.ldexp(2**20 + eps, -j - 20))
+    assert check_or_raise(base, guard, ctx) == expected_agreement(base, guard, ctx)
+
+
+@pytest.mark.parametrize("ctx", [sv.PrecisionContext(328, claim=128), sv.PrecisionContext(256)])
+def test_agreement_check_at_a_power_of_two_relative_difference(ctx):
+    # guard M = 3 2^(G-2) fills the G guard bits with ulp 1, and base =
+    # M (1 + 2^-j) has j + 2 bits; guard M + 1 or M - 1 moves the relative
+    # difference one guard ulp below or above 2^-j
+    big = 3 << (ctx.guard_bits - 2)
+    claim = ctx.claim_bits
+    cases = {  # j: bits at guard M - 1, M, M + 1
+        claim: (None, claim, claim),
+        claim + 1: (claim, claim + 1, claim + 1),
+        ctx.bits - 2: (ctx.bits - 3, ctx.bits - 2, ctx.bits - 2),
+        ctx.bits + 10: (ctx.bits, ctx.bits, ctx.bits),  # capped at the bits
+    }
+    for j, expected in cases.items():
+        with mp.workprec(ctx.guard_bits):
+            base = mp.mpf(big + (big >> j))
+            guards = [mp.mpf(big + offset) for offset in (-1, 0, 1)]
+        got = [check_or_raise(base, guard, ctx) for guard in guards]
+        assert got == [expected_agreement(base, guard, ctx) for guard in guards], j
+        assert got == list(expected), j
+    with mp.workprec(ctx.guard_bits):
+        guard = mp.mpf(big)
+    assert check_or_raise(guard, guard, ctx) == ctx.bits  # d = 0
+
+
+def test_agreement_check_raises_on_a_sign_flip_a_zero_or_a_binade_gap():
+    ctx = sv.PrecisionContext(328, claim=128)
+    with mp.workprec(ctx.guard_bits):
+        guard = mp.mpf(2) / 3
+    zero = mp.mpf(0)
+    pairs = [
+        (-guard, guard),  # sign flip
+        (zero, zero),  # a zero on either side
+        (guard, zero),
+        (zero, guard),
+        (guard * 4, guard),  # leading bits two binades apart
+        (guard / 4, guard),
+        (mp.ldexp(guard, 1 << 24), guard),  # raised without aligning the two
+        (mp.ldexp(guard, -(1 << 24)), guard),
+    ]
+    for base, g in pairs:
+        assert check_or_raise(base, g, ctx) is None, (base, g)
+        assert expected_agreement(base, g, ctx) is None, (base, g)
+
+
+@pytest.mark.parametrize("bad", [mp.nan, mp.inf, -mp.inf])
+def test_agreement_check_rejects_a_non_finite_value(bad):
+    for base, guard in ((bad, mp.mpf(1)), (mp.mpf(1), bad)):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite value {bad}")):
+            _linalg._check_agreement(base, guard, CTX256, "value")
+
+
+@pytest.mark.parametrize("bad", [mp.inf, mp.nan, float("inf")])
+def test_lu_route_rejects_a_non_finite_moment(bad):
+    # the LU determinant of [[1, bad], [bad, 3]] is -inf or nan
+    with pytest.raises(ValueError, match="non-finite value"):
+        _linalg.hankel_determinant([1, bad, 3], 2, CTX256)
 
 
 def _nearest(x: Fraction, prec: int) -> Fraction:
