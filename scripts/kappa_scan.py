@@ -30,9 +30,8 @@ def main(argv=None):
             gamma = mp.pi / 2 * i / (args.points + 1)
             params = sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf(0), gamma=gamma)
             pred = sv.predict_disordered(params.t, gamma, args.nmax, ctx)
-            log_f = mp.log(pred.f)
         series = sv.zn_series(params, args.nmax)
-        fit = sv.fit_kappa([(r.n, r.log_zn) for r in series], log_f)
+        fit = sv.fit_kappa([(r.n, r.log_zn) for r in series], pred.law.log_f)
         with ctx.guardprec():
             err = fit.extrapolated - pred.kappa
         rows.append(

@@ -9,20 +9,39 @@ Predictor shapes (log_prediction sums only the factors a phase provides):
     critical FE-D       Z_n ~ C n^(1/4) G^(sqrt n) F^(n^2)
     antiferroelectric   Z_n ~ C theta4(n omega) F^(n^2)
 
-The constants C are never predicted, only fitted.
+One cached law record holds a phase's n-independent factors; ``_predict``
+adds n^2 log F, n^p log G, kappa log n, log C and log theta4(n omega) in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath import mp
 
 from .errors import ParameterDomainError
 from .model import DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, to_mpf
 from .specfun import theta1, theta1_prime0, theta4, zeta_three_halves
+
+# n^p for the power p of n on log G, by its name in g_mode
+_N_POWERS = {"n": mp.mpf, "sqrt_n": mp.sqrt}
+
+
+class _Law(NamedTuple):
+    """The n-independent factors of a phase's law; an absent term is None."""
+
+    f: object
+    log_f: object
+    kappa: Optional[object] = None
+    g: Optional[object] = None
+    log_g: Optional[object] = None
+    g_mode: Optional[str] = None  # n^p on log G: p = 1 ("n") or 1/2 ("sqrt_n")
+    c: Optional[object] = None
+    log_c: Optional[object] = None
+    q: Optional[object] = None  # the AF nome and the theta4 argument step
+    omega: Optional[object] = None
 
 
 @dataclass(frozen=True)
@@ -36,6 +55,7 @@ class AsymptoticPrediction:
     g_mode: Optional[str] = None  # "n" or "sqrt_n"
     c: Optional[object] = None
     theta_factor: Optional[object] = None
+    law: Optional[_Law] = None
 
     def to_json(self, dps: int = 30) -> dict:
         out = {
@@ -82,23 +102,70 @@ def predict_disordered(
 ) -> AsymptoticPrediction:
     """F = pi a b / (2 gamma cos(pi t / (2 gamma))),
     kappa = 1/12 - 2 gamma^2 / (3 pi (pi - 2 gamma))."""
-    PhaseParams(Phase.DISORDERED, t=t, gamma=gamma)
+    return _predict(_disordered_law, PhaseParams(Phase.DISORDERED, t=t, gamma=gamma), n, ctx)
+
+
+def predict_ferro(
+    t, gamma, n: int, ctx: Optional[PrecisionContext] = None
+) -> AsymptoticPrediction:
+    """C = prod_{k>=1} (1 - e^(-4 gamma k)), G = e^(gamma - t),
+    F = b = sinh(t + gamma)."""
+    return _predict(_ferro_law, PhaseParams(Phase.FERROELECTRIC, t=t, gamma=gamma), n, ctx)
+
+
+def predict_crit_fd(
+    alpha, n: int, ctx: Optional[PrecisionContext] = None
+) -> AsymptoticPrediction:
+    """kappa = 1/4, G = exp(-zeta(3/2) sqrt(a/pi)), F = b, with the critical
+    point a = (alpha-1)/2, b = (alpha+1)/2."""
+    return _predict(_crit_fd_law, PhaseParams(Phase.CRITICAL_FD, alpha=alpha), n, ctx)
+
+
+def predict_af(
+    t, gamma, n: int, ctx: Optional[PrecisionContext] = None
+) -> AsymptoticPrediction:
+    """F = pi a b theta1'(0) / (2 gamma theta1(omega)) with nome
+    q = e^(-pi^2 / (2 gamma)) and omega = (pi/2)(1 + t/gamma); the oscillating
+    factor is theta4(n omega)."""
+    return _predict(_af_law, PhaseParams(Phase.ANTIFERROELECTRIC, t=t, gamma=gamma), n, ctx)
+
+
+def _predict(build, params: PhaseParams, n: int, ctx) -> AsymptoticPrediction:
+    """log Z_n: the terms of build's law at params' point, in the module's order."""
+    if n < 1:
+        raise ParameterDomainError(f"n >= 1 required, got {n}")
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
-        f, log_f, kappa = _disordered_law(to_mpf(t), to_mpf(gamma), ctx)
-        log_pred = n * n * log_f + kappa * mp.log(n)
-    return AsymptoticPrediction(Phase.DISORDERED, n, f, log_pred, kappa=kappa)
+        point = (params.t, params.gamma, params.alpha)
+        law = _law(build, tuple(to_mpf(v) for v in point if v is not None), ctx)
+        log_pred = n * n * law.log_f
+        if law.log_g is not None:
+            log_pred += _N_POWERS[law.g_mode](n) * law.log_g
+        if law.kappa is not None:
+            log_pred += law.kappa * mp.log(n)
+        if law.log_c is not None:
+            log_pred += law.log_c
+        tf = None
+        if law.q is not None:
+            tf = theta4(n * law.omega, law.q, ctx)
+            log_pred += mp.log(tf)
+    return AsymptoticPrediction(params.phase, n, law.f, log_pred, law.kappa, law.g,
+                                law.g_mode, law.c, tf, law)
 
 
 @lru_cache(maxsize=None)
-def _disordered_law(tt, g, ctx: PrecisionContext):
-    """(F, log F, kappa) at the mpf point (tt, g).  None depends on n, so
-    they are computed once per (t, gamma, ctx) for a whole series."""
+def _law(build, point: tuple, ctx: PrecisionContext) -> _Law:
+    """build(*point, ctx), keyed on the mpf point, not on the inputs rounded to
+    it: zeta(3/2), the Euler product, theta1 and theta1'(0) run once a series."""
     with ctx.guardprec():
-        a, b = mp.sin(g - tt), mp.sin(g + tt)
-        f = mp.pi * a * b / (2 * g * mp.cos(mp.pi * tt / (2 * g)))
-        kappa = mp.mpf(1) / 12 - 2 * g * g / (3 * mp.pi * (mp.pi - 2 * g))
-        return f, mp.log(f), kappa
+        return build(*point, ctx)
+
+
+def _disordered_law(tt, g, ctx) -> _Law:
+    a, b = mp.sin(g - tt), mp.sin(g + tt)
+    f = mp.pi * a * b / (2 * g * mp.cos(mp.pi * tt / (2 * g)))
+    kappa = mp.mpf(1) / 12 - 2 * g * g / (3 * mp.pi * (mp.pi - 2 * g))
+    return _Law(f, mp.log(f), kappa=kappa)
 
 
 def _ferro_constant(g, bits: int):
@@ -118,86 +185,26 @@ def _ferro_constant(g, bits: int):
     return c
 
 
-def predict_ferro(
-    t, gamma, n: int, ctx: Optional[PrecisionContext] = None
-) -> AsymptoticPrediction:
-    """C = prod_{k>=1} (1 - e^(-4 gamma k)), G = e^(gamma - t),
-    F = b = sinh(t + gamma)."""
-    PhaseParams(Phase.FERROELECTRIC, t=t, gamma=gamma)
-    ctx = ctx or DEFAULT_CONTEXT
-    with ctx.guardprec():
-        f, log_f, gg, log_g, c, log_c = _ferro_law(to_mpf(t), to_mpf(gamma), ctx)
-        log_pred = n * n * log_f + n * log_g + log_c
-    return AsymptoticPrediction(
-        Phase.FERROELECTRIC, n, f, log_pred, g=gg, g_mode="n", c=c
-    )
+def _ferro_law(tt, g, ctx) -> _Law:
+    f = mp.sinh(tt + g)
+    c = _ferro_constant(g, ctx.bits)
+    return _Law(f, mp.log(f), g=mp.exp(g - tt), log_g=g - tt, g_mode="n",
+                c=c, log_c=mp.log(c))
 
 
-@lru_cache(maxsize=None)
-def _ferro_law(tt, g, ctx: PrecisionContext):
-    """(F, log F, G, log G, C, log C) at the mpf point (tt, g).  None depends
-    on n, so the Euler product runs once per (t, gamma, ctx) for a whole
-    series."""
-    with ctx.guardprec():
-        f = mp.sinh(tt + g)
-        gg = mp.exp(g - tt)
-        c = _ferro_constant(g, ctx.bits)
-        return f, mp.log(f), gg, g - tt, c, mp.log(c)
+def _crit_fd_law(aa, ctx) -> _Law:
+    a, f = (aa - 1) / 2, (aa + 1) / 2
+    log_g = -zeta_three_halves(ctx) * mp.sqrt(a / mp.pi)
+    return _Law(f, mp.log(f), kappa=mp.mpf(1) / 4, g=mp.exp(log_g), log_g=log_g,
+                g_mode="sqrt_n")
 
 
-def predict_crit_fd(
-    alpha, n: int, ctx: Optional[PrecisionContext] = None
-) -> AsymptoticPrediction:
-    """kappa = 1/4, G = exp(-zeta(3/2) sqrt(a/pi)), F = b, with the critical
-    point a = (alpha-1)/2, b = (alpha+1)/2."""
-    PhaseParams(Phase.CRITICAL_FD, alpha=alpha)
-    ctx = ctx or DEFAULT_CONTEXT
-    with ctx.guardprec():
-        f, log_f, gg, log_g = _crit_fd_law(to_mpf(alpha), ctx)
-        kappa = mp.mpf(1) / 4
-        log_pred = n * n * log_f + mp.sqrt(n) * log_g + kappa * mp.log(n)
-    return AsymptoticPrediction(
-        Phase.CRITICAL_FD, n, f, log_pred, kappa=kappa, g=gg, g_mode="sqrt_n"
-    )
-
-
-@lru_cache(maxsize=None)
-def _crit_fd_law(aa, ctx: PrecisionContext):
-    """(F, log F, G, log G) at the mpf alpha aa.  None depends on n, so
-    zeta(3/2) and the transcendental work run once per (alpha, ctx) for a
-    whole series."""
-    with ctx.guardprec():
-        a, f = (aa - 1) / 2, (aa + 1) / 2
-        log_g = -zeta_three_halves(ctx) * mp.sqrt(a / mp.pi)
-        return f, mp.log(f), mp.exp(log_g), log_g
-
-
-def predict_af(
-    t, gamma, n: int, ctx: Optional[PrecisionContext] = None
-) -> AsymptoticPrediction:
-    """F = pi a b theta1'(0) / (2 gamma theta1(omega)) with nome
-    q = e^(-pi^2 / (2 gamma)) and omega = (pi/2)(1 + t/gamma); the oscillating
-    factor is theta4(n omega)."""
-    PhaseParams(Phase.ANTIFERROELECTRIC, t=t, gamma=gamma)
-    ctx = ctx or DEFAULT_CONTEXT
-    with ctx.guardprec():
-        q, omega, f, log_f = _af_law(to_mpf(t), to_mpf(gamma), ctx)
-        tf = theta4(n * omega, q, ctx)
-        log_pred = n * n * log_f + mp.log(tf)
-    return AsymptoticPrediction(Phase.ANTIFERROELECTRIC, n, f, log_pred, theta_factor=tf)
-
-
-@lru_cache(maxsize=None)
-def _af_law(tt, g, ctx: PrecisionContext):
-    """(q, omega, F, log F) at the mpf point (tt, g).  None depends on n, so
-    the theta1 and theta1'(0) kernels run once per (t, gamma, ctx) for a
-    whole series."""
-    with ctx.guardprec():
-        q = mp.exp(-mp.pi**2 / (2 * g))
-        omega = mp.pi / 2 * (1 + tt / g)
-        a, b = mp.sinh(g - tt), mp.sinh(g + tt)
-        f = mp.pi * a * b * theta1_prime0(q, ctx) / (2 * g * theta1(omega, q, ctx))
-        return q, omega, f, mp.log(f)
+def _af_law(tt, g, ctx) -> _Law:
+    q = mp.exp(-mp.pi**2 / (2 * g))
+    omega = mp.pi / 2 * (1 + tt / g)
+    a, b = mp.sinh(g - tt), mp.sinh(g + tt)
+    f = mp.pi * a * b * theta1_prime0(q, ctx) / (2 * g * theta1(omega, q, ctx))
+    return _Law(f, mp.log(f), q=q, omega=omega)
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +266,16 @@ def fit_kappa(
     series: Sequence,
     log_f,
     log_g=None,
-    g_mode: str = "n",
+    g_mode: Optional[str] = "n",
     window: Optional[int] = None,
 ) -> FitResult:
     """Least-squares slope of r_n = log Z_n - n^2 log F - (n or sqrt n) log G
     against log n over a trailing window; the intercept estimates log C.
+    ``g_mode`` ("n" or "sqrt_n") is the power of n on log G; None without G.
 
     Per-n estimates are the pairwise difference quotients of r against log n.
     """
-    if g_mode not in ("n", "sqrt_n"):
+    if g_mode not in _N_POWERS and (g_mode is not None or log_g is not None):
         raise ParameterDomainError(f"g_mode must be 'n' or 'sqrt_n', got {g_mode}")
     pts = _check_series(series)
     inputs = [v for _, v in pts] + [x for x in (log_f, log_g) if x is not None]
@@ -278,7 +286,7 @@ def fit_kappa(
         for n, lz in pts:
             r = to_mpf(lz) - n * n * lf
             if lg is not None:
-                r -= (mp.mpf(n) if g_mode == "n" else mp.sqrt(n)) * lg
+                r -= _N_POWERS[g_mode](n) * lg
             resid.append((n, mp.log(n), r))
         ests = []
         for (_, x1, r1), (n2, x2, r2) in zip(resid, resid[1:]):

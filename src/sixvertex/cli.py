@@ -310,20 +310,11 @@ def _fit_report(args, params: PhaseParams, ctx: PrecisionContext) -> dict:
         "agreement_bits": series[-1].agreement_bits,
         "free_energy": f_fit.to_json(ctx.dps),
     }
-    # kappa regression against log n applies where the predictor has n^kappa;
-    # the theorem value of log F is used so the n^2 term cancels cleanly.
+    # kappa is regressed where the law has n^kappa, on the law's own log F and G
     if entry.fits_kappa:
         pred = entry.predict(params, args.nmax, ctx)
-        with ctx.guardprec():
-            log_f = mp.log(pred.f)
-            log_g = mp.log(pred.g) if pred.g is not None else None
-        k_fit = asymptotics.fit_kappa(
-            pts,
-            log_f,
-            log_g=log_g,
-            g_mode=pred.g_mode or "n",
-            window=args.window,
-        )
+        law = pred.law
+        k_fit = asymptotics.fit_kappa(pts, law.log_f, law.log_g, law.g_mode, args.window)
         obj["kappa"] = k_fit.to_json(ctx.dps)
         obj["predicted"] = pred.to_json(ctx.dps)
     return obj

@@ -333,8 +333,8 @@ def theta1_prime0(q, ctx: Optional[PrecisionContext] = None):
 # D. Zagier, Exp. Math. 9 (2000) 3-12: eta ~ sum_k c_k (k+1)^(-3/2) / d with
 # d = T_n(3) and error ~ (3 + sqrt 8)^(-n).  d, the coefficients b_k of T_n and
 # the running c_k are exact ints, each (k+1)^(-3/2) and sqrt 2 an integer
-# square root at P bits, and the sum is rounded once.  Not cached: the
-# critical-fd law (``asymptotics._crit_fd_law``) asks once per series.
+# square root at P bits, and the sum is rounded once.  Not cached: it runs in
+# the critical-fd law, which the one law cache (``asymptotics._law``) holds.
 
 
 def zeta_three_halves(ctx: Optional[PrecisionContext] = None):

@@ -91,28 +91,40 @@ def central_diff(f, x, h, bits=1024):
 
 def series_theta4(z, q, bits=512):
     """1 + 2 sum_{k>=1} (-1)^k q^(k^2) cos(2kz), keeping every term whose
-    bound 2 q^(k^2) is above 2^-bits.  q^(k^2) and e^(2ikz) are running
-    products."""
+    bound 2 q^(k^2) is above 2^-bits.  cos(2kz) runs by the recurrence
+    cos(2kz) = 2 cos(2z) cos(2(k-1)z) - cos(2(k-2)z)."""
     with mp.workprec(bits):
         z, q = to_mpf(z), to_mpf(q)
-        s, qk, step = mp.mpf(1), q, q**3  # q^(k^2) and q^(2k+1) at k = 1
-        e = w = mp.expj(2 * z)
-        sign, eps = -1, mp.mpf(2) ** -bits
-        while 2 * qk > eps:
-            s += 2 * sign * qk * e.real
-            qk, step, e, sign = qk * step, step * q * q, e * w, -sign
+        c = mp.cos(2 * z)
+        s, prev, cur, sign = mp.mpf(1), mp.mpf(1), c, -1  # cur = cos(2kz) at k = 1
+        for qk in _nome_squares(q, bits):
+            s += 2 * sign * qk * cur
+            prev, cur, sign = cur, 2 * c * cur - prev, -sign
         return s
+
+
+@lru_cache(maxsize=None)
+def _nome_squares(q, bits):
+    """q^(k^2) for k = 1, 2, ... while 2 q^(k^2) > 2^-bits, as running
+    products at bits; shared by every z of one (q, bits)."""
+    with mp.workprec(bits):
+        out, qk, step, eps = [], q, q**3, mp.mpf(2) ** -bits  # q^(k^2), q^(2k+1)
+        while 2 * qk > eps:
+            out.append(qk)
+            qk, step = qk * step, step * q * q
+        return tuple(out)
 
 
 def series_theta1_prime0(q, bits=512):
     """2 sum_{k>=0} (-1)^k (2k+1) q^((k+1/2)^2), keeping every term above
-    2^-bits."""
+    2^-bits.  q^((k+1/2)^2) is a running product from q^(1/4), by q^(2k+2)."""
     with mp.workprec(bits):
         q = to_mpf(q)
         s, k, eps = mp.mpf(0), 0, mp.mpf(2) ** -bits
-        while (term := 2 * (2 * k + 1) * q ** (mp.mpf(2 * k + 1) ** 2 / 4)) > eps:
+        qk, step = mp.sqrt(mp.sqrt(q)), q * q  # q^((k+1/2)^2), q^(2k+2) at k = 0
+        while (term := 2 * (2 * k + 1) * qk) > eps:
             s += (-1) ** k * term
-            k += 1
+            qk, step, k = qk * step, step * q * q, k + 1
         return s
 
 

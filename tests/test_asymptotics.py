@@ -1,5 +1,8 @@
 """Theorem predictors and the F / kappa / C fitting helpers."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
@@ -110,6 +113,43 @@ def test_prediction_json_round_trip():
         assert rel_to(mp.mpf(blob["f"]), pred.f, prec=512) < mp.mpf("1e-35")
 
 
+PREDICTORS = [
+    lambda n: sv.predict_disordered(mp.mpf("0.3"), mp.mpf("1.1"), n, CTX256),
+    lambda n: sv.predict_ferro(2, 1, n, CTX256),
+    lambda n: sv.predict_crit_fd(3, n, CTX256),
+    lambda n: sv.predict_af(mp.mpf("0.3"), 1, n, CTX256),
+]
+
+
+@pytest.mark.parametrize("predict", PREDICTORS)
+@pytest.mark.parametrize("n", [0, -1])
+def test_predictors_reject_n_below_one(predict, n):
+    # below n = 1, log n and sqrt n would make log_prediction infinite or complex
+    with pytest.raises(ParameterDomainError, match=f"n >= 1 required, got {n}"):
+        predict(n)
+
+
+def test_law_sum_adds_each_phase_terms_in_order():
+    # the one sum reproduces, bit for bit, the four sums written out per phase
+    sums = [
+        lambda n, w: n * n * w.log_f + w.kappa * mp.log(n),
+        lambda n, w: n * n * w.log_f + n * w.log_g + w.log_c,
+        lambda n, w: n * n * w.log_f + mp.sqrt(n) * w.log_g + w.kappa * mp.log(n),
+        lambda n, w: n * n * w.log_f + mp.log(sv.theta4(n * w.omega, w.q, CTX256)),
+    ]
+    for predict, written_out in zip(PREDICTORS, sums):
+        for n in (1, 2, 7, 48):
+            pred = predict(n)
+            with CTX256.guardprec():
+                assert pred.log_prediction._mpf_ == written_out(n, pred.law)._mpf_
+
+
+def test_prediction_copies_and_pickles():
+    pred = sv.predict_ferro(2, 1, 3, CTX256)
+    for twin in (copy.copy(pred), pickle.loads(pickle.dumps(pred))):
+        assert twin == pred and twin.law == pred.law
+
+
 # --- fits -------------------------------------------------------------------
 
 
@@ -149,6 +189,8 @@ def test_fit_kappa_exact_linear():
     assert rel_to(fit.extrapolated, "0.25") < mp.mpf("1e-55")
     assert rel_to(fit.log_c, 1) < mp.mpf("1e-55")
     assert fit.residual_norm < mp.mpf("1e-55")
+    # a law without G passes g_mode None
+    assert sv.fit_kappa(series, 0, g_mode=None) == fit
 
 
 def test_fit_kappa_removes_g_term():
@@ -178,6 +220,8 @@ def test_fit_requires_enough_consecutive_points():
         sv.fit_free_energy([(1, 0.0), (2, 1.0), (4, 2.0), (5, 3.0)])
     with pytest.raises(ParameterDomainError):
         sv.fit_kappa(_synthetic_series(10, log_f=0), 0, g_mode="bad")
+    with pytest.raises(ParameterDomainError):
+        sv.fit_kappa(_synthetic_series(10, log_f=0), 0, log_g=0, g_mode=None)
 
 
 def test_fit_window_bounds():

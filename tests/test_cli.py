@@ -214,22 +214,46 @@ def test_norms_near_the_ferro_edge_meet_their_claim(capsys):
         assert abs(mp.mpf(out["h"][0]) - ref) / ref < mp.mpf(2) ** -128
 
 
+PHASE_POINTS = {
+    sixvertex.Phase.DISORDERED: dict(t=mp.mpf("0.3"), gamma=mp.mpf("1.1")),
+    sixvertex.Phase.FERROELECTRIC: dict(t=2, gamma=1),
+    sixvertex.Phase.ANTIFERROELECTRIC: dict(t=mp.mpf("0.3"), gamma=1),
+    sixvertex.Phase.CRITICAL_FD: dict(alpha=3),
+}
+
+
+def test_fits_kappa_is_whether_the_law_has_kappa():
+    # fit could read this from the law, but a fit --phase af would then build
+    # the AF law (theta1 and theta1'(0)) only to throw it away; the flag stays
+    # and must agree with the law
+    predicting = {p: e for p, e in cli._PHASES.items() if e.predict is not None}
+    assert set(predicting) == set(PHASE_POINTS)
+    for phase, entry in predicting.items():
+        pred = entry.predict(sixvertex.PhaseParams(phase, **PHASE_POINTS[phase]), 8, None)
+        assert entry.fits_kappa == (pred.law.kappa is not None), phase
+
+
+def law_bits(law):
+    """The exact value of every term of a law record (None where absent)."""
+    return [getattr(v, "_mpf_", v) for v in law]
+
+
 def test_compare_critical_fd_evaluates_zeta_once_per_precision(capsys, monkeypatch):
     # every n of the critical-fd law needs the same zeta(3/2), F and G
     calls = []
     zeta = sixvertex.specfun.zeta_three_halves
     monkeypatch.setattr(sixvertex.asymptotics, "zeta_three_halves",
                         lambda ctx: calls.append(ctx) or zeta(ctx))
-    law = sixvertex.asymptotics._crit_fd_law
+    law = sixvertex.asymptotics._law
     law.cache_clear()
     assert cli.run(["compare", "--phase", "critical-fd", "--alpha", "3", "--nmax", "6"]) == 0
     capsys.readouterr()
     ctx = next(sixvertex.contexts(sixvertex.PhaseParams(sixvertex.Phase.CRITICAL_FD, alpha=3), 6))
     assert calls == [ctx]
     assert (law.cache_info().misses, law.cache_info().hits) == (1, 5)
-    point = (mp.mpf(3), ctx)
+    point = (sixvertex.asymptotics._crit_fd_law, (mp.mpf(3),), ctx)
     cached = law(*point)
-    assert [x._mpf_ for x in cached] == [x._mpf_ for x in law.__wrapped__(*point)]
+    assert law_bits(cached) == law_bits(law.__wrapped__(*point))
 
 
 def test_compare_ferro_evaluates_its_law_once_per_precision(capsys, monkeypatch):
@@ -238,7 +262,7 @@ def test_compare_ferro_evaluates_its_law_once_per_precision(capsys, monkeypatch)
     constant = sixvertex.asymptotics._ferro_constant
     monkeypatch.setattr(sixvertex.asymptotics, "_ferro_constant",
                         lambda g, bits: calls.append(bits) or constant(g, bits))
-    law = sixvertex.asymptotics._ferro_law
+    law = sixvertex.asymptotics._law
     law.cache_clear()
     # gamma = 0.625 is dyadic, so it parses to the same mpf at every precision
     argv = ["compare", "--phase", "ferro", "--t", "2", "--gamma", "0.625", "--nmax", "24"]
@@ -247,10 +271,10 @@ def test_compare_ferro_evaluates_its_law_once_per_precision(capsys, monkeypatch)
     ferro = sixvertex.PhaseParams(sixvertex.Phase.FERROELECTRIC, t=2, gamma=mp.mpf("0.625"))
     ctx = next(sixvertex.contexts(ferro, 24))
     assert calls == [ctx.bits]
-    point = (mp.mpf(2), mp.mpf("0.625"), ctx)
+    point = (sixvertex.asymptotics._ferro_law, (mp.mpf(2), mp.mpf("0.625")), ctx)
     cached = law(*point)
     assert (law.cache_info().misses, law.cache_info().hits) == (1, 24)
-    assert [x._mpf_ for x in cached] == [x._mpf_ for x in law.__wrapped__(*point)]
+    assert law_bits(cached) == law_bits(law.__wrapped__(*point))
 
 
 # t = 0, gamma = 10: the norms lose about 11.4 n bits, more than the 3.5 n

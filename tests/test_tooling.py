@@ -95,7 +95,7 @@ def test_traced_compare_reaches_every_layer(tracer, capsys, params):
 def test_traced_critical_fd_sees_the_kernel_and_the_fits(tracer, capsys):
     # zeta(3/2) runs once inside the cached law, which the tracer does not
     # wrap, and is still counted as a kernel call
-    asymptotics._crit_fd_law.cache_clear()
+    asymptotics._law.cache_clear()
     point = ["--phase", "critical-fd", "--alpha", "3", "--nmax", "6"]
     assert cli.run(["compare", *point]) == 0
     capsys.readouterr()
