@@ -11,10 +11,8 @@ from .model import (
     PrecisionContext,
     Weights,
     classify,
-    classify_phase,
     delta,
     normalize,
-    swap_ab,
     to_mpf,
     weights_from_params,
 )
@@ -30,7 +28,6 @@ from .specfun import (
     crit_fd_moments,
     ferro_moment,
     ferro_moments,
-    phi,
     phi_derivatives,
     theta1,
     theta1_prime0,
@@ -51,7 +48,6 @@ from .hankel import (
 from .orthopoly import (
     NormSequence,
     meixner_norm,
-    meixner_ratio,
     meixner_ratios,
     norms_from_moments,
     recurrence_r,

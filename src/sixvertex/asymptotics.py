@@ -108,7 +108,7 @@ def predict_disordered(
 def predict_ferro(
     t, gamma, n: int, ctx: Optional[PrecisionContext] = None
 ) -> AsymptoticPrediction:
-    """C = prod_{k>=1} (1 - e^(-4 gamma k)), G = e^(gamma - t),
+    """C = prod_{k>=1} (1 - e^(-4 gamma k)), taken from theta1'(0), G = e^(gamma - t),
     F = b = sinh(t + gamma)."""
     return _predict(_ferro_law, PhaseParams(Phase.FERROELECTRIC, t=t, gamma=gamma), n, ctx)
 
@@ -156,7 +156,7 @@ def _predict(build, params: PhaseParams, n: int, ctx) -> AsymptoticPrediction:
 @lru_cache(maxsize=None)
 def _law(build, point: tuple, ctx: PrecisionContext) -> _Law:
     """build(*point, ctx), keyed on the mpf point, not on the inputs rounded to
-    it: zeta(3/2), the Euler product, theta1 and theta1'(0) run once a series."""
+    it: zeta(3/2), theta1 and theta1'(0) run once a series."""
     with ctx.guardprec():
         return build(*point, ctx)
 
@@ -168,28 +168,20 @@ def _disordered_law(tt, g, ctx) -> _Law:
     return _Law(f, mp.log(f), kappa=kappa)
 
 
-def _ferro_constant(g, bits: int):
-    """The ferroelectric prefactor: the Euler product prod_{k>=1} (1 - e^(-4 gamma k)).
-
-    This is the infinite product of Meixner norm ratios; its leading factor
-    1 - e^(-4 gamma) carries almost all of the value.  Truncated once the
-    next factor is within 2^(-bits-8) of 1.
-    """
-    x = mp.exp(-4 * g)
-    thresh = mp.mpf(2) ** (-(bits + 8))
-    c = mp.mpf(1)
-    xk = x
-    while xk > thresh:
-        c *= 1 - xk
-        xk *= x
-    return c
-
-
 def _ferro_law(tt, g, ctx) -> _Law:
+    # C = prod_{k>=1} (1 - e^(-4 gamma k)).  By Jacobi's triple product
+    # log C = gamma/6 + log(theta1'(0, q) / 2) / 3 at q = e^(-2 gamma); by
+    # Dedekind's eta transformation it is that plus log(pi / (2 gamma)) / 2 at
+    # q = e^(-pi^2 / (2 gamma)).  Switching at gamma = pi/2 keeps q <= e^(-pi),
+    # so every gamma takes a few terms.
     f = mp.sinh(tt + g)
-    c = _ferro_constant(g, ctx.bits)
+    if g >= mp.pi / 2:
+        q, log_c = mp.exp(-2 * g), g / 6
+    else:
+        q, log_c = mp.exp(-mp.pi**2 / (2 * g)), g / 6 + mp.log(mp.pi / (2 * g)) / 2
+    log_c += mp.log(theta1_prime0(q, ctx) / 2) / 3
     return _Law(f, mp.log(f), g=mp.exp(g - tt), log_g=g - tt, g_mode="n",
-                c=c, log_c=mp.log(c))
+                c=mp.exp(log_c), log_c=log_c)
 
 
 def _crit_fd_law(aa, ctx) -> _Law:

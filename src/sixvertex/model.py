@@ -182,10 +182,6 @@ def classify(w: Weights, ctx: Optional[PrecisionContext] = None) -> PhaseClassif
     return PhaseClassification(d, Phase.DISORDERED, False)
 
 
-def classify_phase(w: Weights, ctx: Optional[PrecisionContext] = None) -> Phase:
-    return classify(w, ctx).phase
-
-
 @dataclass(frozen=True)
 class PhaseParams:
     """Phase tag plus its parameters: (t, gamma) for the three bulk phases,
@@ -314,12 +310,3 @@ def normalize(w: Weights, ctx: Optional[PrecisionContext] = None):
     with ctx.guardprec():
         a, b, c = w.as_mpf()
         return Weights(a / c, b / c, mp.mpf(1)), c
-
-
-def swap_ab(w: Weights) -> Weights:
-    """Exchange a and b.
-
-    The ferroelectric chart above covers the b > a + c region; the mirrored
-    a > b + c region is obtained by applying this swap to its output.
-    """
-    return Weights(w.b, w.a, w.c)

@@ -99,10 +99,6 @@ def meixner_ratios(
         )
 
 
-def meixner_ratio(k: int, t, gamma, ctx: Optional[PrecisionContext] = None):
-    return meixner_ratios(k, t, gamma, ctx)[k]
-
-
 def zn_crit_fd(n: int, alpha, ctx: Optional[PrecisionContext] = None) -> ZnResult:
     """Partition function on the ferroelectric-disordered critical line at
     normalized weights a/c = (alpha-1)/2, b/c = (alpha+1)/2, alpha > 1:

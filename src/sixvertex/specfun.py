@@ -127,11 +127,6 @@ def _taylor(x0, sigma: int, kmax: int) -> list:
     return c
 
 
-def phi(p: PhaseParams, ctx: Optional[PrecisionContext] = None):
-    """The ratio c/(ab) as a function of t within a bulk phase."""
-    return phi_derivatives(p, 0, ctx)[0]
-
-
 def phi_derivatives(
     p: PhaseParams, kmax: int, ctx: Optional[PrecisionContext] = None
 ) -> MomentSequence:

@@ -1,5 +1,6 @@
 """Brute-force oracles kept independent of the library code paths they check:
-truncated series summation (moments, theta_4 and theta_1'(0)), adaptive
+truncated series summation (moments, theta_4 and theta_1'(0)), the
+ferroelectric Euler product, adaptive
 quadrature, central differences, O(n^3) elimination on the Hankel moment
 matrix, Chebyshev's algorithm in the arithmetic of its moments and
 fraction-free over the integers, the bits on which two values agree,
@@ -126,6 +127,18 @@ def series_theta1_prime0(q, bits=512):
             s += (-1) ** k * term
             qk, step, k = qk * step, step * q * q, k + 1
         return s
+
+
+def ferro_euler_product(gamma, bits=512):
+    """prod_{k>=1} (1 - e^(-4 gamma k)) as a running product at bits, with
+    every factor whose e^(-4 gamma k) is above 2^-bits."""
+    with mp.workprec(bits):
+        x = mp.exp(-4 * to_mpf(gamma))
+        c, xk, eps = mp.mpf(1), x, mp.mpf(2) ** -bits
+        while xk > eps:
+            c *= 1 - xk
+            xk *= x
+        return c
 
 
 def elimination_pivots(moments, n):

@@ -10,6 +10,7 @@ from mpmath import mp
 import sixvertex as sv
 from sixvertex.errors import ParameterDomainError
 
+import oracles
 from conftest import CTX256, rel_to
 
 TOL30 = mp.mpf("1e-30")
@@ -56,6 +57,47 @@ def test_predict_ferro_g_below_one(gamma, ratio):
     pred = sv.predict_ferro(gamma * ratio, gamma, 3, CTX256)
     assert 0 < pred.g < 1
     assert pred.f > 0
+
+
+def _ferro_log_c(gamma, rung):
+    """(log C, gamma, ctx) of the ferro law at t = 2 gamma on PrecisionContext(128)
+    (rung 0) or the first rung of the nmax 24 (1) or 48 (2) ladder, with gamma
+    rounded to that context's guard precision; "pi/2-" and "pi/2+" are
+    pi/2 -+ 2^-40."""
+
+    def rounded(ctx):
+        with ctx.guardprec():
+            if gamma.startswith("pi/2"):
+                return mp.pi / 2 + int(gamma[-1] + "1") * mp.mpf(2) ** -40
+            return mp.mpf(gamma)
+
+    g = rounded(sv.PrecisionContext(1024))
+    p = sv.PhaseParams(sv.Phase.FERROELECTRIC, t=2 * g, gamma=g)
+    ctx = ([sv.PrecisionContext(128)] + [next(sv.contexts(p, n)) for n in (24, 48)])[rung]
+    g = rounded(ctx)
+    return sv.predict_ferro(2 * g, g, 1, ctx).law.log_c, g, ctx
+
+
+@pytest.mark.parametrize("rung", [0, 1, 2])
+@pytest.mark.parametrize(
+    "gamma", ["0.05", "0.3", "0.6", "1.2", "pi/2-", "pi/2+", "2", "5", "20", "40"]
+)
+def test_ferro_constant_matches_the_euler_product(gamma, rung):
+    # log C from theta1'(0) at either nome against the plain product at 4x bits
+    log_c, g, ctx = _ferro_log_c(gamma, rung)
+    with mp.workprec(4 * ctx.guard_bits):
+        ref = mp.log(oracles.ferro_euler_product(g, 4 * ctx.guard_bits))
+        assert abs(log_c - ref) <= mp.mpf(2) ** -(ctx.guard_bits - 16) * max(1, abs(ref))
+
+
+@pytest.mark.parametrize("rung", [0, 1, 2])
+@pytest.mark.parametrize("gamma", ["1e-6", "1e-30", "1e-300"])
+def test_ferro_constant_at_tiny_gamma(gamma, rung):
+    # log C = -pi^2/(24 gamma) + log(pi/(2 gamma))/2 + gamma/6 + O(e^(-pi^2/gamma))
+    log_c, g, ctx = _ferro_log_c(gamma, rung)
+    with mp.workprec(4 * ctx.guard_bits):
+        ref = -mp.pi**2 / (24 * g) + mp.log(mp.pi / (2 * g)) / 2 + g / 6
+        assert abs(log_c - ref) <= mp.mpf(2) ** -(ctx.guard_bits - 16) * max(1, abs(ref))
 
 
 def test_predict_crit_fd_values():

@@ -257,11 +257,11 @@ def test_compare_critical_fd_evaluates_zeta_once_per_precision(capsys, monkeypat
 
 
 def test_compare_ferro_evaluates_its_law_once_per_precision(capsys, monkeypatch):
-    # every n of the ferro law needs the same Euler product, F and G
+    # every n of the ferro law needs the same theta1'(0), F and G
     calls = []
-    constant = sixvertex.asymptotics._ferro_constant
-    monkeypatch.setattr(sixvertex.asymptotics, "_ferro_constant",
-                        lambda g, bits: calls.append(bits) or constant(g, bits))
+    theta = sixvertex.asymptotics.theta1_prime0
+    monkeypatch.setattr(sixvertex.asymptotics, "theta1_prime0",
+                        lambda q, ctx: calls.append(ctx) or theta(q, ctx))
     law = sixvertex.asymptotics._law
     law.cache_clear()
     # gamma = 0.625 is dyadic, so it parses to the same mpf at every precision
@@ -270,7 +270,7 @@ def test_compare_ferro_evaluates_its_law_once_per_precision(capsys, monkeypatch)
     capsys.readouterr()
     ferro = sixvertex.PhaseParams(sixvertex.Phase.FERROELECTRIC, t=2, gamma=mp.mpf("0.625"))
     ctx = next(sixvertex.contexts(ferro, 24))
-    assert calls == [ctx.bits]
+    assert calls == [ctx]
     point = (sixvertex.asymptotics._ferro_law, (mp.mpf(2), mp.mpf("0.625")), ctx)
     cached = law(*point)
     assert (law.cache_info().misses, law.cache_info().hits) == (1, 24)
@@ -515,6 +515,8 @@ NUMERIC_FLAG_TEXT = st.one_of(
 @example(command="phase", phase="af", method="dfs", size=1, first="1e300000", second="1", h="1")
 @example(command="exact", phase="af", method="transfer", size=4, first="1e400", second="1",
          h="1")
+# a tiny ferroelectric gamma: the law's constant C takes a bounded number of terms
+@example(command="compare", phase="ferro", method="dfs", size=1, first="1", second="1e-30", h="1")
 def test_exit_code_for_any_numeric_flag_value(command, phase, method, size, first, second, h):
     if command in ("phase", "exact"):
         argv = [command, f"--a={first}", f"--b={second}", f"--c={h}"]

@@ -135,7 +135,7 @@ def test_zn_ik_rejects_critical():
 def test_zn_series_on_critical_lines_matches_transfer_matrix(phase, alpha):
     # the weights (|alpha-1|/2, (1+alpha)/2, 1) lie on the critical line
     w = sv.Weights(abs(alpha - 1) / 2, (1 + alpha) / 2, Fraction(1))
-    assert sv.classify_phase(w) is phase
+    assert sv.classify(w).phase is phase
     series = sv.zn_series(sv.PhaseParams(phase, alpha=alpha), 8, CTX256)
     assert [r.n for r in series] == list(range(1, 9))
     for res in series:

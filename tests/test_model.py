@@ -41,7 +41,7 @@ def test_delta_ferro_parameterization_gives_cosh2():
     ],
 )
 def test_classify_phase_examples(a, b, c, phase):
-    assert sv.classify_phase(sv.Weights(a, b, c)) is phase
+    assert sv.classify(sv.Weights(a, b, c)).phase is phase
 
 
 def test_classify_critical_exact_rational():
@@ -154,11 +154,6 @@ def test_normalize_round_trip_via_enumeration():
     assert z_orig == scale ** (n * n) * z_norm
 
 
-def test_swap_ab():
-    w = sv.swap_ab(sv.Weights(1, 2, 3))
-    assert (w.a, w.b, w.c) == (2, 1, 3)
-
-
 def test_weights_must_be_positive():
     with pytest.raises(ParameterDomainError):
         sv.Weights(0, 1, 1)
@@ -215,7 +210,7 @@ def test_disordered_delta_identity_and_roundtrip(gt):
     d = sv.delta(w, CTX256)
     with CTX256.guardprec():
         assert abs(d + mp.cos(2 * mp.mpf(gamma))) < mp.mpf("1e-70")
-    assert sv.classify_phase(w, CTX256) is sv.Phase.DISORDERED
+    assert sv.classify(w, CTX256).phase is sv.Phase.DISORDERED
 
 
 @given(
@@ -229,7 +224,7 @@ def test_ferro_delta_identity_and_roundtrip(gamma, ratio):
     d = sv.delta(w, CTX256)
     with CTX256.guardprec():
         assert rel_to(d, mp.cosh(2 * mp.mpf(gamma))) < mp.mpf("1e-70")
-    assert sv.classify_phase(w, CTX256) is sv.Phase.FERROELECTRIC
+    assert sv.classify(w, CTX256).phase is sv.Phase.FERROELECTRIC
 
 
 @given(
@@ -243,4 +238,4 @@ def test_af_delta_identity_and_roundtrip(gamma, frac):
     d = sv.delta(w, CTX256)
     with CTX256.guardprec():
         assert rel_to(d, -mp.cosh(2 * mp.mpf(gamma))) < mp.mpf("1e-70")
-    assert sv.classify_phase(w, CTX256) is sv.Phase.ANTIFERROELECTRIC
+    assert sv.classify(w, CTX256).phase is sv.Phase.ANTIFERROELECTRIC

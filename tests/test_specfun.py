@@ -24,9 +24,9 @@ def _disordered(t, gamma):
 def test_phi_disordered_values():
     with CTX512.guardprec():
         p4 = _disordered(0, mp.pi / 4)
-        assert rel_to(sv.phi(p4, CTX512), 2) < TOL30
+        assert rel_to(sv.phi_derivatives(p4, 0, CTX512)[0], 2) < TOL30
         p3 = _disordered(0, mp.pi / 3)
-        assert rel_to(sv.phi(p3, CTX512), 2 / mp.sqrt(3)) < TOL30
+        assert rel_to(sv.phi_derivatives(p3, 0, CTX512)[0], 2 / mp.sqrt(3)) < TOL30
 
 
 @given(
@@ -47,28 +47,28 @@ def test_phi_is_c_over_ab_of_the_weight_chart(phase, gamma, u, bits):
     w = sv.weights_from_params(p, ctx)
     with ctx.guardprec():
         ref = w.c / (w.a * w.b)
-    assert rel_to(sv.phi(p, ctx), ref) < ctx.verify_tolerance()
+    assert rel_to(sv.phi_derivatives(p, 0, ctx)[0], ref) < ctx.verify_tolerance()
 
 
 def test_phi_ferro_value():
     with CTX512.guardprec():
         p = sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.mpf(2), gamma=mp.mpf(1))
         ref = mp.sinh(2) / (mp.sinh(3) * mp.sinh(1))
-    assert rel_to(sv.phi(p, CTX512), ref) < TOL30
+    assert rel_to(sv.phi_derivatives(p, 0, CTX512)[0], ref) < TOL30
 
 
 def test_phi_af_value():
     with CTX512.guardprec():
         p = sv.PhaseParams(sv.Phase.ANTIFERROELECTRIC, t=mp.mpf("0.3"), gamma=mp.mpf(1))
         ref = mp.sinh(2) / (mp.sinh(mp.mpf("0.7")) * mp.sinh(mp.mpf("1.3")))
-    assert rel_to(sv.phi(p, CTX512), ref) < TOL30
+    assert rel_to(sv.phi_derivatives(p, 0, CTX512)[0], ref) < TOL30
 
 
 def test_phi_derivatives_order_zero_is_phi():
     with CTX256.guardprec():
         p = _disordered("0.2", mp.mpf("1.1"))
-    ms = sv.phi_derivatives(p, 0, CTX256)
-    assert ms[0] == sv.phi(p, CTX256)
+    ms = sv.phi_derivatives(p, 6, CTX256)
+    assert ms[0] == sv.phi_derivatives(p, 0, CTX256)[0]
 
 
 def test_phi_derivatives_odd_vanish_at_t0():
@@ -96,7 +96,7 @@ def test_phi_derivative_matches_central_difference():
 
     def f(x):
         q = sv.PhaseParams(sv.Phase.FERROELECTRIC, t=x, gamma=mp.mpf(1))
-        return sv.phi(q, CTX512)
+        return sv.phi_derivatives(q, 0, CTX512)[0]
 
     fd = oracles.central_diff(f, 2, mp.mpf("1e-20"), bits=1024)
     assert rel_to(ms[1], fd) < TOL30
