@@ -15,7 +15,6 @@ adds n^2 log F, n^p log G, kappa log n, log C and log theta4(n omega) in order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -44,8 +43,7 @@ class _Law(NamedTuple):
     omega: Optional[object] = None
 
 
-@dataclass(frozen=True)
-class AsymptoticPrediction:
+class AsymptoticPrediction(NamedTuple):
     phase: Phase
     n: int
     f: object
@@ -73,8 +71,7 @@ class AsymptoticPrediction:
         return out
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Per-n estimates plus a window extrapolation for one fitted target."""
 
     target: str

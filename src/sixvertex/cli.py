@@ -30,9 +30,8 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from mpmath import mp
 
@@ -48,8 +47,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class _PhaseEntry:
+class _PhaseEntry(NamedTuple):
     """Everything the CLI does differently per phase.  Each callable goes
     through the module attribute, so a wrapper bound there sees the call."""
 

@@ -15,11 +15,10 @@ tau_n tau_n'' - (tau_n')^2 = tau_{n+1} tau_{n-1} is meaningful from n = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, count
 from operator import mul
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp
@@ -74,8 +73,7 @@ def on_ladder(p: PhaseParams, n: int, bits: int, run: Callable):
     raise failure
 
 
-@dataclass(frozen=True)
-class HankelResult:
+class HankelResult(NamedTuple):
     """Hankel determinant tau_n with its precision: the context of the run and
     the bits on which the base and guard runs agreed on tau_n."""
 
@@ -85,18 +83,21 @@ class HankelResult:
     agreement_bits: int
 
 
-@dataclass(frozen=True)
-class ZnResult:
-    """Partition function value with its provenance and precision: the
-    context of the run and the fewest bits on which the base and guard runs
-    agreed over the norms behind it."""
-
+class _ZnFields(NamedTuple):
     n: int
     zn: object
     phase: Phase
     params: Tuple
     ctx: PrecisionContext
     agreement_bits: int
+
+
+class ZnResult(_ZnFields):
+    """Partition function value with its provenance and precision: the
+    context of the run and the fewest bits on which the base and guard runs
+    agreed over the norms behind it."""
+
+    # no __slots__: the instance dict holds log_zn once it is read
 
     @property
     def bits(self) -> int:

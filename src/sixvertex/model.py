@@ -7,7 +7,6 @@ everything else is evaluated with mpmath at an explicitly passed precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
@@ -32,8 +31,48 @@ class Phase(str, Enum):
         return self in (Phase.CRITICAL_FD, Phase.CRITICAL_AFD)
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class _SlotRecord:
+    """Immutable record of the fields named in ``__slots__``: equality, hash,
+    repr, copy and pickle go by the fields, as for a frozen dataclass, and
+    copy and pickle rebuild the record through its constructor.
+
+    The records that check their fields use it rather than a NamedTuple,
+    whose ``_make`` and ``_replace`` skip the check and whose defaults
+    introspection (``hypothesis.strategies.builds``) does not see; so do the
+    sequences, whose ``len``, ``[k]`` and iteration are over their values."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class PrecisionContext(_SlotRecord):
     """Working precision, the precision of the verification rerun, and the
     relative error a verified result claims.
 
@@ -43,14 +82,17 @@ class PrecisionContext:
     carries the claim it was sized for instead: its guard rerun runs at
     bits + 64 and its results claim 2^(-claim).  Either way a disagreement
     between the two levels beyond the claim flags a genuine precision
-    failure.
+    failure.  All three fields are ints (claim may be None).
     """
 
-    bits: int = 256
-    verify_factor: int = 2
-    claim: Optional[int] = None
+    __slots__ = ("bits", "verify_factor", "claim")
 
-    def __post_init__(self) -> None:
+    def __init__(self, bits: int = 256, verify_factor: int = 2, claim: Optional[int] = None):
+        super().__init__(bits, verify_factor, claim)
+        for name in self.__slots__:
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "claim" and value is None):
+                raise ParameterDomainError(f"{name} must be an int, got {value!r}")
         if self.bits < 64:
             raise ParameterDomainError(f"bits >= 64 required, got {self.bits}")
         if self.verify_factor < 2:
@@ -91,6 +133,11 @@ class PrecisionContext:
 DEFAULT_CONTEXT = PrecisionContext()
 
 
+def _is_inf(x) -> bool:
+    """Whether x is +-inf: only a float or an mpf can be."""
+    return isinstance(x, (float, mp.mpf)) and mp.isinf(x)
+
+
 def is_rational(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
@@ -113,20 +160,19 @@ def to_mpf(x) -> "mp.mpf":
     return mp.mpf(x)
 
 
-@dataclass(frozen=True)
-class Weights:
-    """The (a, b, c) triple of positive vertex weights."""
+class Weights(_SlotRecord):
+    """The (a, b, c) triple of positive, finite vertex weights."""
 
-    a: Real
-    b: Real
-    c: Real
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            if not getattr(self, name) > 0:
-                raise ParameterDomainError(
-                    f"weight {name} > 0 required, got {getattr(self, name)}"
-                )
+    def __init__(self, a: Real, b: Real, c: Real):
+        super().__init__(a, b, c)
+        for name in self.__slots__:
+            x = getattr(self, name)
+            if not x > 0:
+                raise ParameterDomainError(f"weight {name} > 0 required, got {x}")
+            if _is_inf(x):
+                raise ParameterDomainError(f"weight {name} must be finite, got {x}")
 
     @property
     def is_rational(self) -> bool:
@@ -136,8 +182,7 @@ class Weights:
         return to_mpf(self.a), to_mpf(self.b), to_mpf(self.c)
 
 
-@dataclass(frozen=True)
-class PhaseClassification:
+class PhaseClassification(NamedTuple):
     delta: Real
     phase: Phase
     borderline: bool
@@ -182,10 +227,9 @@ def classify(w: Weights, ctx: Optional[PrecisionContext] = None) -> PhaseClassif
     return PhaseClassification(d, Phase.DISORDERED, False)
 
 
-@dataclass(frozen=True)
-class PhaseParams:
-    """Phase tag plus its parameters: (t, gamma) for the three bulk phases,
-    alpha for the two critical lines.
+class PhaseParams(_SlotRecord):
+    """Phase tag plus its finite parameters: (t, gamma) for the three bulk
+    phases, alpha for the two critical lines.
 
     Domains enforced at construction:
       disordered          0 < gamma < pi/2 and |t| < gamma
@@ -195,12 +239,20 @@ class PhaseParams:
       critical-afd        -1 < alpha < 1
     """
 
-    phase: Phase
-    t: Optional[Real] = None
-    gamma: Optional[Real] = None
-    alpha: Optional[Real] = None
+    __slots__ = ("phase", "t", "gamma", "alpha")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        phase: Phase,
+        t: Optional[Real] = None,
+        gamma: Optional[Real] = None,
+        alpha: Optional[Real] = None,
+    ):
+        super().__init__(phase, t, gamma, alpha)
+        for name in ("t", "gamma", "alpha"):
+            x = getattr(self, name)
+            if _is_inf(x):
+                raise ParameterDomainError(f"{name} must be finite, got {x}")
         if self.phase.is_critical:
             if self.alpha is None or self.t is not None or self.gamma is not None:
                 raise ParameterDomainError(

@@ -12,7 +12,6 @@ precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from mpmath import mp
@@ -20,21 +19,26 @@ from mpmath import mp
 from . import _linalg
 from .errors import ParameterDomainError
 from .hankel import ZnResult, on_ladder, zn_series
-from .model import DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, to_mpf
+from .model import DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, _SlotRecord, to_mpf
 from .specfun import MomentFamily, MomentSequence, ferro_moments
 
 
-@dataclass(frozen=True)
-class NormSequence:
+class NormSequence(_SlotRecord):
     """Norms h_0..h_{n-1} of the monic orthogonal polynomials of one family at
     the guard precision of ``ctx``, the context of the run that computed them,
     with the fewest bits on which its base and guard runs agreed over them."""
 
-    family: MomentFamily
-    params: Tuple
-    h: Tuple
-    ctx: PrecisionContext
-    agreement_bits: int
+    __slots__ = ("family", "params", "h", "ctx", "agreement_bits")
+
+    def __init__(
+        self,
+        family: MomentFamily,
+        params: Tuple,
+        h: Tuple,
+        ctx: PrecisionContext,
+        agreement_bits: int,
+    ) -> None:
+        super().__init__(family, params, h, ctx, agreement_bits)
 
     def __len__(self) -> int:
         return len(self.h)

@@ -25,7 +25,6 @@ closed-form moments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 from typing import Optional, Tuple
@@ -35,7 +34,8 @@ from mpmath import mp
 from ._linalg import _div, _split
 from .errors import ParameterDomainError, PrecisionFailureError
 from .model import (
-    DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, bulk_chart, exact_or_mpf, to_mpf,
+    DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, _SlotRecord, bulk_chart, exact_or_mpf,
+    to_mpf,
 )
 
 
@@ -56,16 +56,17 @@ _PHI_FAMILY = {
 }
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(_SlotRecord):
     """Moments mu_0..mu_m of one weight family at one parameter point, as mpf
     computed at the guard precision of ``ctx``, the context they were built
     for.  Runs read them through ``values_for``."""
 
-    family: MomentFamily
-    params: Tuple
-    values: Tuple
-    ctx: PrecisionContext
+    __slots__ = ("family", "params", "values", "ctx")
+
+    def __init__(
+        self, family: MomentFamily, params: Tuple, values: Tuple, ctx: PrecisionContext
+    ) -> None:
+        super().__init__(family, params, values, ctx)
 
     @property
     def order(self) -> int:

@@ -161,6 +161,45 @@ def test_weights_must_be_positive():
         sv.Weights(1, -2, 1)
 
 
+@pytest.mark.parametrize("inf", [mp.inf, float("inf")])
+def test_weights_and_params_must_be_finite(inf):
+    for w in ((inf, 1, 1), (1, inf, 1), (1, 1, inf)):
+        with pytest.raises(ParameterDomainError, match="finite"):
+            sv.Weights(*w)
+    for phase, kwargs in [
+        (sv.Phase.FERROELECTRIC, dict(t=inf, gamma=1)),
+        (sv.Phase.ANTIFERROELECTRIC, dict(t=0, gamma=inf)),
+        (sv.Phase.DISORDERED, dict(t=-inf, gamma=1)),
+        (sv.Phase.CRITICAL_FD, dict(alpha=inf)),
+        (sv.Phase.CRITICAL_AFD, dict(alpha=-inf)),
+    ]:
+        with pytest.raises(ParameterDomainError, match="finite"):
+            sv.PhaseParams(phase, **kwargs)
+
+
+def test_library_refuses_infinite_inputs():
+    # an infinite input raises, rather than giving nan, +inf, a phase or a
+    # precision failure that more bits cannot mend
+    for call in (
+        lambda: sv.predict_crit_fd(mp.inf, 3, CTX256),
+        lambda: sv.classify(sv.Weights(mp.inf, 1, 1)),
+        lambda: sv.transfer_matrix_zn(3, sv.Weights(mp.inf, 1, 1)),
+        lambda: sv.zn_series(sv.PhaseParams(sv.Phase.ANTIFERROELECTRIC, t=0, gamma=mp.inf), 3),
+        lambda: sv.zn_series(sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.inf, gamma=1), 3),
+    ):
+        with pytest.raises(ParameterDomainError, match="finite"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "kwargs", [dict(bits=256.5), dict(bits=True), dict(verify_factor=2.0),
+               dict(bits=300, claim=150.5), dict(claim=Fraction(100))],
+)
+def test_precision_context_fields_are_ints(kwargs):
+    with pytest.raises(ParameterDomainError, match="must be an int"):
+        sv.PrecisionContext(**kwargs)
+
+
 # --- properties -----------------------------------------------------------
 
 small_fractions = st.fractions(

@@ -5,7 +5,9 @@ import csv
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -62,6 +64,20 @@ def test_reference_context_keeps_its_verify_factor():
     ctx = PrecisionContext(300, 2)
     assert ctx.claim is None
     assert (ctx.guard_bits, ctx.claim_bits) == (600, 150)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # each CLI process pays for every module its import loads
+    code = (
+        "import sys, sixvertex, sixvertex.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_readme_library_map_names_resolve():
