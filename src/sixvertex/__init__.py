@@ -36,9 +36,11 @@ from .specfun import (
 )
 from .hankel import (
     HankelResult,
+    NormSequence,
     ZnResult,
     contexts,
     hankel_det,
+    norms_from_moments,
     on_ladder,
     predicted_loss,
     toda_residual,
@@ -46,10 +48,8 @@ from .hankel import (
     zn_series,
 )
 from .orthopoly import (
-    NormSequence,
     meixner_norm,
     meixner_ratios,
-    norms_from_moments,
     recurrence_r,
     zn_crit_afd,
     zn_crit_fd,

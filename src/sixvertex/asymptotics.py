@@ -262,11 +262,14 @@ def fit_kappa(
     against log n over a trailing window; the intercept estimates log C.
     ``g_mode`` ("n" or "sqrt_n") is the power of n on log G; None without G.
 
-    Per-n estimates are the pairwise difference quotients of r against log n.
+    Per-n estimates are the pairwise difference quotients of r against log n;
+    every n must be >= 1.
     """
     if g_mode not in _N_POWERS and (g_mode is not None or log_g is not None):
         raise ParameterDomainError(f"g_mode must be 'n' or 'sqrt_n', got {g_mode}")
     pts = _check_series(series)
+    if pts[0][0] < 1:
+        raise ParameterDomainError(f"n >= 1 required, got {pts[0][0]}")
     inputs = [v for _, v in pts] + [x for x in (log_f, log_g) if x is not None]
     with mp.workprec(_fit_prec(inputs)):
         lf = to_mpf(log_f)
@@ -279,6 +282,8 @@ def fit_kappa(
             resid.append((n, mp.log(n), r))
         ests = []
         for (_, x1, r1), (n2, x2, r2) in zip(resid, resid[1:]):
+            if x1 == x2:  # n near 2^precision: consecutive logs round together
+                raise ParameterDomainError("log n values coincide at the fit's precision")
             ests.append((n2, (r2 - r1) / (x2 - x1)))
         w = _trailing_window(len(resid), window)
         tail = resid[-w:]
@@ -287,8 +292,6 @@ def fit_kappa(
         xbar = mp.fsum(xs) / w
         ybar = mp.fsum(ys) / w
         sxx = mp.fsum((x - xbar) ** 2 for x in xs)
-        if sxx == 0:
-            raise ParameterDomainError("degenerate window: log n values coincide")
         slope = mp.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
         intercept = ybar - slope * xbar
         rms = mp.sqrt(

@@ -1,15 +1,15 @@
-"""Hankel determinants of moment sequences, the Izergin-Korepin partition
-function, the Z_n series of all five phases, and the Toda-equation residual
-check.
+"""Hankel determinants of moment sequences, the norms h_k of their orthogonal
+polynomials, the Izergin-Korepin partition function, the Z_n series of all
+five phases, and the Toda-equation residual check.
 
 Z_n = (ab)^(n^2) tau_n / (prod_{k<n} k!)^2 with tau_n the n x n Hankel
 determinant of the derivatives of phi(t) = c/(ab); on the critical lines the
 moments are those of the critical weight and b/c replaces ab.  Every tau_n
-used here is a prefix product prod_{k<n} h_k of one run of Chebyshev norms;
-``hankel_det`` keeps pivoted LU as the independent reference.  The square
-(prod_{k<n} k!)^2 is divided out as its odd part times a power of two, the
-same value exactly.  tau_0 is defined as 1 so the Toda relation
-tau_n tau_n'' - (tau_n')^2 = tau_{n+1} tau_{n-1} is meaningful from n = 1.
+used here is a prefix product prod_{k<n} h_k of one ``NormSequence``, the
+norms h_k = D_{k+1}/D_k of ``norms_from_moments``, the one route from moments
+to norms; ``hankel_det`` keeps pivoted LU as the independent reference.
+tau_0 = 1 makes the Toda relation tau_n tau_n'' - (tau_n')^2 = tau_{n+1} tau_{n-1}
+hold from n = 1.
 """
 
 from __future__ import annotations
@@ -26,9 +26,12 @@ from mpmath.libmp import from_man_exp
 from . import _linalg
 from .errors import ParameterDomainError, PrecisionFailureError
 from .model import (
-    Phase, PhaseParams, PrecisionContext, bulk_chart, exact_or_mpf, to_mpf, weights_from_params,
+    Phase, PhaseParams, PrecisionContext, _SlotRecord, bulk_chart, exact_or_mpf, to_mpf,
+    weights_from_params,
 )
-from .specfun import MomentSequence, crit_afd_moments, crit_fd_moments, phi_derivatives
+from .specfun import (
+    MomentFamily, MomentSequence, crit_afd_moments, crit_fd_moments, phi_derivatives,
+)
 
 
 def predicted_loss(p: PhaseParams, n: int) -> float:
@@ -110,6 +113,36 @@ class ZnResult(_ZnFields):
             return mp.log(self.zn)
 
 
+class NormSequence(_SlotRecord):
+    """Norms h_0..h_{n-1} of the monic orthogonal polynomials of one family at
+    the guard precision of ``ctx``, the context of the run that computed them,
+    with ``agreement[k]`` the bits on which its base and guard runs agreed on
+    h_k."""
+
+    __slots__ = ("family", "params", "h", "ctx", "agreement")
+
+    def __init__(
+        self,
+        family: MomentFamily,
+        params: Tuple,
+        h: Tuple,
+        ctx: PrecisionContext,
+        agreement: Tuple,
+    ) -> None:
+        super().__init__(family, params, h, ctx, agreement)
+
+    @property
+    def agreement_bits(self) -> int:
+        """The fewest bits on which the base and guard runs agreed over the norms."""
+        return min(self.agreement)
+
+    def __len__(self) -> int:
+        return len(self.h)
+
+    def __getitem__(self, k: int):
+        return self.h[k]
+
+
 def hankel_det(
     m: MomentSequence, n: int, ctx: Optional[PrecisionContext] = None
 ) -> HankelResult:
@@ -125,13 +158,15 @@ def hankel_det(
     return HankelResult(n, tau, ctx, agreement)
 
 
-def _taus(m: MomentSequence, size: int, ctx: PrecisionContext) -> List[Tuple]:
-    """(tau_n, agreement) for n = 1..size: the prefix products of the
-    verified Chebyshev norms of m, tau_n = prod_{k<n} h_k, each with the
-    fewest bits on which the base and guard runs agreed over h_0..h_{n-1}."""
-    norms, agreement = _linalg.hankel_pivots(m.values_for(ctx), size, ctx)
-    with ctx.guardprec():
-        return list(zip(accumulate(norms, mul), accumulate(agreement, min)))
+def norms_from_moments(
+    m: MomentSequence, n: int, ctx: Optional[PrecisionContext] = None
+) -> NormSequence:
+    """h_0..h_{n-1} from mu_0..mu_{2n-2}; every h_k must come out positive and
+    survive the doubled-precision verification, at ctx (default: the moments'
+    own, which ctx may not exceed)."""
+    ctx = ctx or m.ctx
+    pivots, agreement = _linalg.hankel_pivots(m.values_for(ctx), n, ctx)
+    return NormSequence(m.family, m.params, tuple(pivots), ctx, tuple(agreement))
 
 
 def _superfactorial_squares() -> Iterator[Tuple[int, int]]:
@@ -152,11 +187,12 @@ def _series(
     """Z_1..Z_nmax of p from its moments (order at least 2 nmax - 2); a
     rational alpha gives the critical base (1 + alpha)/2 exactly, rounded once."""
     w = None if p.phase.is_critical else weights_from_params(p, ctx)
+    norms = norms_from_moments(moments, nmax, ctx)
     out = []
     with ctx.guardprec():
         base = to_mpf((1 + exact_or_mpf(p.alpha)) / 2) if w is None else w.a * w.b
-        taus = _taus(moments, nmax, ctx)
-        for n, (tau, agree), square in zip(count(1), taus, _superfactorial_squares()):
+        taus, agrees = accumulate(norms.h, mul), accumulate(norms.agreement, min)
+        for n, tau, agree, square in zip(count(1), taus, agrees, _superfactorial_squares()):
             zn = base ** (n * n) * tau / mp.make_mpf(from_man_exp(*square))
             out.append(ZnResult(n, zn, p.phase, moments.params, ctx, agree))
     return out
@@ -227,9 +263,11 @@ def toda_residual(
 
     tau_{n-1}, tau_n and tau_{n+1} at t are prefixes of one norms run on the
     phi-derivatives of order 2n; tau_n at t +- h takes one run each.  The
-    residual is |lhs - rhs| / rhs and scales as O(h^2) plus roundoff.
-    Without ``ctx`` it runs on the precision ladder of ``contexts(p, n + 1)``.
-    The critical lines have no t to differentiate in.
+    residual is |lhs - rhs| / rhs and scales as O(h^2) plus roundoff.  The
+    critical lines have no t to differentiate in.  Without ``ctx`` it runs on
+    the ladder of ``contexts(p, n + 1)``, whose claim covers the tau_n, not the
+    residual, which cancels twice: at disordered (t, gamma) = (0.2, 1), n = 3,
+    h = 1e-10 it is 2^-111 off (claim 2^-128), and a 512-bit ctx 1e-270 off.
     """
     bulk_chart(p)
     if n < 1:
@@ -238,8 +276,8 @@ def toda_residual(
         return on_ladder(p, n + 1, 256, lambda c: toda_residual(p, n, h, c))
 
     def taus_at(q: PhaseParams, size: int) -> list:  # tau_0 = 1, ..., tau_size
-        moments = phi_derivatives(q, 2 * size - 2, ctx)
-        return [mp.mpf(1)] + [tau for tau, _ in _taus(moments, size, ctx)]
+        norms = norms_from_moments(phi_derivatives(q, 2 * size - 2, ctx), size, ctx)
+        return list(accumulate(norms.h, mul, initial=mp.mpf(1)))
 
     with ctx.guardprec():
         step = to_mpf(h)

@@ -1,12 +1,9 @@
-"""Orthogonal-polynomial norms h_k and recurrence ratios from moment
-sequences, Meixner closed forms, and the partition functions on the two
-critical lines (reads of ``hankel.zn_series``).
-
-h_k = D_{k+1}/D_k, the ratio of leading principal minors of the moment
-Hankel matrix, so prod_{k<n} h_k telescopes to tau_n.  The norms come from
-Chebyshev's algorithm on the moments, in O(n^2) operations and without
-forming the matrix, and their positivity doubles as a sanity check on the
-precision.
+"""Reads of the orthogonal-polynomial norms h_k that ``hankel.norms_from_moments``
+computes by Chebyshev's algorithm: the recurrence ratios, the Meixner closed
+forms that the ferroelectric norms approach, and the partition functions on
+the two critical lines (reads of ``hankel.zn_series``).  h_k = D_{k+1}/D_k,
+the ratio of leading principal minors of the moment Hankel matrix, so
+prod_{k<n} h_k telescopes to tau_n.
 """
 
 from __future__ import annotations
@@ -16,46 +13,10 @@ from typing import Optional, Tuple
 
 from mpmath import mp
 
-from . import _linalg
 from .errors import ParameterDomainError
-from .hankel import ZnResult, on_ladder, zn_series
-from .model import DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, _SlotRecord, to_mpf
-from .specfun import MomentFamily, MomentSequence, ferro_moments
-
-
-class NormSequence(_SlotRecord):
-    """Norms h_0..h_{n-1} of the monic orthogonal polynomials of one family at
-    the guard precision of ``ctx``, the context of the run that computed them,
-    with the fewest bits on which its base and guard runs agreed over them."""
-
-    __slots__ = ("family", "params", "h", "ctx", "agreement_bits")
-
-    def __init__(
-        self,
-        family: MomentFamily,
-        params: Tuple,
-        h: Tuple,
-        ctx: PrecisionContext,
-        agreement_bits: int,
-    ) -> None:
-        super().__init__(family, params, h, ctx, agreement_bits)
-
-    def __len__(self) -> int:
-        return len(self.h)
-
-    def __getitem__(self, k: int):
-        return self.h[k]
-
-
-def norms_from_moments(
-    m: MomentSequence, n: int, ctx: Optional[PrecisionContext] = None
-) -> NormSequence:
-    """h_0..h_{n-1} from mu_0..mu_{2n-2}; every h_k must come out positive and
-    survive the doubled-precision verification, at ctx (default: the moments'
-    own, which ctx may not exceed)."""
-    ctx = ctx or m.ctx
-    pivots, agreement = _linalg.hankel_pivots(m.values_for(ctx), n, ctx)
-    return NormSequence(m.family, m.params, tuple(pivots), ctx, min(agreement))
+from .hankel import NormSequence, ZnResult, norms_from_moments, on_ladder, zn_series
+from .model import DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, to_mpf
+from .specfun import ferro_moments
 
 
 def recurrence_r(ns: NormSequence) -> Tuple:
@@ -95,12 +56,9 @@ def meixner_ratios(
     if ctx is None:
         p = PhaseParams(Phase.FERROELECTRIC, t=t, gamma=gamma)
         return on_ladder(p, kmax + 1, 256, lambda c: meixner_ratios(kmax, t, gamma, c))
-    moments = ferro_moments(2 * kmax, t, gamma, ctx)
-    norms = norms_from_moments(moments, kmax + 1, ctx)
+    norms = norms_from_moments(ferro_moments(2 * kmax, t, gamma, ctx), kmax + 1, ctx)
     with ctx.guardprec():
-        return tuple(
-            norms[k] / meixner_norm(k, t, gamma, ctx) for k in range(kmax + 1)
-        )
+        return tuple(h / meixner_norm(k, t, gamma, ctx) for k, h in enumerate(norms.h))
 
 
 def zn_crit_fd(n: int, alpha, ctx: Optional[PrecisionContext] = None) -> ZnResult:

@@ -274,3 +274,22 @@ def test_fit_window_bounds():
         sv.fit_kappa(series, 0, window=1)
     with pytest.raises(ParameterDomainError):
         sv.fit_kappa(series, 0, window=99)
+
+
+@pytest.mark.parametrize("first", [-3, 0])
+def test_fit_kappa_refuses_n_below_one(first):
+    # kappa is a slope against log n, which n <= 0 does not have; the
+    # free-energy fit takes no logs and serves any n
+    series = [(n, mp.mpf(n * n)) for n in range(first, first + 8)]
+    with pytest.raises(ParameterDomainError, match="n >= 1 required, got"):
+        sv.fit_kappa(series, 0, window=8)
+    assert sv.fit_free_energy(series).extrapolated == 1
+
+
+def test_fit_kappa_refuses_a_series_whose_logs_coincide():
+    # the fit runs 64 bits above its inputs' mantissas, where log n of
+    # consecutive n near 10^40 round to one value; the quotient of r against
+    # log n divided by zero there
+    series = [(10**40 + k, mp.mpf(k)) for k in range(4)]
+    with pytest.raises(ParameterDomainError, match="log n values coincide"):
+        sv.fit_kappa(series, 0, window=2)

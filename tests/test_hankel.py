@@ -3,7 +3,9 @@
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, floor
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -211,6 +213,37 @@ def test_toda_rejects_domain_exit():
         # t + h leaves |t| < gamma
         with pytest.raises(ParameterDomainError):
             sv.toda_residual(p, 2, mp.mpf("0.6"), CTX256)
+    with pytest.raises(ParameterDomainError, match="step h > 0 required"):
+        sv.toda_residual(p, 2, "0", CTX256)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: sv.zn_ik(p, 0, CTX256),
+        lambda p: sv.zn_series(p, 0, CTX256),
+        lambda p: sv.toda_residual(p, 0, "1e-10", CTX256),
+    ],
+    ids=["zn_ik", "zn_series", "toda_residual"],
+)
+def test_sizes_below_one_are_refused(disordered_pi3, call):
+    with pytest.raises(ParameterDomainError, match=">= 1 required, got 0"):
+        call(disordered_pi3)
+
+
+@pytest.mark.parametrize(
+    "values,match",
+    [((1, 1, 1), "failed verification"), ((1, 0, -1), "tau_2 <= 0")],
+    ids=["singular", "negative"],
+)
+def test_hankel_det_refuses_moments_of_no_positive_measure(values, match):
+    # (1, 1, 1) makes LU meet a zero pivot, and a zero determinant cannot
+    # be verified; (1, 0, -1) verifies, but its tau_2 = -1
+    m = sv.MomentSequence(
+        sv.MomentFamily.DISORDERED_PHI, (0, 1), tuple(map(mp.mpf, values)), CTX256
+    )
+    with pytest.raises(PrecisionFailureError, match=match):
+        sv.hankel_det(m, 2)
 
 
 def test_toda_works_in_ferro_phase(ferro_21):
@@ -536,7 +569,8 @@ def test_zn_series_divides_by_the_superfactorial_square_bit_for_bit(name, nmax):
     superfactorial = 1
     with ctx.guardprec():
         base = sv.to_mpf((1 + exact_or_mpf(p.alpha)) / 2) if p.phase.is_critical else w.a * w.b
-        for r, (tau, _) in zip(series, sv.hankel._taus(moments, nmax, ctx), strict=True):
+        taus = accumulate(sv.norms_from_moments(moments, nmax, ctx).h, mul)
+        for r, tau in zip(series, taus, strict=True):
             superfactorial *= factorial(r.n - 1)
             assert r.zn._mpf_ == (base ** (r.n * r.n) * tau / superfactorial**2)._mpf_, r.n
 

@@ -169,6 +169,13 @@ def test_enumeration_guard():
         sv.transfer_matrix_zn(15, rational_weights(1, 1, 1))
 
 
+@pytest.mark.parametrize("count", [sv.transfer_matrix_zn, sv.enumerate_dfs])
+def test_exact_mode_refuses_an_mpf_weight(count):
+    w = sv.Weights(1, 1, mp.mpf(1) / 3)
+    with pytest.raises(ParameterDomainError, match="exact mode needs rational weights"):
+        count(2, w, exact=True)
+
+
 def test_vertex_counts_n1():
     ((h, v, _),) = walk_snapshots(1)
     assert dwbc_vertex_types(1, h, v) == ((5,),)

@@ -65,6 +65,16 @@ def test_classify_borderline_flag_on_floats():
     assert res.borderline
 
 
+def test_classify_borderline_flag_next_to_minus_one():
+    # c = 2 + 2^-200 puts delta 2^-199 below -1, inside the 2^-150 band
+    ctx = sv.PrecisionContext(300)
+    with mp.workprec(300):
+        w = sv.Weights(mp.mpf(1), mp.mpf(1), 2 + mp.mpf(2) ** -200)
+    res = sv.classify(w, ctx)
+    assert res.phase is sv.Phase.CRITICAL_AFD
+    assert res.borderline
+
+
 def test_weights_from_params_disordered_pi3():
     with CTX256.guardprec():
         p = sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf(0), gamma=mp.pi / 3)
@@ -198,6 +208,27 @@ def test_library_refuses_infinite_inputs():
 def test_precision_context_fields_are_ints(kwargs):
     with pytest.raises(ParameterDomainError, match="must be an int"):
         sv.PrecisionContext(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [(dict(bits=256, verify_factor=1), "verify_factor >= 2"),
+     (dict(bits=256, claim=0), "0 < claim < bits"),
+     (dict(bits=256, claim=256), "0 < claim < bits")],
+)
+def test_precision_context_domain(kwargs, match):
+    with pytest.raises(ParameterDomainError, match=match):
+        sv.PrecisionContext(**kwargs)
+
+
+def test_precision_context_is_a_value_of_its_own():
+    ctx = sv.PrecisionContext(256)
+    with pytest.raises(AttributeError, match="cannot delete field 'bits'"):
+        del ctx.bits
+    assert ctx.bits == 256
+    # another type compares unequal: __eq__ returns NotImplemented for it
+    assert ctx != 256 and not ctx == 256
+    assert ctx.__eq__(256) is NotImplemented
 
 
 # --- properties -----------------------------------------------------------

@@ -93,6 +93,10 @@ def test_meixner_norm_k0_geometric_sum():
 def test_meixner_norm_rejects_domain():
     with pytest.raises(ParameterDomainError):
         sv.meixner_norm(0, 1, 2)  # t < gamma gives q > 1
+    with pytest.raises(ParameterDomainError, match="k >= 0 required, got -1"):
+        sv.meixner_norm(-1, 2, 1)
+    with pytest.raises(ParameterDomainError, match="kmax >= 0 required, got -1"):
+        sv.meixner_ratios(-1, 2, 1)
 
 
 def test_meixner_ratio_k0_closed_form():
@@ -225,6 +229,7 @@ def test_norms_report_their_agreement(family, n):
     ms = family_moments(family, 2 * n - 2, ctx)
     norms = sv.norms_from_moments(ms, n, ctx)
     _, per_k = _linalg.hankel_pivots(ms.values, n, ctx)
+    assert norms.agreement == tuple(per_k)
     assert norms.agreement_bits == min(per_k)
     assert ctx.claim_bits <= norms.agreement_bits <= ctx.bits
     assert (norms.family, norms.params) == (ms.family, ms.params)

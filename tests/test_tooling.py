@@ -16,7 +16,8 @@ import pytest
 from mpmath import mp
 
 from sixvertex import (
-    PrecisionContext, Weights, _linalg, asymptotics, cli, transfer_matrix_zn,
+    Phase, PhaseParams, PrecisionContext, Weights, _linalg, asymptotics, cli, meixner_ratios,
+    transfer_matrix_zn, zn_ik,
 )
 
 from oracles import asm_count
@@ -196,6 +197,28 @@ def test_toda_jobs_and_probes_need_no_lu(capsys, monkeypatch):
     for job in jobs:
         assert cli.run(job.argv) == 0, job.argv
         reference.Checker(job).check(capsys.readouterr().out)
+
+
+def test_norms_from_moments_is_the_one_caller_of_the_chebyshev_run(capsys, monkeypatch):
+    # every h_k, tau_n and Z_n comes from one route to the verified run, so a
+    # change to that run is made in one place
+    callers = []
+    pivots = _linalg.hankel_pivots
+
+    def recording(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return pivots(*args)
+
+    monkeypatch.setattr(_linalg, "hankel_pivots", recording)
+    point = ["--phase", "disordered", "--t", "0.2", "--gamma", "1"]
+    for argv in (["compare", *point, "--nmax", "4"], ["fit", *point, "--nmax", "8"],
+                 ["norms", *point, "--n", "3"], ["toda", *point, "--n", "2", "--h", "1e-8"]):
+        assert cli.run(argv) == 0, argv
+    capsys.readouterr()
+    zn_ik(PhaseParams(Phase.FERROELECTRIC, t=2, gamma=1), 3)
+    meixner_ratios(2, 2, 1)
+    assert len(callers) >= 6
+    assert set(callers) == {"norms_from_moments"}
 
 
 def test_theorem_sweep_writes_four_tables(tmp_path, capsys):
