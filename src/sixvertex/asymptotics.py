@@ -9,8 +9,10 @@ Predictor shapes (log_prediction sums only the factors a phase provides):
     critical FE-D       Z_n ~ C n^(1/4) G^(sqrt n) F^(n^2)
     antiferroelectric   Z_n ~ C theta4(n omega) F^(n^2)
 
-One cached law record holds a phase's n-independent factors; ``_predict``
-adds n^2 log F, n^p log G, kappa log n, log C and log theta4(n omega) in order.
+``_law`` caches one record of a phase's n-independent factors per (phase, point,
+precision), built by the phase's builder in ``_LAWS`` once ``PhaseParams`` has
+checked the point: once a series, not once per n.  ``_predict`` adds n^2 log F,
+n^p log G, kappa log n, log C and log theta4(n omega) in order.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from mpmath import mp
 
 from .errors import ParameterDomainError
-from .model import DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, to_mpf
+from .model import _PHASE_RULES, DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, to_mpf
 from .specfun import theta1, theta1_prime0, theta4, zeta_three_halves
 
 # n^p for the power p of n on log G, by its name in g_mode
@@ -99,7 +101,7 @@ def predict_disordered(
 ) -> AsymptoticPrediction:
     """F = pi a b / (2 gamma cos(pi t / (2 gamma))),
     kappa = 1/12 - 2 gamma^2 / (3 pi (pi - 2 gamma))."""
-    return _predict(_disordered_law, PhaseParams(Phase.DISORDERED, t=t, gamma=gamma), n, ctx)
+    return _predict(Phase.DISORDERED, (t, gamma), n, ctx)
 
 
 def predict_ferro(
@@ -107,7 +109,7 @@ def predict_ferro(
 ) -> AsymptoticPrediction:
     """C = prod_{k>=1} (1 - e^(-4 gamma k)), taken from theta1'(0), G = e^(gamma - t),
     F = b = sinh(t + gamma)."""
-    return _predict(_ferro_law, PhaseParams(Phase.FERROELECTRIC, t=t, gamma=gamma), n, ctx)
+    return _predict(Phase.FERROELECTRIC, (t, gamma), n, ctx)
 
 
 def predict_crit_fd(
@@ -115,7 +117,7 @@ def predict_crit_fd(
 ) -> AsymptoticPrediction:
     """kappa = 1/4, G = exp(-zeta(3/2) sqrt(a/pi)), F = b, with the critical
     point a = (alpha-1)/2, b = (alpha+1)/2."""
-    return _predict(_crit_fd_law, PhaseParams(Phase.CRITICAL_FD, alpha=alpha), n, ctx)
+    return _predict(Phase.CRITICAL_FD, (alpha,), n, ctx)
 
 
 def predict_af(
@@ -124,17 +126,16 @@ def predict_af(
     """F = pi a b theta1'(0) / (2 gamma theta1(omega)) with nome
     q = e^(-pi^2 / (2 gamma)) and omega = (pi/2)(1 + t/gamma); the oscillating
     factor is theta4(n omega)."""
-    return _predict(_af_law, PhaseParams(Phase.ANTIFERROELECTRIC, t=t, gamma=gamma), n, ctx)
+    return _predict(Phase.ANTIFERROELECTRIC, (t, gamma), n, ctx)
 
 
-def _predict(build, params: PhaseParams, n: int, ctx) -> AsymptoticPrediction:
-    """log Z_n: the terms of build's law at params' point, in the module's order."""
+def _predict(phase: Phase, point: tuple, n: int, ctx) -> AsymptoticPrediction:
+    """log Z_n: the terms of phase's law at point, in the module's order."""
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
     ctx = ctx or DEFAULT_CONTEXT
+    law = _law(phase, point, ctx)
     with ctx.guardprec():
-        point = (params.t, params.gamma, params.alpha)
-        law = _law(build, tuple(to_mpf(v) for v in point if v is not None), ctx)
         log_pred = n * n * law.log_f
         if law.log_g is not None:
             log_pred += _N_POWERS[law.g_mode](n) * law.log_g
@@ -146,16 +147,17 @@ def _predict(build, params: PhaseParams, n: int, ctx) -> AsymptoticPrediction:
         if law.q is not None:
             tf = theta4(n * law.omega, law.q, ctx)
             log_pred += mp.log(tf)
-    return AsymptoticPrediction(params.phase, n, law.f, log_pred, law.kappa, law.g,
+    return AsymptoticPrediction(phase, n, law.f, log_pred, law.kappa, law.g,
                                 law.g_mode, law.c, tf, law)
 
 
 @lru_cache(maxsize=None)
-def _law(build, point: tuple, ctx: PrecisionContext) -> _Law:
-    """build(*point, ctx), keyed on the mpf point, not on the inputs rounded to
-    it: zeta(3/2), theta1 and theta1'(0) run once a series."""
+def _law(phase: Phase, point: tuple, ctx: PrecisionContext) -> _Law:
+    """The law of phase at point, (t, gamma) or (alpha,), once its domain is
+    checked: the check, zeta(3/2), theta1 and theta1'(0) run once a series."""
+    PhaseParams(phase, **dict(zip(_PHASE_RULES[phase].params, point)))
     with ctx.guardprec():
-        return build(*point, ctx)
+        return _LAWS[phase](*map(to_mpf, point), ctx)
 
 
 def _disordered_law(tt, g, ctx) -> _Law:
@@ -194,6 +196,11 @@ def _af_law(tt, g, ctx) -> _Law:
     a, b = mp.sinh(g - tt), mp.sinh(g + tt)
     f = mp.pi * a * b * theta1_prime0(q, ctx) / (2 * g * theta1(omega, q, ctx))
     return _Law(f, mp.log(f), q=q, omega=omega)
+
+
+# the law builder of each phase that has one; critical-afd has none yet
+_LAWS = {Phase.DISORDERED: _disordered_law, Phase.FERROELECTRIC: _ferro_law,
+         Phase.ANTIFERROELECTRIC: _af_law, Phase.CRITICAL_FD: _crit_fd_law}
 
 
 # ---------------------------------------------------------------------------

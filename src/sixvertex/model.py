@@ -231,7 +231,7 @@ class PhaseParams(_SlotRecord):
     """Phase tag plus its finite parameters: (t, gamma) for the three bulk
     phases, alpha for the two critical lines.
 
-    Domains enforced at construction:
+    Domains enforced at construction (the rows of ``_PHASE_RULES``):
       disordered          0 < gamma < pi/2 and |t| < gamma
       ferroelectric       0 < gamma < t           (b > a + c branch)
       antiferroelectric   gamma > 0 and |t| < gamma
@@ -249,53 +249,17 @@ class PhaseParams(_SlotRecord):
         alpha: Optional[Real] = None,
     ):
         super().__init__(phase, t, gamma, alpha)
-        for name in ("t", "gamma", "alpha"):
-            x = getattr(self, name)
+        given = {k: x for k, x in zip(("t", "gamma", "alpha"), (t, gamma, alpha)) if x is not None}
+        for name, x in given.items():
             if _is_inf(x):
                 raise ParameterDomainError(f"{name} must be finite, got {x}")
-        if self.phase.is_critical:
-            if self.alpha is None or self.t is not None or self.gamma is not None:
-                raise ParameterDomainError(
-                    f"{self.phase.value} takes alpha only, not (t, gamma)"
-                )
-            a = self.alpha
-            if self.phase is Phase.CRITICAL_FD and not a > 1:
-                raise ParameterDomainError(f"critical-fd requires alpha > 1, got {a}")
-            if self.phase is Phase.CRITICAL_AFD and not (-1 < a < 1):
-                raise ParameterDomainError(
-                    f"critical-afd requires -1 < alpha < 1, got {a}"
-                )
-            return
-        if self.t is None or self.gamma is None or self.alpha is not None:
-            raise ParameterDomainError(
-                f"{self.phase.value} takes (t, gamma) only, not alpha"
-            )
-        t, g = self.t, self.gamma
-        if not g > 0:
-            raise ParameterDomainError(f"gamma > 0 required, got {g}")
-        if self.phase is Phase.DISORDERED:
-            # 128 bits past gamma's own size: an mpf gamma is held exactly
-            size = g.bc if isinstance(g, mp.mpf) else sum(
-                map(int.bit_length, g.as_integer_ratio()))
-            with mp.workprec(128 + size):
-                if not to_mpf(g) < mp.pi / 2:
-                    raise ParameterDomainError(
-                        f"disordered requires gamma < pi/2, got {g}"
-                    )
-            if not abs(t) < g:
-                raise ParameterDomainError(
-                    f"disordered requires |t| < gamma, got t={t}, gamma={g}"
-                )
-        elif self.phase is Phase.FERROELECTRIC:
-            if not g < t:
-                raise ParameterDomainError(
-                    f"ferroelectric requires 0 < gamma < t, got t={t}, gamma={g}"
-                )
-        elif self.phase is Phase.ANTIFERROELECTRIC:
-            if not abs(t) < g:
-                raise ParameterDomainError(
-                    f"antiferroelectric requires |t| < gamma, got t={t}, gamma={g}"
-                )
+        rule = _PHASE_RULES[phase]
+        if tuple(given) != rule.params:
+            takes, got = " and ".join(rule.params), ", ".join(given) or "none"
+            raise ParameterDomainError(f"{phase.value} takes {takes}, got {got}")
+        if not rule.holds(**given):
+            got = ", ".join(f"{k}={x}" for k, x in given.items())
+            raise ParameterDomainError(f"{phase.value} requires {rule.domain}, got {got}")
 
     def shifted_t(self, dt) -> "PhaseParams":
         """Same phase and gamma with t moved by dt (domain re-checked)."""
@@ -318,18 +282,45 @@ class BulkChart(NamedTuple):
     s: int
 
 
-_BULK_CHARTS = {
-    Phase.DISORDERED: BulkChart(mp.sin, mp.cot, -1, 1),
-    Phase.FERROELECTRIC: BulkChart(mp.sinh, mp.coth, 1, -1),
-    Phase.ANTIFERROELECTRIC: BulkChart(mp.sinh, mp.coth, 1, 1),
+def _below_half_pi(g) -> bool:
+    """g < pi/2, decided 128 bits past g's own size: an mpf g is held exactly."""
+    size = g.bc if isinstance(g, mp.mpf) else sum(map(int.bit_length, g.as_integer_ratio()))
+    with mp.workprec(128 + size):
+        return to_mpf(g) < mp.pi / 2
+
+
+class _PhaseRule(NamedTuple):
+    """One phase's row: the parameters it takes, its domain (the text errors and
+    the ``PhaseParams`` docstring print, and its test) and a bulk phase's chart."""
+
+    params: tuple
+    domain: str
+    holds: Callable
+    chart: Optional[BulkChart] = None
+
+
+_PHASE_RULES = {
+    Phase.DISORDERED: _PhaseRule(
+        ("t", "gamma"), "0 < gamma < pi/2 and |t| < gamma",
+        lambda t, gamma: 0 < gamma and abs(t) < gamma and _below_half_pi(gamma),
+        BulkChart(mp.sin, mp.cot, -1, 1)),
+    Phase.FERROELECTRIC: _PhaseRule(
+        ("t", "gamma"), "0 < gamma < t", lambda t, gamma: 0 < gamma < t,
+        BulkChart(mp.sinh, mp.coth, 1, -1)),
+    Phase.ANTIFERROELECTRIC: _PhaseRule(
+        ("t", "gamma"), "gamma > 0 and |t| < gamma", lambda t, gamma: gamma > 0 and abs(t) < gamma,
+        BulkChart(mp.sinh, mp.coth, 1, 1)),
+    Phase.CRITICAL_FD: _PhaseRule(("alpha",), "alpha > 1", lambda alpha: alpha > 1),
+    Phase.CRITICAL_AFD: _PhaseRule(("alpha",), "-1 < alpha < 1", lambda alpha: -1 < alpha < 1),
 }
 
 
 def bulk_chart(p: PhaseParams) -> BulkChart:
     """The chart of p's bulk phase; the critical lines have none."""
-    if p.phase.is_critical:
+    chart = _PHASE_RULES[p.phase].chart
+    if chart is None:
         raise ParameterDomainError(f"{p.phase.value} has no (t, gamma) weight chart")
-    return _BULK_CHARTS[p.phase]
+    return chart
 
 
 def weights_from_params(

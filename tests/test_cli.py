@@ -251,7 +251,7 @@ def test_compare_critical_fd_evaluates_zeta_once_per_precision(capsys, monkeypat
     ctx = next(sixvertex.contexts(sixvertex.PhaseParams(sixvertex.Phase.CRITICAL_FD, alpha=3), 6))
     assert calls == [ctx]
     assert (law.cache_info().misses, law.cache_info().hits) == (1, 5)
-    point = (sixvertex.asymptotics._crit_fd_law, (mp.mpf(3),), ctx)
+    point = (sixvertex.Phase.CRITICAL_FD, (mp.mpf(3),), ctx)
     cached = law(*point)
     assert law_bits(cached) == law_bits(law.__wrapped__(*point))
 
@@ -271,10 +271,29 @@ def test_compare_ferro_evaluates_its_law_once_per_precision(capsys, monkeypatch)
     ferro = sixvertex.PhaseParams(sixvertex.Phase.FERROELECTRIC, t=2, gamma=mp.mpf("0.625"))
     ctx = next(sixvertex.contexts(ferro, 24))
     assert calls == [ctx]
-    point = (sixvertex.asymptotics._ferro_law, (mp.mpf(2), mp.mpf("0.625")), ctx)
+    point = (sixvertex.Phase.FERROELECTRIC, (mp.mpf(2), mp.mpf("0.625")), ctx)
     cached = law(*point)
     assert (law.cache_info().misses, law.cache_info().hits) == (1, 24)
     assert law_bits(cached) == law_bits(law.__wrapped__(*point))
+
+
+@pytest.mark.parametrize("phase", list(PHASE_POINTS), ids=lambda phase: phase.value)
+def test_compare_checks_its_point_once_per_law(capsys, monkeypatch, phase):
+    # the law checks its point's domain when it is built, not each predictor
+    # call, so the PhaseParams a compare run builds do not grow with nmax
+    built = []
+    init = sixvertex.PhaseParams.__init__
+    monkeypatch.setattr(sixvertex.PhaseParams, "__init__",
+                        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+    point = [arg for k, v in PHASE_POINTS[phase].items() for arg in (f"--{k}", str(v))]
+    counts = []
+    for nmax in ("4", "16"):
+        sixvertex.asymptotics._law.cache_clear()
+        built.clear()
+        assert cli.run(["compare", "--phase", cli._PHASES[phase].flag, *point, "--nmax", nmax]) == 0
+        capsys.readouterr()
+        counts.append(len(built))
+    assert counts[0] == counts[1], counts
 
 
 # t = 0, gamma = 10: the norms lose about 11.4 n bits, more than the 3.5 n

@@ -122,6 +122,8 @@ def test_weights_from_params_rejects_critical():
         (sv.Phase.CRITICAL_FD, dict(alpha=1.0)),
         (sv.Phase.CRITICAL_AFD, dict(alpha=1.0)),
         (sv.Phase.CRITICAL_FD, dict(t=2.0, gamma=1.0)),
+        (sv.Phase.DISORDERED, dict(t=0.0, gamma=1.0, alpha=3.0)),  # a bulk phase given alpha
+        (sv.Phase.CRITICAL_AFD, dict(t=0.5)),  # a critical line given only t
     ],
 )
 def test_phase_params_domain_rejections(phase, kwargs):

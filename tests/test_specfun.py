@@ -343,6 +343,9 @@ def test_domains_are_those_of_phase_params(k, t, gamma, alpha):
         (sv.Phase.ANTIFERROELECTRIC, bulk, lambda: sv.af_moment(k, t, gamma)),
         (sv.Phase.CRITICAL_FD, line, lambda: sv.crit_fd_moment(k, alpha)),
         (sv.Phase.CRITICAL_AFD, line, lambda: sv.crit_afd_moment(k, alpha)),
+        (sv.Phase.DISORDERED, bulk, lambda: sv.predict_disordered(t, gamma, k + 1)),
+        (sv.Phase.FERROELECTRIC, bulk, lambda: sv.predict_ferro(t, gamma, k + 1)),
+        (sv.Phase.ANTIFERROELECTRIC, bulk, lambda: sv.predict_af(t, gamma, k + 1)),
         (sv.Phase.CRITICAL_FD, line, lambda: sv.predict_crit_fd(alpha, k + 1)),
     ]
     for phase, params, call in cases:

@@ -17,7 +17,7 @@ from mpmath import mp
 
 from sixvertex import (
     Phase, PhaseParams, PrecisionContext, Weights, _linalg, asymptotics, cli, meixner_ratios,
-    transfer_matrix_zn, zn_ik,
+    model, transfer_matrix_zn, zn_ik,
 )
 
 from oracles import asm_count
@@ -93,6 +93,14 @@ def test_readme_library_map_names_resolve():
         names = [tok for tok in re.findall(r"`([^`]+)`", contents) if tok.isidentifier()]
         missing = [name for name in names if not hasattr(mod, name)]
         assert not missing, f"README library map: {module} lacks {missing}"
+
+
+def test_phase_params_docstring_states_the_table_domains():
+    # the documented domains are the ones the table checks: each row's domain
+    # text stands on its phase's line of the PhaseParams docstring
+    lines = {line.split()[0]: line for line in PhaseParams.__doc__.splitlines() if line.strip()}
+    for phase, rule in model._PHASE_RULES.items():
+        assert rule.domain in lines.get(phase.value, ""), phase
 
 
 @pytest.mark.parametrize(
