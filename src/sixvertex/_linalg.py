@@ -141,7 +141,7 @@ def _forward_pivots(moments: List) -> List:
             prev, row = row, new
         hm, he = row[k]
         if hm <= 0:
-            raise PrecisionFailureError(f"non-positive norm h_{k}; raise bits")
+            raise PrecisionFailureError(f"non-positive norm h_{k} at {prec} bits; raise bits")
         if k + 1 < m - k:  # sigma_{k,k+1} is known, so alpha_k is needed
             rm, re = _div(row[k + 1][0], row[k + 1][1] - he, hm, prec)
             e = min(re, le)

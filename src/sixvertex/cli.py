@@ -48,11 +48,11 @@ from .model import (
 
 
 class _PhaseEntry(NamedTuple):
-    """Everything the CLI does differently per phase.  Each callable goes
-    through the module attribute, so a wrapper bound there sees the call."""
+    """What the CLI does differently per phase; `norms` reads the weight's
+    moments from ``specfun._WEIGHT_MOMENTS``.  Each callable goes through the
+    module attribute, so a wrapper bound there sees the call."""
 
     flag: str
-    moments: Callable  # (params, kmax, ctx): moments of the orthogonality weight
     predict: Optional[Callable]  # (params, n, ctx): large-n law, if one is known
     fits_kappa: bool  # the law has an n^kappa factor for fit to regress
 
@@ -60,34 +60,25 @@ class _PhaseEntry(NamedTuple):
 _PHASES = {
     Phase.DISORDERED: _PhaseEntry(
         "disordered",
-        lambda p, k, ctx: specfun.phi_derivatives(p, k, ctx),
         lambda p, n, ctx: asymptotics.predict_disordered(p.t, p.gamma, n, ctx),
         fits_kappa=True,
     ),
     Phase.FERROELECTRIC: _PhaseEntry(
         "ferro",
-        lambda p, k, ctx: specfun.ferro_moments(k, p.t, p.gamma, ctx),
         lambda p, n, ctx: asymptotics.predict_ferro(p.t, p.gamma, n, ctx),
         fits_kappa=False,
     ),
     Phase.ANTIFERROELECTRIC: _PhaseEntry(
         "af",
-        lambda p, k, ctx: specfun.af_moments(k, p.t, p.gamma, ctx),
         lambda p, n, ctx: asymptotics.predict_af(p.t, p.gamma, n, ctx),
         fits_kappa=False,
     ),
     Phase.CRITICAL_FD: _PhaseEntry(
         "critical-fd",
-        lambda p, k, ctx: specfun.crit_fd_moments(k, p.alpha, ctx),
         lambda p, n, ctx: asymptotics.predict_crit_fd(p.alpha, n, ctx),
         fits_kappa=True,
     ),
-    Phase.CRITICAL_AFD: _PhaseEntry(
-        "critical-afd",
-        lambda p, k, ctx: specfun.crit_afd_moments(k, p.alpha, ctx),
-        None,
-        fits_kappa=False,
-    ),
+    Phase.CRITICAL_AFD: _PhaseEntry("critical-afd", None, fits_kappa=False),
 }
 
 _PHASE_FLAGS = {entry.flag: phase for phase, entry in _PHASES.items()}
@@ -323,7 +314,7 @@ def cmd_norms(args) -> None:
 
 
 def _norms_report(args, params: PhaseParams, ctx: PrecisionContext) -> dict:
-    moments = _PHASES[params.phase].moments(params, 2 * args.n - 2, ctx)
+    moments = specfun._WEIGHT_MOMENTS[params.phase](params, 2 * args.n - 2, ctx)
     norms = orthopoly.norms_from_moments(moments, args.n, ctx)
     ratios = orthopoly.recurrence_r(norms)
     return {

@@ -26,25 +26,20 @@ from mpmath.libmp import from_man_exp
 from . import _linalg
 from .errors import ParameterDomainError, PrecisionFailureError
 from .model import (
-    Phase, PhaseParams, PrecisionContext, _SlotRecord, bulk_chart, exact_or_mpf, to_mpf,
-    weights_from_params,
+    Phase, PhaseParams, PrecisionContext, _PHASE_RULES, _SlotRecord, bulk_chart, exact_or_mpf,
+    to_mpf, weights_from_params,
 )
-from .specfun import (
-    MomentFamily, MomentSequence, crit_afd_moments, crit_fd_moments, phi_derivatives,
-)
+from .specfun import MomentFamily, MomentSequence, _WEIGHT_MOMENTS, phi_derivatives
 
 
 def predicted_loss(p: PhaseParams, n: int) -> float:
-    """Bits that the Chebyshev norms of p's moments lose at size n:
-    n max(3.5, 2 (t - gamma) log2(e) + 1) at a ferroelectric point, 3.5 n
+    """Bits that the Chebyshev norms of p's moments lose at size n: n times
+    the ``loss`` column of p's row of ``model._PHASE_RULES``, which is
+    max(3.5, 2 (t - gamma) log2(e) + 1) at a ferroelectric point and 3.5
     elsewhere.  The loss does not depend on the working bits, so it can be
     added to the claim; the rule covers the losses measured over the five
     phases, except deep in the antiferroelectric phase, where a run climbs."""
-    per_n = 3.5
-    if p.phase is Phase.FERROELECTRIC:
-        excess = float(to_mpf(p.t) - to_mpf(p.gamma))
-        per_n = max(per_n, 2 * excess * math.log2(math.e) + 1)
-    return per_n * n if n > 0 else 0.0
+    return _PHASE_RULES[p.phase].loss(p) * n if n > 0 else 0.0
 
 
 def contexts(p: PhaseParams, n: int, bits: int = 256) -> Iterator[PrecisionContext]:
@@ -162,8 +157,9 @@ def norms_from_moments(
     m: MomentSequence, n: int, ctx: Optional[PrecisionContext] = None
 ) -> NormSequence:
     """h_0..h_{n-1} from mu_0..mu_{2n-2}; every h_k must come out positive and
-    survive the doubled-precision verification, at ctx (default: the moments'
-    own, which ctx may not exceed)."""
+    agree between the base run at ctx.bits and the guard run at
+    ctx.guard_bits (bits + 64 on a ladder rung), at ctx (default: the
+    moments' own, which ctx may not exceed)."""
     ctx = ctx or m.ctx
     pivots, agreement = _linalg.hankel_pivots(m.values_for(ctx), n, ctx)
     return NormSequence(m.family, m.params, tuple(pivots), ctx, tuple(agreement))
@@ -184,9 +180,10 @@ def _superfactorial_squares() -> Iterator[Tuple[int, int]]:
 def _series(
     p: PhaseParams, moments: MomentSequence, nmax: int, ctx: PrecisionContext
 ) -> List[ZnResult]:
-    """Z_1..Z_nmax of p from its moments (order at least 2 nmax - 2); a
-    rational alpha gives the critical base (1 + alpha)/2 exactly, rounded once."""
-    w = None if p.phase.is_critical else weights_from_params(p, ctx)
+    """Z_1..Z_nmax of p from its moments (order at least 2 nmax - 2), with
+    base ab where p's phase has a (t, gamma) chart and (1 + alpha)/2 on a
+    critical line; a rational alpha gives that base exactly, rounded once."""
+    w = weights_from_params(p, ctx) if _PHASE_RULES[p.phase].chart else None
     norms = norms_from_moments(moments, nmax, ctx)
     out = []
     with ctx.guardprec():
@@ -235,11 +232,12 @@ def zn_series(
         Z_n = base^(n^2) prod_{k<n} h_k / (prod_{k<n} k!)^2
 
     with h_k the verified norms of the orthogonal polynomials of the phase's
-    moments, computed by Chebyshev's algorithm in O(nmax^2) operations.  In a
-    bulk phase the moments are the phi-derivatives and base = ab; on a
-    critical line they are the crit_fd/crit_afd moments and base = b/c =
-    (1+alpha)/2.  The superfactorial's square is divided out as its odd part
-    times a power of two, the integer square's value exactly.
+    moments, computed by Chebyshev's algorithm in O(nmax^2) operations.  A
+    phase with a (t, gamma) chart takes the phi-derivatives and base = ab; a
+    critical line takes its weight's moments (``specfun._WEIGHT_MOMENTS``)
+    and base = b/c = (1+alpha)/2.  The superfactorial's square is divided
+    out as its odd part times a power of two, the integer square's value
+    exactly.
     Without ``ctx`` the series runs on the precision ladder of
     ``contexts(p, nmax)``; with one it runs at exactly that precision or raises.
     """
@@ -247,33 +245,23 @@ def zn_series(
         raise ParameterDomainError(f"nmax >= 1 required, got {nmax}")
     if ctx is None:
         return on_ladder(p, nmax, 256, lambda c: zn_series(p, nmax, c))
-    if p.phase.is_critical:
-        moments_of = crit_fd_moments if p.phase is Phase.CRITICAL_FD else crit_afd_moments
-        moments = moments_of(2 * nmax - 2, p.alpha, ctx)
-    else:
-        moments = phi_derivatives(p, 2 * nmax - 2, ctx)
-    return _series(p, moments, nmax, ctx)
+    build = phi_derivatives if _PHASE_RULES[p.phase].chart else _WEIGHT_MOMENTS[p.phase]
+    return _series(p, build(p, 2 * nmax - 2, ctx), nmax, ctx)
 
 
-def toda_residual(
-    p: PhaseParams, n: int, h, ctx: Optional[PrecisionContext] = None
-):
+def toda_residual(p: PhaseParams, n: int, h, ctx: PrecisionContext):
     """Relative residual of tau_n tau_n'' - (tau_n')^2 = tau_{n+1} tau_{n-1},
-    with t-derivatives replaced by central differences at step h.
+    with t-derivatives replaced by central differences at step h, at exactly
+    ctx.
 
     tau_{n-1}, tau_n and tau_{n+1} at t are prefixes of one norms run on the
     phi-derivatives of order 2n; tau_n at t +- h takes one run each.  The
     residual is |lhs - rhs| / rhs and scales as O(h^2) plus roundoff.  The
-    critical lines have no t to differentiate in.  Without ``ctx`` it runs on
-    the ladder of ``contexts(p, n + 1)``, whose claim covers the tau_n, not the
-    residual, which cancels twice: at disordered (t, gamma) = (0.2, 1), n = 3,
-    h = 1e-10 it is 2^-111 off (claim 2^-128), and a 512-bit ctx 1e-270 off.
+    critical lines have no t to differentiate in.
     """
     bulk_chart(p)
     if n < 1:
         raise ParameterDomainError(f"n >= 1 required, got {n}")
-    if ctx is None:
-        return on_ladder(p, n + 1, 256, lambda c: toda_residual(p, n, h, c))
 
     def taus_at(q: PhaseParams, size: int) -> list:  # tau_0 = 1, ..., tau_size
         norms = norms_from_moments(phi_derivatives(q, 2 * size - 2, ctx), size, ctx)

@@ -7,6 +7,7 @@ everything else is evaluated with mpmath at an explicitly passed precision.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
@@ -25,10 +26,6 @@ class Phase(str, Enum):
     ANTIFERROELECTRIC = "antiferroelectric"
     CRITICAL_FD = "critical-fd"
     CRITICAL_AFD = "critical-afd"
-
-    @property
-    def is_critical(self) -> bool:
-        return self in (Phase.CRITICAL_FD, Phase.CRITICAL_AFD)
 
 
 class _SlotRecord:
@@ -291,12 +288,15 @@ def _below_half_pi(g) -> bool:
 
 class _PhaseRule(NamedTuple):
     """One phase's row: the parameters it takes, its domain (the text errors and
-    the ``PhaseParams`` docstring print, and its test) and a bulk phase's chart."""
+    the ``PhaseParams`` docstring print, and its test), a bulk phase's chart,
+    and the bits per n that the Chebyshev norms of its moments lose
+    (``hankel.predicted_loss``), a function of the point."""
 
     params: tuple
     domain: str
     holds: Callable
     chart: Optional[BulkChart] = None
+    loss: Callable = lambda p: 3.5
 
 
 _PHASE_RULES = {
@@ -306,7 +306,8 @@ _PHASE_RULES = {
         BulkChart(mp.sin, mp.cot, -1, 1)),
     Phase.FERROELECTRIC: _PhaseRule(
         ("t", "gamma"), "0 < gamma < t", lambda t, gamma: 0 < gamma < t,
-        BulkChart(mp.sinh, mp.coth, 1, -1)),
+        BulkChart(mp.sinh, mp.coth, 1, -1),
+        lambda p: max(3.5, 2 * float(to_mpf(p.t) - to_mpf(p.gamma)) * math.log2(math.e) + 1)),
     Phase.ANTIFERROELECTRIC: _PhaseRule(
         ("t", "gamma"), "gamma > 0 and |t| < gamma", lambda t, gamma: gamma > 0 and abs(t) < gamma,
         BulkChart(mp.sinh, mp.coth, 1, 1)),

@@ -19,8 +19,9 @@ convolution and rounded once, and so is each phi^(k).
 
 In the ferroelectric and antiferroelectric phases phi is the Laplace
 transform of a measure on the integers, so the discrete moments are the
-phi-derivatives rescaled by (-+1)^k / 2^(k+1).  The two critical lines have
-closed-form moments.
+phi-derivatives rescaled by s^k / 2^(k+1), with s the chart's sign.  The two
+critical lines have closed-form moments.  ``_WEIGHT_MOMENTS`` maps each phase
+to the moments of its orthogonality weight.
 """
 
 from __future__ import annotations
@@ -168,18 +169,20 @@ def _phi_values(p: PhaseParams, kmax: int, ctx: PrecisionContext) -> Tuple:
 #     ferroelectric       phi = 2 sum_{l>=1} (e^(-2l(t - gamma)) - e^(-2l(t + gamma)))
 #     antiferroelectric   phi = 2 sum_{l in Z} e^(2tl - 2 gamma |l|)
 #
-# so phi^(k) = 2 (-2)^k mu_k and 2 2^k mu_k, and mu_k = (-+1)^k phi^(k) / 2^(k+1)
-# with an exact division.
+# so phi^(k) = 2 (-2)^k mu_k and 2 2^k mu_k, and mu_k = s^k phi^(k) / 2^(k+1)
+# with an exact division and s the chart's sign.  Both signs come from
+# t > gamma: it puts the ferroelectric nodes at Laplace variable -2l, and it
+# makes s = -1, since a = s sinh(gamma - t) > 0.
 
 
 def _discrete_moments(
     family: MomentFamily, phase: Phase, kmax: int, t, gamma, ctx: Optional[PrecisionContext]
 ) -> MomentSequence:
     ctx = ctx or DEFAULT_CONTEXT
-    sign = -1 if phase is Phase.FERROELECTRIC else 1
-    derivs = _phi_values(PhaseParams(phase, t=t, gamma=gamma), kmax, ctx)
+    p = PhaseParams(phase, t=t, gamma=gamma)
+    s, derivs = bulk_chart(p).s, _phi_values(p, kmax, ctx)
     with ctx.guardprec():
-        vals = tuple(mp.ldexp(sign**k * v, -(k + 1)) for k, v in enumerate(derivs))
+        vals = tuple(mp.ldexp(s**k * v, -(k + 1)) for k, v in enumerate(derivs))
     return MomentSequence(family, (t, gamma), vals, ctx)
 
 
@@ -256,6 +259,18 @@ def crit_afd_moments(
     k! (1 + (-1)^k r^{-(k+1)}) for k = 0..kmax, r = (1+alpha)/(1-alpha) and
     -1 < alpha < 1."""
     return _critical_moments(MomentFamily.CRIT_AFD, Phase.CRITICAL_AFD, kmax, alpha, ctx)
+
+
+# Phase -> mu_0..mu_kmax of its orthogonality weight, as (p, kmax, ctx).  Each
+# entry calls its builder through this module's global name, so a wrapper
+# bound there sees the call.
+_WEIGHT_MOMENTS = {
+    Phase.DISORDERED: lambda p, k, ctx: phi_derivatives(p, k, ctx),
+    Phase.FERROELECTRIC: lambda p, k, ctx: ferro_moments(k, p.t, p.gamma, ctx),
+    Phase.ANTIFERROELECTRIC: lambda p, k, ctx: af_moments(k, p.t, p.gamma, ctx),
+    Phase.CRITICAL_FD: lambda p, k, ctx: crit_fd_moments(k, p.alpha, ctx),
+    Phase.CRITICAL_AFD: lambda p, k, ctx: crit_afd_moments(k, p.alpha, ctx),
+}
 
 
 def crit_fd_moment(k: int, alpha, ctx: Optional[PrecisionContext] = None):

@@ -123,6 +123,20 @@ def test_norms_critical_fd(capsys):
     assert out["r"] == []
 
 
+@pytest.mark.parametrize(
+    "point,family",
+    [(["--phase", "disordered", "--t", "0.3", "--gamma", "1.1"], "disordered-phi"),
+     (["--phase", "ferro", "--t", "2", "--gamma", "1"], "ferro-discrete"),
+     (["--phase", "af", "--t", "0.3", "--gamma", "1"], "af-discrete"),
+     (["--phase", "critical-fd", "--alpha", "3"], "critical-fd"),
+     (["--phase", "critical-afd", "--alpha", "0.5"], "critical-afd")],
+    ids=["disordered", "ferro", "af", "critical-fd", "critical-afd"],
+)
+def test_norms_names_the_family_of_each_phase(capsys, point, family):
+    out = run_json(capsys, ["norms", *point, "--n", "3"])
+    assert out["family"] == family
+
+
 def test_norms_disordered_h0(capsys):
     out = run_json(
         capsys,

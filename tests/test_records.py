@@ -32,7 +32,7 @@ def _records():
         (sv.norms_from_moments(m, 2), "h"),
         (sv.predict_ferro(2, 1, 3, CTX256), "log_prediction"),
         (sv.fit_kappa(series, mp.mpf(1) / 3), "extrapolated"),
-        (cli._PhaseEntry("disordered", len, None, True), "flag"),
+        (cli._PhaseEntry("disordered", len, True), "flag"),
     ]
 
 

@@ -1,6 +1,7 @@
 """Tools built on the package: the benchmark's span tracer and the experiment
 scripts."""
 
+import ast
 import csv
 import importlib
 import importlib.util
@@ -101,6 +102,31 @@ def test_phase_params_docstring_states_the_table_domains():
     lines = {line.split()[0]: line for line in PhaseParams.__doc__.splitlines() if line.strip()}
     for phase, rule in model._PHASE_RULES.items():
         assert rule.domain in lines.get(phase.value, ""), phase
+
+
+def test_no_phase_switch_is_left_in_the_package():
+    # per-phase facts live in the tables (model._PHASE_RULES,
+    # specfun._WEIGHT_MOMENTS, asymptotics._LAWS, cli._PHASES): no module
+    # compares a phase against a Phase member or asks whether it is critical
+    def is_member(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "Phase")
+
+    found = []
+    for path in sorted((ROOT / "src" / "sixvertex").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                for op in list(operands):
+                    if isinstance(op, (ast.Tuple, ast.List, ast.Set)):
+                        operands += op.elts
+                hit = any(is_member(op) for op in operands)
+            else:
+                hit = (getattr(node, "attr", None) == "is_critical"
+                       or getattr(node, "name", None) == "is_critical")
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
 
 
 @pytest.mark.parametrize(
