@@ -1,5 +1,5 @@
 """Command-line front end: single evaluations, cross-method comparisons,
-sweeps, and fit reports in JSON or CSV.
+sweeps, and fit reports in JSON, or CSV for the compare table.
 
 Commands:
   phase     classify a weight triple (a, b, c)
@@ -19,6 +19,8 @@ that passed and the bits on which its base and guard runs agreed; toda runs at
 exactly --bits.
 
 All numeric output is emitted as decimal strings at the run's precision.
+Only compare has a table: --format csv on any other command exits 2 before
+it computes anything.
 Exit codes: 0 success, 2 parameter-domain error, 3 precision failure.
 """
 
@@ -142,17 +144,13 @@ def _exact_str(x) -> str:
 
 
 def _nstr(x, ctx: PrecisionContext) -> str:
-    with ctx.guardprec():
-        return mp.nstr(mp.mpf(x), ctx.dps)
+    """x, an mpf at the guard precision of ctx, to ctx.dps digits."""
+    return mp.nstr(x, ctx.dps)
 
 
 def _emit(args, obj=None, rows=None, fieldnames=None) -> None:
     """Write the JSON object or the CSV table (rows of string cells)."""
     if args.format == "csv":
-        if rows is None:
-            raise ParameterDomainError(
-                f"command {args.command!r} has no tabular form; use --format json"
-            )
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(fieldnames)
@@ -330,76 +328,86 @@ def _norms_report(args, params: PhaseParams, ctx: PrecisionContext) -> dict:
     }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _weight_flags(p) -> None:
+    for name in "abc":
+        p.add_argument(f"--{name}", required=True)
+
+
+def _exact_flags(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    _weight_flags(p)
+    p.add_argument("--method", choices=("dfs", "transfer"), default="dfs")
+
+
+def _point_flags(p, size: str) -> None:
+    """--phase and its parameters, then the command's size flag."""
+    p.add_argument("--phase", choices=sorted(_PHASE_FLAGS), required=True)
+    for name in ("t", "gamma", "alpha"):
+        p.add_argument(f"--{name}", help="decimal literal")
+    p.add_argument(f"--{size}", type=int, required=True)
+
+
+def _toda_flags(p) -> None:
+    _point_flags(p, "n")
+    p.add_argument("--h", required=True, help="finite-difference step")
+
+
+def _fit_flags(p) -> None:
+    _point_flags(p, "nmax")
+    p.add_argument("--window", type=int, default=None, help="trailing points")
+
+
+class _Command(NamedTuple):
+    handler: Callable  # (args): computes and emits
+    help: str
+    add_flags: Callable  # (subparser): the command's own flags
+    tabular: bool  # it has a table for --format csv
+
+
+_COMMANDS = {
+    "phase": _Command(cmd_phase, "classify a weight triple", _weight_flags, False),
+    "exact": _Command(cmd_exact, "exact Z_n for rational weights", _exact_flags, False),
+    "compare": _Command(cmd_compare, "exact Z_n against the asymptotic predictor",
+                        lambda p: _point_flags(p, "nmax"), True),
+    "toda": _Command(cmd_toda, "Toda-equation finite-difference residual", _toda_flags, False),
+    "fit": _Command(cmd_fit, "fit F, kappa, C from an exact series", _fit_flags, False),
+    "norms": _Command(cmd_norms, "orthogonal polynomial norms h_k",
+                      lambda p: _point_flags(p, "n"), False),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv.  Every command gets its subparser and help, so
+    the usage lines, --help and a bad command read the same for any argv,
+    but only the commands named in argv get their flags.  The command that
+    parses is always among them; the other commands' flags would be built
+    and never read."""
     parser = argparse.ArgumentParser(
         prog="sixvertex",
         description="Six-vertex model with domain wall boundaries: exact "
         "partition functions, Hankel determinants, and asymptotics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--bits", type=int, default=256, help="working precision")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    def add_phase_params(p):
-        p.add_argument("--phase", choices=sorted(_PHASE_FLAGS), required=True)
-        p.add_argument("--t", default=None, help="decimal literal")
-        p.add_argument("--gamma", default=None, help="decimal literal")
-        p.add_argument("--alpha", default=None, help="decimal literal")
-
-    p = sub.add_parser("phase", help="classify a weight triple")
-    for name in "abc":
-        p.add_argument(f"--{name}", required=True)
-    add_common(p)
-
-    p = sub.add_parser("exact", help="exact Z_n for rational weights")
-    p.add_argument("--n", type=int, required=True)
-    for name in "abc":
-        p.add_argument(f"--{name}", required=True)
-    p.add_argument("--method", choices=("dfs", "transfer"), default="dfs")
-    add_common(p)
-
-    p = sub.add_parser("compare", help="exact Z_n against the asymptotic predictor")
-    add_phase_params(p)
-    p.add_argument("--nmax", type=int, required=True)
-    add_common(p)
-
-    p = sub.add_parser("toda", help="Toda-equation finite-difference residual")
-    add_phase_params(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", required=True, help="finite-difference step")
-    add_common(p)
-
-    p = sub.add_parser("fit", help="fit F, kappa, C from an exact series")
-    add_phase_params(p)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--window", type=int, default=None, help="trailing points")
-    add_common(p)
-
-    p = sub.add_parser("norms", help="orthogonal polynomial norms h_k")
-    add_phase_params(p)
-    p.add_argument("--n", type=int, required=True)
-    add_common(p)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if name in argv:
+            command.add_flags(p)
+            p.add_argument("--bits", type=int, default=256, help="working precision")
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+            p.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 
-_HANDLERS = {
-    "phase": cmd_phase,
-    "exact": cmd_exact,
-    "compare": cmd_compare,
-    "toda": cmd_toda,
-    "fit": cmd_fit,
-    "norms": cmd_norms,
-}
-
-
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)  # read twice below
+    args = _build_parser(argv).parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        _HANDLERS[args.command](args)
+        if args.format == "csv" and not command.tabular:
+            raise ParameterDomainError(
+                f"command {args.command!r} has no tabular form; use --format json"
+            )
+        command.handler(args)
     except (ParameterDomainError, PrecisionFailureError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2 if isinstance(exc, ParameterDomainError) else 3

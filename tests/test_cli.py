@@ -1,10 +1,12 @@
 """Command-line surface: outputs, formats, and exit codes."""
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -123,15 +125,18 @@ def test_norms_critical_fd(capsys):
     assert out["r"] == []
 
 
-@pytest.mark.parametrize(
-    "point,family",
-    [(["--phase", "disordered", "--t", "0.3", "--gamma", "1.1"], "disordered-phi"),
-     (["--phase", "ferro", "--t", "2", "--gamma", "1"], "ferro-discrete"),
-     (["--phase", "af", "--t", "0.3", "--gamma", "1"], "af-discrete"),
-     (["--phase", "critical-fd", "--alpha", "3"], "critical-fd"),
-     (["--phase", "critical-afd", "--alpha", "0.5"], "critical-afd")],
-    ids=["disordered", "ferro", "af", "critical-fd", "critical-afd"],
-)
+# one point of each phase, with the moment family its norms report
+FAMILY_POINTS = [
+    (["--phase", "disordered", "--t", "0.3", "--gamma", "1.1"], "disordered-phi"),
+    (["--phase", "ferro", "--t", "2", "--gamma", "1"], "ferro-discrete"),
+    (["--phase", "af", "--t", "0.3", "--gamma", "1"], "af-discrete"),
+    (["--phase", "critical-fd", "--alpha", "3"], "critical-fd"),
+    (["--phase", "critical-afd", "--alpha", "0.5"], "critical-afd"),
+]
+
+
+@pytest.mark.parametrize("point,family", FAMILY_POINTS,
+                         ids=["disordered", "ferro", "af", "critical-fd", "critical-afd"])
 def test_norms_names_the_family_of_each_phase(capsys, point, family):
     out = run_json(capsys, ["norms", *point, "--n", "3"])
     assert out["family"] == family
@@ -496,6 +501,149 @@ def test_csv_rejected_for_scalar_command(capsys):
     capsys.readouterr()
 
 
+# a norms run that fails its precision check (exit 3) after its moments
+AF_UNREACHABLE = ["norms", "--phase", "af", "--t", "0", "--gamma", "1e6", "--n", "4"]
+
+
+def test_csv_rejected_before_any_computation(capsys, monkeypatch):
+    # the bad --format is the parameter error, not the precision failure
+    # the run would have ended in
+    assert cli.run([*AF_UNREACHABLE, "--format", "csv"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == "command 'norms' has no tabular form; use --format json"
+    assert cli.run(AF_UNREACHABLE) == 3
+    capsys.readouterr()
+
+    def no_series(*args, **kw):
+        raise AssertionError("fit computed a series for --format csv")
+
+    monkeypatch.setattr(sixvertex.hankel, "zn_series", no_series)
+    argv = ["fit", "--phase", "ferro", "--t", "2", "--gamma", "1", "--nmax", "120"]
+    assert cli.run([*argv, "--format", "csv"]) == 2
+    assert "no tabular form" in capsys.readouterr().err
+
+
+def test_printed_cells_carry_at_most_the_guard_bits(capsys, monkeypatch):
+    # _nstr rounds each cell once, to ctx.dps digits, so what it is given must
+    # already be an mpf held at the guard precision of its run
+    cells = []
+    nstr = cli._nstr
+    monkeypatch.setattr(cli, "_nstr", lambda x, ctx: cells.append((x, ctx)) or nstr(x, ctx))
+    runs = [["compare", "--phase", cli._PHASES[phase].flag,
+             *[arg for k, v in point.items() for arg in (f"--{k}", str(v))], "--nmax", "6"]
+            for phase, point in PHASE_POINTS.items()]
+    runs += [["norms", *point, "--n", "5"] for point, _ in FAMILY_POINTS]
+    runs.append(["toda", "--phase", "disordered", "--t", "0.2", "--gamma", "1", "--n", "3",
+                 "--h", "1e-10", "--bits", "512"])
+    for argv in runs:
+        cells.clear()
+        assert cli.run(argv) == 0, argv
+        capsys.readouterr()
+        assert cells, argv
+        for x, ctx in cells:
+            assert isinstance(x, mp.mpf), (argv, x)
+            assert x._mpf_[3] <= ctx.guard_bits, (argv, x._mpf_[3], ctx.guard_bits)
+
+
+EXACT_ARGV = ["exact", "--n", "3", "--a", "1", "--b", "1", "--c", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    EXACT_ARGV,
+    ["compare", "--phase", "critical-fd", "--alpha", "3", "--nmax", "3"],
+], ids=["exact", "compare"])
+def test_only_the_invoked_command_gets_its_flags(capsys, monkeypatch, argv):
+    added = {}
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def record(self, *names, **kw):
+        added.setdefault(self.prog, []).append(names)
+        return add_argument(self, *names, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    subparsers = {f"sixvertex {name}" for name in cli._COMMANDS}
+    assert subparsers <= set(added)
+    for prog in subparsers - {f"sixvertex {argv[0]}"}:
+        assert added[prog] == [("-h", "--help")], prog
+    assert ("--bits",) in added[f"sixvertex {argv[0]}"]
+
+
+# each command's flags in the order its --help lists them
+COMMON_FLAGS = ["--bits", "--format", "--out"]
+POINT_FLAGS = ["--phase", "--t", "--gamma", "--alpha"]
+HELP_FLAGS = {
+    "phase": ["--a", "--b", "--c"],
+    "exact": ["--n", "--a", "--b", "--c", "--method"],
+    "compare": [*POINT_FLAGS, "--nmax"],
+    "toda": [*POINT_FLAGS, "--n", "--h"],
+    "fit": [*POINT_FLAGS, "--nmax", "--window"],
+    "norms": [*POINT_FLAGS, "--n"],
+}
+HELP_TEXT = {
+    "phase": "classify a weight triple",
+    "exact": "exact Z_n for rational weights",
+    "compare": "exact Z_n against the asymptotic predictor",
+    "toda": "Toda-equation finite-difference residual",
+    "fit": "fit F, kappa, C from an exact series",
+    "norms": "orthogonal polynomial norms h_k",
+}
+
+
+def exit_output(capsys, argv):
+    """The exit code and the (stdout, stderr) of an argv argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+def test_top_level_help_lists_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out = exit_output(capsys, ["--help"])
+    assert code == 0
+    assert out.out.startswith("usage: sixvertex [-h] {phase,exact,compare,toda,fit,norms} ...")
+    for name, text in HELP_TEXT.items():
+        assert re.search(rf"^ +{name} +{re.escape(text)}$", out.out, re.M), name
+
+
+@pytest.mark.parametrize("command", list(HELP_FLAGS))
+def test_command_help_lists_its_flags_in_order(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out = exit_output(capsys, [command, "--help"])
+    assert code == 0
+    assert out.out.startswith(f"usage: sixvertex {command} [-h] ")
+    flags = re.findall(r"^  (-[-\w]+)", out.out, re.M)
+    assert flags == ["-h", *HELP_FLAGS[command], *COMMON_FLAGS]
+    assert "output path (default stdout)" in out.out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bogus"], "sixvertex: error: argument command: invalid choice: 'bogus'"),
+    ([], "sixvertex: error: the following arguments are required: command"),
+    ([*EXACT_ARGV, "extra"], "sixvertex: error: unrecognized arguments: extra"),
+    (["compare", "--phase", "af"],
+     "sixvertex compare: error: the following arguments are required: --nmax"),
+], ids=["bogus", "empty", "extra", "missing"])
+def test_argparse_errors_exit_2_with_usage(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out = exit_output(capsys, argv)
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("usage: sixvertex")
+    assert out.err.splitlines()[-1].startswith(message)
+
+
+def test_run_reads_sys_argv_without_an_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["sixvertex", *EXACT_ARGV])
+    assert cli.run() == 0
+    assert json.loads(capsys.readouterr().out)["zn"] == "7"
+
+
+def test_run_takes_its_argv_as_any_iterable(capsys):
+    assert cli.run(iter(EXACT_ARGV)) == 0
+    assert json.loads(capsys.readouterr().out)["zn"] == "7"
+
+
 @pytest.mark.parametrize(
     "flag,argv",
     [
@@ -515,15 +663,17 @@ def test_exit_code_non_numeric_value(capsys, flag, argv):
     assert json.loads(err)["error"].startswith(flag)
 
 
-def test_module_entry_point():
+@pytest.mark.parametrize("argv,code,stream,text", [
+    (EXACT_ARGV, 0, "stdout", '"zn": "7"'),
+    ([], 2, "stderr", "the following arguments are required: command"),
+], ids=["exact", "no-arguments"])
+def test_module_entry_point(argv, code, stream, text):
+    # without arguments, main() reads the empty sys.argv[1:] of a fresh interpreter
     env = {**os.environ, "PYTHONPATH": str(Path(sixvertex.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "sixvertex.cli", "exact", "--n", "3", "--a", "1",
-         "--b", "1", "--c", "1"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["zn"] == "7"
+    proc = subprocess.run([sys.executable, "-m", "sixvertex.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert text in getattr(proc, stream)
 
 
 NUMERIC_FLAG_TEXT = st.one_of(
