@@ -6,12 +6,12 @@ kernel rounds its own inputs.  Its two routes cross-check each other:
 * ``hankel_pivots`` uses Chebyshev's algorithm on the moments themselves and
   returns the norms h_k = D_{k+1}/D_k of the monic orthogonal polynomials,
   the leading-principal-minor ratios of the Hankel matrix.  For the moments
-  of a positive measure every h_k is positive.  It serves only
+  of a positive measure every h_k is positive.  Its one caller is
   ``hankel.norms_from_moments``.  Its O(n^2) mixed moments run on integer
   mantissas, each formed exactly and rounded once;
 * ``hankel_determinant`` uses partially pivoted LU in mpf arithmetic on the
   Hankel matrix, good for any nonsingular matrix and insensitive to pivot
-  ordering.  It serves only ``hankel.hankel_det``, the reference the norms
+  ordering.  Its one caller is ``hankel.hankel_det``, the reference the norms
   are checked against.
 """
 

@@ -89,23 +89,23 @@ _PHASE_FLAGS = {entry.flag: phase for phase, entry in _PHASES.items()}
 def _on_ladder(args, body: Callable):
     """body(args, params, ctx) on the precision ladder of the phase point,
     the command's size (nmax or n) and --bits.  The point is parsed once,
-    above the guard precision of every rung (each is below 2 max(bits,
-    24 size) + 64 bits): it predicts the loss, no rung loses a digit of a
-    long literal, and a difference such as t - gamma near a domain edge
-    keeps every bit a rung resolves.  A size below 1 is refused by the flag
-    that set it."""
+    at 4 max(bits, 24 size) bits, above the guard bits of every rung (each
+    below 2 max(bits, 24 size) + 64): it predicts the loss, no rung loses a
+    digit of a long literal, and a difference such as t - gamma near a
+    domain edge keeps every bit a rung resolves.  A size below 1 is refused
+    by the flag that set it."""
     flag = "nmax" if "nmax" in vars(args) else "n"  # each subcommand has one
     size = getattr(args, flag)
     if size < 1:
         raise ParameterDomainError(f"--{flag} >= 1 required, got {size}")
-    params = _phase_params(args, PrecisionContext(2 * max(64, args.bits, 24 * size)))
+    params = _phase_params(args, 4 * max(64, args.bits, 24 * size))
     return hankel.on_ladder(params, size, args.bits, lambda ctx: body(args, params, ctx))
 
 
-def _phase_params(args, ctx: PrecisionContext) -> PhaseParams:
-    """The phase parameters, parsed at the guard precision of ctx."""
+def _phase_params(args, bits: int) -> PhaseParams:
+    """The phase parameters, parsed at bits of working precision."""
     given = {k: getattr(args, k) for k in ("t", "gamma", "alpha")}
-    with ctx.guardprec():
+    with mp.workprec(bits):
         return PhaseParams(
             _PHASE_FLAGS[args.phase],
             **{k: _parse_real(s, k) for k, s in given.items() if s is not None},
@@ -261,7 +261,7 @@ def _compare_rows(args, params: PhaseParams, ctx: PrecisionContext) -> list:
 def cmd_toda(args) -> None:
     # exactly --bits: the residual shows a too-small --bits as exit 3
     ctx = PrecisionContext(args.bits)
-    params = _phase_params(args, ctx)
+    params = _phase_params(args, ctx.guard_bits)
     with ctx.guardprec():
         step = _parse_real(args.h, "h")
     residual = hankel.toda_residual(params, args.n, step, ctx)
@@ -313,7 +313,7 @@ def cmd_norms(args) -> None:
 
 def _norms_report(args, params: PhaseParams, ctx: PrecisionContext) -> dict:
     moments = specfun._WEIGHT_MOMENTS[params.phase](params, 2 * args.n - 2, ctx)
-    norms = orthopoly.norms_from_moments(moments, args.n, ctx)
+    norms = orthopoly.norms_from_moments(moments, args.n)
     ratios = orthopoly.recurrence_r(norms)
     return {
         "phase": params.phase.value,

@@ -138,18 +138,25 @@ class NormSequence(_SlotRecord):
         return self.h[k]
 
 
+def _own_context(m: MomentSequence, ctx: Optional[PrecisionContext]) -> PrecisionContext:
+    """m.ctx, the one context of a run on m; any other ctx raises."""
+    if ctx is not None and ctx != m.ctx:
+        raise ParameterDomainError(f"moments built at {m.ctx} cannot run at {ctx}")
+    return m.ctx
+
+
 def hankel_det(
     m: MomentSequence, n: int, ctx: Optional[PrecisionContext] = None
 ) -> HankelResult:
-    """Verified Hankel determinant tau_n = det(mu_{i+k-2})_{1<=i,k<=n}, at ctx
-    (default: the moments' own, which ctx may not exceed).
+    """Verified Hankel determinant tau_n = det(mu_{i+k-2})_{1<=i,k<=n}, at the
+    moments' own context m.ctx; a ctx, if given, must equal it.
 
     Raises PrecisionFailureError when the base and guard runs disagree beyond
     the context's claim, or when the determinant of a positive-measure moment
     matrix comes out non-positive.
     """
-    ctx = ctx or m.ctx
-    tau, agreement = _linalg.hankel_determinant(m.values_for(ctx), n, ctx)
+    ctx = _own_context(m, ctx)
+    tau, agreement = _linalg.hankel_determinant(m.values, n, ctx)
     return HankelResult(n, tau, ctx, agreement)
 
 
@@ -158,10 +165,10 @@ def norms_from_moments(
 ) -> NormSequence:
     """h_0..h_{n-1} from mu_0..mu_{2n-2}; every h_k must come out positive and
     agree between the base run at ctx.bits and the guard run at
-    ctx.guard_bits (bits + 64 on a ladder rung), at ctx (default: the
-    moments' own, which ctx may not exceed)."""
-    ctx = ctx or m.ctx
-    pivots, agreement = _linalg.hankel_pivots(m.values_for(ctx), n, ctx)
+    ctx.guard_bits (bits + 64 on a ladder rung), with ctx the moments' own
+    context m.ctx; a ctx, if given, must equal it."""
+    ctx = _own_context(m, ctx)
+    pivots, agreement = _linalg.hankel_pivots(m.values, n, ctx)
     return NormSequence(m.family, m.params, tuple(pivots), ctx, tuple(agreement))
 
 
@@ -177,14 +184,14 @@ def _superfactorial_squares() -> Iterator[Tuple[int, int]]:
         yield odd, twos
 
 
-def _series(
-    p: PhaseParams, moments: MomentSequence, nmax: int, ctx: PrecisionContext
-) -> List[ZnResult]:
-    """Z_1..Z_nmax of p from its moments (order at least 2 nmax - 2), with
-    base ab where p's phase has a (t, gamma) chart and (1 + alpha)/2 on a
-    critical line; a rational alpha gives that base exactly, rounded once."""
+def _series(p: PhaseParams, moments: MomentSequence, nmax: int) -> List[ZnResult]:
+    """Z_1..Z_nmax of p from its moments (order at least 2 nmax - 2) at their
+    context, with base ab where p's phase has a (t, gamma) chart and
+    (1 + alpha)/2 on a critical line; a rational alpha gives that base
+    exactly, rounded once."""
+    ctx = moments.ctx
     w = weights_from_params(p, ctx) if _PHASE_RULES[p.phase].chart else None
-    norms = norms_from_moments(moments, nmax, ctx)
+    norms = norms_from_moments(moments, nmax)
     out = []
     with ctx.guardprec():
         base = to_mpf((1 + exact_or_mpf(p.alpha)) / 2) if w is None else w.a * w.b
@@ -206,8 +213,8 @@ def zn_ik(
 
     ``moments`` may carry a precomputed phi-derivative sequence to share
     across a sweep in n; it must be that of p (ParameterDomainError
-    otherwise), and it is rebuilt when its order is below 2n-2 or it cannot
-    serve a run at ctx.  Without ``ctx`` it runs on the precision ladder of
+    otherwise), and it is rebuilt at ctx unless it was built at ctx and its
+    order reaches 2n-2.  Without ``ctx`` it runs on the precision ladder of
     ``contexts(p, n)``.
     """
     if n < 1:
@@ -219,9 +226,9 @@ def zn_ik(
         )
     if ctx is None:
         return on_ladder(p, n, 256, lambda c: zn_ik(p, n, c, moments))
-    if moments is None or moments.order < 2 * n - 2 or not moments.serves(ctx):
+    if moments is None or moments.ctx != ctx or moments.order < 2 * n - 2:
         moments = phi_derivatives(p, 2 * n - 2, ctx)
-    return _series(p, moments, n, ctx)[-1]
+    return _series(p, moments, n)[-1]
 
 
 def zn_series(
@@ -246,7 +253,7 @@ def zn_series(
     if ctx is None:
         return on_ladder(p, nmax, 256, lambda c: zn_series(p, nmax, c))
     build = phi_derivatives if _PHASE_RULES[p.phase].chart else _WEIGHT_MOMENTS[p.phase]
-    return _series(p, build(p, 2 * nmax - 2, ctx), nmax, ctx)
+    return _series(p, build(p, 2 * nmax - 2, ctx), nmax)
 
 
 def toda_residual(p: PhaseParams, n: int, h, ctx: PrecisionContext):
@@ -264,7 +271,7 @@ def toda_residual(p: PhaseParams, n: int, h, ctx: PrecisionContext):
         raise ParameterDomainError(f"n >= 1 required, got {n}")
 
     def taus_at(q: PhaseParams, size: int) -> list:  # tau_0 = 1, ..., tau_size
-        norms = norms_from_moments(phi_derivatives(q, 2 * size - 2, ctx), size, ctx)
+        norms = norms_from_moments(phi_derivatives(q, 2 * size - 2, ctx), size)
         return list(accumulate(norms.h, mul, initial=mp.mpf(1)))
 
     with ctx.guardprec():

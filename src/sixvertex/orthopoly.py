@@ -56,7 +56,7 @@ def meixner_ratios(
     if ctx is None:
         p = PhaseParams(Phase.FERROELECTRIC, t=t, gamma=gamma)
         return on_ladder(p, kmax + 1, 256, lambda c: meixner_ratios(kmax, t, gamma, c))
-    norms = norms_from_moments(ferro_moments(2 * kmax, t, gamma, ctx), kmax + 1, ctx)
+    norms = norms_from_moments(ferro_moments(2 * kmax, t, gamma, ctx), kmax + 1)
     with ctx.guardprec():
         return tuple(h / meixner_norm(k, t, gamma, ctx) for k, h in enumerate(norms.h))
 

@@ -60,7 +60,7 @@ _PHI_FAMILY = {
 class MomentSequence(_SlotRecord):
     """Moments mu_0..mu_m of one weight family at one parameter point, as mpf
     computed at the guard precision of ``ctx``, the context they were built
-    for.  Runs read them through ``values_for``."""
+    for and the one context of every run on them."""
 
     __slots__ = ("family", "params", "values", "ctx")
 
@@ -83,21 +83,6 @@ class MomentSequence(_SlotRecord):
         """Whether these are the phi-derivatives of p, as phi_derivatives
         labels them."""
         return (self.family, self.params) == (_PHI_FAMILY.get(p.phase), (p.t, p.gamma))
-
-    def serves(self, ctx: PrecisionContext) -> bool:
-        """Whether the values can feed a run at ctx: its guard precision must
-        not exceed the one they were computed at."""
-        return ctx.guard_bits <= self.ctx.guard_bits
-
-    def values_for(self, ctx: PrecisionContext) -> Tuple:
-        """The values, for a run at ctx that they serve.  Any other run would
-        claim bits the moments do not carry, so it raises ParameterDomainError."""
-        if not self.serves(ctx):
-            raise ParameterDomainError(
-                f"moments built at {self.ctx.guard_bits} guard bits cannot serve a "
-                f"run at {ctx.guard_bits} guard bits; build them at its context"
-            )
-        return self.values
 
 
 # ---------------------------------------------------------------------------

@@ -656,7 +656,7 @@ def test_chebyshev_kernel_meets_the_claim_against_exact_chebyshev(phase, point, 
     # the integer-mantissa kernel against exact Chebyshev on the same moments,
     # rounded to the rung's bits and to its guard bits
     p, ctx = first_rung_at(phase, point, n)
-    values = specfun._WEIGHT_MOMENTS[phase](p, 2 * n - 2, ctx).values_for(ctx)
+    values = specfun._WEIGHT_MOMENTS[phase](p, 2 * n - 2, ctx).values
     for bits in (ctx.bits, ctx.guard_bits):
         with mp.workprec(bits):
             mus = [+mu for mu in values]
@@ -841,9 +841,10 @@ def test_round_and_div_give_the_nearest_value(man, exp, den, prec):
     )
 
 
-def test_moments_serve_runs_at_their_context_or_below():
-    # moments built at 256 bits carry 512 guard bits; a 1024-bit run on them
-    # would claim 2^-512 and be wrong past 2^-326 (ferro t = 2, gamma = 0.6)
+def test_moments_run_only_at_their_own_context():
+    # moments built at 256 bits carry 512 guard bits: a 1024-bit run on them
+    # would claim 2^-512 and be wrong past 2^-326 (ferro t = 2, gamma = 0.6),
+    # so only their own context runs on them and zn_ik rebuilds for any other
     low, high = sv.PrecisionContext(256), sv.PrecisionContext(1024)
     with high.guardprec():
         p = sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.mpf(2), gamma=mp.mpf("0.6"))
@@ -851,19 +852,38 @@ def test_moments_serve_runs_at_their_context_or_below():
     ref = sv.zn_series(p, 40, sv.PrecisionContext(2048))[-1].zn
     res = sv.zn_ik(p, 40, high, moments=m)
     assert res.bits == 1024 and rel_to(res.zn, ref) < high.verify_tolerance()
-    with pytest.raises(ParameterDomainError, match="guard bits"):
-        sv.norms_from_moments(m, 40, high)
-    with pytest.raises(ParameterDomainError, match="guard bits"):
-        sv.hankel_det(m, 40, high)
-    # at the moments' own context, the default, or a lower one, both run as
-    # the verified routines on the moment values
-    for ctx in (None, low, sv.PrecisionContext(160)):
-        run = ctx or low
+    for other in (high, sv.PrecisionContext(160), sv.PrecisionContext(256, claim=128)):
+        both = f"{re.escape(repr(low))}.*{re.escape(repr(other))}"
+        for route in (sv.norms_from_moments, sv.hankel_det):
+            with pytest.raises(ParameterDomainError, match=both):
+                route(m, 40, other)
+    # at the moments' own context, given or by default, both run as the
+    # verified routines on the moment values
+    for ctx in (None, low):
         norms = sv.norms_from_moments(m, 8, ctx)
-        assert norms.ctx == run
-        assert norms.h == tuple(_linalg.hankel_pivots(m.values, 8, run)[0])
-        tau = _linalg.hankel_determinant(m.values, 8, run)[0]
+        assert norms.ctx == low
+        assert norms.h == tuple(_linalg.hankel_pivots(m.values, 8, low)[0])
+        tau = _linalg.hankel_determinant(m.values, 8, low)[0]
         assert sv.hankel_det(m, 8, ctx).tau == tau
+
+
+def test_zn_ik_builds_moments_unless_they_are_at_its_context(monkeypatch):
+    p = sv.PhaseParams(sv.Phase.DISORDERED, t=0.3, gamma=1.1)
+    want = sv.zn_ik(p, 12, CTX256).zn
+    build, builds = sv.hankel.phi_derivatives, []
+    monkeypatch.setattr(
+        sv.hankel, "phi_derivatives", lambda *a: builds.append(a) or build(*a)
+    )
+    for built_at, rebuilds in (
+        (CTX256, 0),
+        (sv.PrecisionContext(1024), 1),
+        (sv.PrecisionContext(160), 1),
+        (sv.PrecisionContext(256, claim=128), 1),
+    ):
+        builds.clear()
+        res = sv.zn_ik(p, 12, CTX256, moments=build(p, 22, built_at))
+        assert len(builds) == rebuilds, built_at
+        assert res.ctx == CTX256 and res.zn == want, built_at
 
 
 def test_zn_ik_rejects_the_moments_of_another_point():
