@@ -21,7 +21,8 @@ exactly --bits.
 All numeric output is emitted as decimal strings at the run's precision.
 Only compare has a table: --format csv on any other command exits 2 before
 it computes anything.
-Exit codes: 0 success, 2 parameter-domain error, 3 precision failure.
+Exit codes: 0 success, 2 parameter-domain error (a request too large to
+allocate among them: more bits cannot serve it), 3 precision failure.
 """
 
 from __future__ import annotations
@@ -342,18 +343,25 @@ _COMMANDS = {
 
 
 def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for argv.  Every command gets its subparser and help, so
-    the usage lines, --help and a bad command read the same for any argv,
-    but only the commands named in argv get their flags.  The command that
-    parses is always among them; the other commands' flags would be built
-    and never read."""
+    """The parser for argv.  When argv's first token names a command, that
+    command parses all the rest, so only its subparser is built.  Otherwise
+    (no arguments, --help, a bad or misplaced command) every command gets its
+    subparser and help, so the top-level help and argparse's errors read as
+    they always have.  Only the commands named in argv get their flags: the
+    command that parses is always among them."""
     parser = argparse.ArgumentParser(
         prog="sixvertex",
         description="Six-vertex model with domain wall boundaries: exact "
         "partition functions, Hankel determinants, and asymptotics.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
+    named = bool(argv) and argv[0] in _COMMANDS
+    # the metavar keeps every command in the usage line of a lone subparser;
+    # a full parser goes without, as the metavar would also rename the
+    # command argument in argparse's errors for a missing or bad command
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if named else None)
+    for name in argv[:1] if named else _COMMANDS:
+        command = _COMMANDS[name]
         p = sub.add_parser(name, help=command.help)
         if name in argv:
             command.add_flags(p)
@@ -376,6 +384,14 @@ def run(argv=None) -> int:
     except (ParameterDomainError, PrecisionFailureError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2 if isinstance(exc, ParameterDomainError) else 3
+    except MemoryError:
+        # no precision serves a request that does not fit in memory, so it is
+        # refused as out of the parameter domain, not as a precision failure
+        asked = ", ".join(f"--{k} {v}" for k, v in vars(args).items()
+                          if k in ("n", "nmax", "bits"))
+        print(json.dumps({"error": f"request too large to allocate: {asked}"}),
+              file=sys.stderr)
+        return 2
     return 0
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -568,26 +569,88 @@ def test_printed_cells_carry_at_most_the_guard_bits(capsys, monkeypatch):
 EXACT_ARGV = ["exact", "--n", "3", "--a", "1", "--b", "1", "--c", "1"]
 
 
+def count_parsers(monkeypatch):
+    """The progs of every ArgumentParser built from here on, and the flags
+    added to each."""
+    built, added = [], {}
+    init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+    def record_init(self, *args, **kw):
+        init(self, *args, **kw)
+        built.append(self.prog)
+
+    def record_flag(self, *names, **kw):
+        added.setdefault(self.prog, []).append(names)
+        return add_argument(self, *names, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", record_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record_flag)
+    return built, added
+
+
 @pytest.mark.parametrize("argv", [
     EXACT_ARGV,
     ["compare", "--phase", "critical-fd", "--alpha", "3", "--nmax", "3"],
 ], ids=["exact", "compare"])
-def test_only_the_invoked_command_gets_its_flags(capsys, monkeypatch, argv):
-    added = {}
-    add_argument = argparse.ArgumentParser.add_argument
-
-    def record(self, *names, **kw):
-        added.setdefault(self.prog, []).append(names)
-        return add_argument(self, *names, **kw)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch, argv):
+    built, added = count_parsers(monkeypatch)
     assert cli.run(argv) == 0
     capsys.readouterr()
-    subparsers = {f"sixvertex {name}" for name in cli._COMMANDS}
-    assert subparsers <= set(added)
-    for prog in subparsers - {f"sixvertex {argv[0]}"}:
-        assert added[prog] == [("-h", "--help")], prog
+    assert built == ["sixvertex", f"sixvertex {argv[0]}"]
     assert ("--bits",) in added[f"sixvertex {argv[0]}"]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"]], ids=["empty", "help", "bogus"])
+def test_an_argv_naming_no_command_builds_every_parser(monkeypatch, argv):
+    built, added = count_parsers(monkeypatch)
+    cli._build_parser(argv)
+    assert built == ["sixvertex", *(f"sixvertex {name}" for name in cli._COMMANDS)]
+    assert all(flags == [("-h", "--help")] for prog, flags in added.items() if prog != "sixvertex")
+
+
+def reference_parser():
+    """The parser as built before any subparser was left out: every command
+    with its subparser, its help and all of its flags."""
+    parser = argparse.ArgumentParser(prog="sixvertex", description=cli._build_parser([]).description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        command.add_flags(p)
+        p.add_argument("--bits", type=int, default=256, help="working precision")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+    return parser
+
+
+def parse_outcome(capsys, parser, argv):
+    """The namespace argv parses to, or the exit code and output of the
+    SystemExit it ends in."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
+COMPARE_ARGV = ["compare", "--phase", "af", "--t", "0", "--gamma", "1", "--nmax", "2"]
+
+
+@pytest.mark.parametrize("columns", ["80", "100"])
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["--help", "compare"],
+    ["bogus"], ["--", "compare"], ["--x", *COMPARE_ARGV],
+    *([name, "--help"] for name in cli._COMMANDS), ["compare"],
+    COMPARE_ARGV[:-2], [*EXACT_ARGV, "extra"], [*EXACT_ARGV, "--method", "bogus"],
+    ["compare", "--phase", "xx", "--nmax", "2"], [*COMPARE_ARGV[:-1], "two"],
+    [*EXACT_ARGV, "--bits", "x"],
+    ["fit", "compare"], ["compare", "fit", *COMPARE_ARGV[1:]],
+    ["compare", "--phas", "af", *COMPARE_ARGV[3:]], [*EXACT_ARGV, "--me", "transfer"],
+    COMPARE_ARGV, EXACT_ARGV,
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parser_reads_every_argv_as_the_full_parser(capsys, monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    expected = parse_outcome(capsys, reference_parser(), argv)
+    assert parse_outcome(capsys, cli._build_parser(argv), argv) == expected
 
 
 # each command's flags in the order its --help lists them
@@ -694,6 +757,31 @@ def test_module_entry_point(argv, code, stream, text):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == code, proc.stderr
     assert text in getattr(proc, stream)
+
+
+def cap_address_space():
+    """Run in the child before exec: at most 2 GiB of address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--phase", "disordered", "--t", "0.2", "--gamma", "1", "--nmax", "2",
+     "--bits", "1000000000000"],
+    ["compare", "--phase", "disordered", "--t", "0.2", "--gamma", "1", "--nmax", "1000000000"],
+    ["toda", "--phase", "disordered", "--t", "0.2", "--gamma", "1", "--n", "2", "--h", "1e-10",
+     "--bits", "1000000000000"],
+], ids=["bits", "nmax", "toda-bits"])
+def test_exit_code_request_too_large_to_allocate(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(sixvertex.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "sixvertex.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60, preexec_fn=cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    error = json.loads(proc.stderr)["error"]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    size = "--nmax" if "--nmax" in given else "--n"
+    assert f"{size} {given[size]}" in error and f"--bits {given.get('--bits', 256)}" in error
 
 
 NUMERIC_FLAG_TEXT = st.one_of(
