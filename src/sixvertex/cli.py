@@ -10,13 +10,13 @@ Commands:
   norms     orthogonal-polynomial norms h_k and ratios R_k
 
 compare, fit and norms run on the precision ladder ``hankel.contexts(point,
-size, --bits)``: a result claims 2^(-bits/2) relative error, and the first rung
-works at bits/2 + predicted loss + 32 bits with its guard run 64 bits above.  A
-run that fails its base/guard check is repeated at twice the bits, up to the
-first rung at or above max(--bits, 24 size), and exits 3 only when that rung
-fails too.  fit and norms report the claim, the bits and guard bits of the rung
-that passed and the bits on which its base and guard runs agreed; toda runs at
-exactly --bits.
+size, --bits)``: a result claims the claim of ``PrecisionContext(--bits)``,
+2^(-bits/2) relative error, and a run that fails its base/guard check moves to
+the next rung; it exits 3 only when the last rung fails too.  fit and norms
+report the claim, the bits and guard bits of the rung that passed and the bits
+on which its base and guard runs agreed; toda runs at exactly --bits.  Every
+command parses its point once, at ``hankel.point_bits(size, --bits)``: hankel
+owns every bit count, and the CLI works out none of its own.
 
 All numeric output is emitted as decimal strings at the run's precision.
 Only compare has a table: --format csv on any other command exits 2 before
@@ -59,24 +59,20 @@ _PHASE_FLAGS = {"disordered": Phase.DISORDERED, "ferro": Phase.FERROELECTRIC,
 
 def _on_ladder(args, body: Callable):
     """body(args, params, ctx) on the precision ladder of the phase point,
-    the command's size (nmax or n) and --bits.  The point is parsed once,
-    at 4 max(bits, 24 size) bits, above the guard bits of every rung (each
-    below 2 max(bits, 24 size) + 64): it predicts the loss, no rung loses a
-    digit of a long literal, and a difference such as t - gamma near a
-    domain edge keeps every bit a rung resolves.  A size below 1 is refused
+    the command's size (nmax or n) and --bits.  A size below 1 is refused
     by the flag that set it."""
     flag = "nmax" if "nmax" in vars(args) else "n"  # each subcommand has one
     size = getattr(args, flag)
     if size < 1:
         raise ParameterDomainError(f"--{flag} >= 1 required, got {size}")
-    params = _phase_params(args, 4 * max(64, args.bits, 24 * size))
+    params = _phase_params(args, size)
     return hankel.on_ladder(params, size, args.bits, lambda ctx: body(args, params, ctx))
 
 
-def _phase_params(args, bits: int) -> PhaseParams:
-    """The phase parameters, parsed at bits of working precision."""
+def _phase_params(args, size: int) -> PhaseParams:
+    """The phase parameters, parsed once at ``hankel.point_bits(size, --bits)``."""
     given = {k: getattr(args, k) for k in ("t", "gamma", "alpha")}
-    with mp.workprec(bits):
+    with mp.workprec(hankel.point_bits(size, args.bits)):
         return PhaseParams(
             _PHASE_FLAGS[args.phase],
             **{k: _parse_real(s, k) for k, s in given.items() if s is not None},
@@ -228,7 +224,7 @@ def _compare_rows(args, params: PhaseParams, ctx: PrecisionContext) -> list:
 def cmd_toda(args) -> None:
     # exactly --bits: the residual shows a too-small --bits as exit 3
     ctx = PrecisionContext(args.bits)
-    params = _phase_params(args, ctx.guard_bits)
+    params = _phase_params(args, args.n)
     with ctx.guardprec():
         step = _parse_real(args.h, "h")
     residual = hankel.toda_residual(params, args.n, step, ctx)

@@ -43,20 +43,28 @@ def predicted_loss(p: PhaseParams, n: int) -> float:
 
 
 def contexts(p: PhaseParams, n: int, bits: int = 256) -> Iterator[PrecisionContext]:
-    """The precision ladder for size-n runs at p that claim 2^(-bits/2):
-    a first rung of W = bits/2 + predicted_loss(p, n) + 32 bits (at most
-    2 max(bits, 24 n)), then 2W, 4W, ..., ending with the first rung at or
-    above max(bits, 24 n).  Each rung's guard run is at its bits + 64, and
-    a run passes when its base and guard runs agree to the claim."""
-    if bits < 64:
-        raise ParameterDomainError(f"bits >= 64 required, got {bits}")
-    claim, top = bits // 2, max(bits, 24 * n)
-    first = min(claim + predicted_loss(p, n) + 32, 2 * top)
-    ctx = PrecisionContext(math.ceil(first), claim=claim)
+    """The precision ladder for size-n runs at p that serve the request
+    ``PrecisionContext(bits)``, which checks bits and sets the claim: a first
+    rung of W = claim + ceil(predicted_loss(p, n)) + 32 bits, an int sum
+    capped at 2 max(bits, 24 n), then 2W, 4W, ..., ending with the first rung
+    at or above max(bits, 24 n).  Each rung's guard run is at its bits + 64,
+    and a run passes when its base and guard runs agree to the claim."""
+    claim, top = PrecisionContext(bits).claim_bits, max(bits, 24 * n)
+    loss = math.ceil(min(predicted_loss(p, n), 2 * top))  # capped first: it may be inf
+    ctx = PrecisionContext(min(claim + loss + 32, 2 * top), claim=claim)
     yield ctx
     while ctx.bits < top:
         ctx = PrecisionContext(2 * ctx.bits, claim=claim)
         yield ctx
+
+
+def point_bits(n: int, bits: int) -> int:
+    """Bits at which to parse a point for size-n runs at bits: 4 max(64,
+    bits, 24 n), above the guard bits of ``PrecisionContext(bits)`` and of
+    every rung of ``contexts(p, n, bits)`` (each below 2 max(bits, 24 n) +
+    64).  So the point predicts the loss, and a long literal or a difference
+    such as t - gamma near a domain edge keeps every bit a run resolves."""
+    return 4 * max(64, bits, 24 * n)
 
 
 def on_ladder(p: PhaseParams, n: int, bits: int, run: Callable):

@@ -1,5 +1,6 @@
 """Brute-force oracles kept independent of the library code paths they check:
 truncated series summation (moments, theta_4 and theta_1'(0)), the
+disordered phi-derivatives from the Hurwitz zeta function, the
 ferroelectric Euler product, adaptive
 quadrature, central differences, O(n^3) elimination on the Hankel moment
 matrix, Chebyshev's algorithm in the arithmetic of its moments and
@@ -49,6 +50,28 @@ def series_af_moments(kmax, t, gamma, bits=512, lmax=400):
         nodes = range(-lmax, lmax + 1)
         weights = [mp.exp(2 * t * l - 2 * gamma * abs(l)) for l in nodes]
         return _weighted_power_sums(kmax, nodes, weights)
+
+
+def hurwitz_phi_derivatives(kmax, t, gamma, bits=512):
+    """phi^(k)(t) of the disordered phi = cot(gamma - t) + cot(gamma + t)
+    for k = 0..kmax from the Hurwitz zeta function: cot x = sum_{m in Z}
+    1/(x + m pi) gives, for k >= 1 and 0 < x < pi,
+
+        cot^(k)(x) = (-1)^k k! pi^-(k+1) [zeta(k+1, x/pi) + (-1)^(k+1) zeta(k+1, 1 - x/pi)],
+
+    and each t-derivative of cot(gamma - t) brings a factor -1."""
+    with mp.workprec(bits):
+        t, gamma = to_mpf(t), to_mpf(gamma)
+
+        def cot_derivative(k, x):
+            a = x / mp.pi
+            zetas = mp.zeta(k + 1, a) + (-1) ** (k + 1) * mp.zeta(k + 1, 1 - a)
+            return (-1) ** k * mp.factorial(k) * mp.pi ** -(k + 1) * zetas
+
+        out = [mp.cot(gamma - t) + mp.cot(gamma + t)]
+        for k in range(1, kmax + 1):
+            out.append(cot_derivative(k, gamma + t) + (-1) ** k * cot_derivative(k, gamma - t))
+        return out
 
 
 @lru_cache(maxsize=None)

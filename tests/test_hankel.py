@@ -2,9 +2,9 @@
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
-from math import factorial, floor
+from math import ceil, factorial, floor
 from operator import mul
 
 import pytest
@@ -23,8 +23,12 @@ from oracles import (
     chebyshev_norms,
     crit_afd_exact_moments,
     crit_fd_exact_moments,
+    elimination_pivots,
     exact_phi_derivatives,
     fraction_free_norms,
+    hurwitz_phi_derivatives,
+    series_af_moments,
+    series_ferro_moments,
 )
 
 TOL30 = mp.mpf("1e-30")
@@ -319,8 +323,46 @@ def test_default_context_policy():
     # a point far into the ferro phase gets at most 2 max(bits, 24 n)
     far = sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.mpf("1e400"), gamma=mp.mpf(1))
     assert [c.bits for c in sv.contexts(far, 4)] == [512]
-    with pytest.raises(ParameterDomainError, match="bits >= 64"):
-        next(sv.contexts(p, 4, 63))
+
+
+LADDER_POINTS = {
+    "disordered": disordered("0.3", "1.1"),
+    "ferro": sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.mpf(2), gamma=mp.mpf(1)),
+    # the capped first rung: the predicted loss is an inf float
+    "ferro-far": sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.mpf("1e400"), gamma=mp.mpf(1)),
+    # the first rung fails and the ladder climbs
+    "af-deep": sv.PhaseParams(sv.Phase.ANTIFERROELECTRIC, t=mp.mpf(0), gamma=mp.mpf(10)),
+}
+
+
+@pytest.mark.parametrize("name", LADDER_POINTS)
+def test_every_rung_runs_below_the_point_bits(name):
+    # the CLI parses a point once, at point_bits, for every rung of its ladder
+    # and for the claimless context toda runs at
+    p = LADDER_POINTS[name]
+    for n in (1, 2, 24, 48, 120):
+        for bits in (64, 256, 608, 4096):
+            ceiling = sv.hankel.point_bits(n, bits)
+            assert sv.PrecisionContext(bits).guard_bits < ceiling, (n, bits)
+            for ctx in sv.contexts(p, n, bits):
+                assert ctx.guard_bits < ceiling, (n, bits, ctx.bits)
+    # the ladder serves the request PrecisionContext(bits), which checks bits
+    for bits in (63, 256.5):
+        with pytest.raises(ParameterDomainError) as refused:
+            sv.PrecisionContext(bits)
+        with pytest.raises(ParameterDomainError, match=f"^{re.escape(str(refused.value))}$"):
+            next(sv.contexts(p, 4, bits))
+
+
+@pytest.mark.parametrize("name,n", [("disordered", 4), ("ferro", 24)])
+def test_first_rung_sums_its_bits_in_ints_at_huge_bits(name, n):
+    # a float sum would round the loss and the margin away from 2^53 bits on;
+    # a context record allocates nothing, so this runs at any bits
+    p = LADDER_POINTS[name]
+    loss = ceil(sv.predicted_loss(p, n))
+    for e in range(52, 65):
+        first = next(sv.contexts(p, n, 2**e))
+        assert (first.claim_bits, first.bits) == (2 ** (e - 1), 2 ** (e - 1) + loss + 32), e
 
 
 def test_ladder_climbs_to_the_first_rung_past_24n_then_raises():
@@ -412,6 +454,13 @@ def test_context_free_calls_climb_the_ladder(rungs, monkeypatch, call):
     assert rungs == [first.bits, 2 * first.bits]
 
 
+def assert_meets_the_claim(r, error):
+    """error, that of the ladder result r, is below the rung's own claim and
+    below 2^-(bits/2) at the rung's bits, whichever is the tighter."""
+    assert error < r.ctx.verify_tolerance(), r.n
+    assert error < sv.PrecisionContext(r.bits).verify_tolerance(), r.n
+
+
 def test_ladder_series_meets_its_claim_against_closed_forms():
     with mp.workprec(4096):
         ice = sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf(0), gamma=mp.pi / 3)
@@ -420,10 +469,10 @@ def test_ladder_series_meets_its_claim_against_closed_forms():
     for r in sv.zn_series(ice, 48):
         with mp.workprec(4096):
             ref = asm_count(r.n) * (mp.mpf(3) / 4) ** (mp.mpf(r.n * r.n) / 2)
-        assert rel_to(r.zn, ref) < sv.PrecisionContext(r.bits).verify_tolerance(), r.n
+        assert_meets_the_claim(r, rel_to(r.zn, ref))
     # a^2 + b^2 = c^2 = 1 at gamma = pi/4, so Z_n = 1
     for r in sv.zn_series(free_fermion, 40):
-        assert rel_to(r.zn, 1) < sv.PrecisionContext(r.bits).verify_tolerance(), r.n
+        assert_meets_the_claim(r, rel_to(r.zn, 1))
 
 
 @pytest.mark.parametrize(
@@ -436,13 +485,14 @@ def test_ladder_series_meets_its_claim_against_the_lattice(phase, alpha):
     for r in series[:12]:
         with mp.workprec(4096):
             exact = sv.to_mpf(sv.transfer_matrix_zn(r.n, w, exact=True))
-        assert rel_to(r.zn, exact) < sv.PrecisionContext(r.bits).verify_tolerance(), r.n
+        assert_meets_the_claim(r, rel_to(r.zn, exact))
 
 
 def exact_zn(base, norms):
-    """Exact Z_1..Z_nmax from the exact norms h_0..h_{nmax-1} by
-    Izergin-Korepin, Z_n = base^(n^2) prod_{k<n} h_k / (prod_{k<n} k!)^2."""
-    out, tau, superfactorial = [], Fraction(1), 1
+    """Z_1..Z_nmax from the norms h_0..h_{nmax-1} by Izergin-Korepin,
+    Z_n = base^(n^2) prod_{k<n} h_k / (prod_{k<n} k!)^2: exact for Fractions,
+    at the ambient precision for mpf."""
+    out, tau, superfactorial = [], 1, 1
     for n, h in enumerate(norms, start=1):
         tau *= h
         superfactorial *= factorial(n - 1)
@@ -474,11 +524,10 @@ def test_ladder_series_meets_its_claim_against_the_exact_hankel_route(name):
     point = RATIONAL_POINTS[name]
     exact = exact_series(name, 40)
     series = sv.zn_series(point.params(8192), 40)
-    claim = sv.PrecisionContext(series[0].bits).verify_tolerance()
     for r, zn in zip(series, exact):
         with mp.workprec(8192):
             ref = sv.to_mpf(zn)
-        assert rel_to(r.zn, ref, 8192) < claim, r.n
+        assert_meets_the_claim(r, rel_to(r.zn, ref, 8192))
 
 
 def exact_moments(name, kmax):
@@ -548,6 +597,66 @@ def test_ladder_series_meets_its_claim_at_n60_against_the_exact_hankel_route(nam
         with mp.workprec(8192):
             ref = sv.to_mpf(zn)
         assert rel_to(r.zn, ref, 8192) < r.ctx.verify_tolerance(), r.n
+
+
+# Ladder series at generic decimal points against references that share no
+# code with specfun or _linalg.  The point is parsed as the CLI parses it.
+# The bulk moments come from node sums or the Hurwitz zeta function, and their
+# norms from elimination at 3 times the rung's guard bits; on the critical
+# lines the exact moments of the decimal's own rational give an exact Z_n.
+# Each Z_n must meet its claim and also lie within 2^-agreement_bits.
+
+
+def decimal_point(phase, n, **decimals):
+    """The point of the decimal literals, parsed at point_bits for size n."""
+    with mp.workprec(sv.hankel.point_bits(n, 256)):
+        return sv.PhaseParams(phase, **{k: mp.mpf(v) for k, v in decimals.items()})
+
+
+def assert_meets_the_claim_and_its_agreement(series, refs, prec):
+    for r, ref in zip(series, refs, strict=True):
+        error = rel_to(r.zn, ref, prec)
+        assert_meets_the_claim(r, error)
+        assert error < mp.mpf(2) ** -r.agreement_bits, r.n
+
+
+# phase: (t, gamma, n, moments(kmax, t, gamma, bits), the Z_n base of those moments).
+# The node sums are 2^-(k+1) |phi^(k)|, so their tau_n is 2^-(n^2) that of phi
+# and the base doubles.  Their terms fall as e^(-2.4 l) (ferro) and
+# e^(-1.8 l) (AF), so l up to 600 and 800 leaves a tail below 2^-1300 of
+# every mu_k with k <= 78.
+INDEPENDENT_MOMENTS = {
+    sv.Phase.DISORDERED: ("0.2", "0.9", 32, hurwitz_phi_derivatives,
+                          lambda t, g: mp.sin(g - t) * mp.sin(g + t)),
+    sv.Phase.FERROELECTRIC: ("2.1", "0.9", 40, partial(series_ferro_moments, lmax=600),
+                             lambda t, g: 2 * mp.sinh(t - g) * mp.sinh(t + g)),
+    sv.Phase.ANTIFERROELECTRIC: ("0.3", "1.2", 40, partial(series_af_moments, lmax=800),
+                                 lambda t, g: 2 * mp.sinh(g - t) * mp.sinh(g + t)),
+}
+
+
+@pytest.mark.parametrize("phase", INDEPENDENT_MOMENTS, ids=lambda phase: phase.value)
+def test_bulk_series_at_a_decimal_point_against_independent_moments(phase):
+    t, gamma, n, moments, base = INDEPENDENT_MOMENTS[phase]
+    p = decimal_point(phase, n, t=t, gamma=gamma)
+    series = sv.zn_series(p, n)
+    bits = 3 * series[0].ctx.guard_bits
+    mus = moments(2 * n - 2, p.t, p.gamma, bits)
+    with mp.workprec(bits):
+        refs = exact_zn(base(p.t, p.gamma), elimination_pivots(mus, n))
+    assert_meets_the_claim_and_its_agreement(series, refs, 2 * bits)
+
+
+@pytest.mark.parametrize("phase,alpha", [(sv.Phase.CRITICAL_FD, "3.17"),
+                                         (sv.Phase.CRITICAL_AFD, "-0.37")])
+def test_critical_series_at_a_decimal_alpha_against_exact_moments(phase, alpha):
+    n, exact_alpha = 40, Fraction(alpha)
+    series = sv.zn_series(decimal_point(phase, n, alpha=alpha), n)
+    moments_of = crit_fd_exact_moments if phase is sv.Phase.CRITICAL_FD else crit_afd_exact_moments
+    exact = exact_zn((1 + exact_alpha) / 2, fraction_free_norms(moments_of(exact_alpha, 2 * n - 2)))
+    with mp.workprec(8192):
+        refs = [sv.to_mpf(zn) for zn in exact]
+    assert_meets_the_claim_and_its_agreement(series, refs, 8192)
 
 
 @pytest.mark.parametrize(

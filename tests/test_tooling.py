@@ -143,6 +143,28 @@ def test_cli_holds_flags_only():
     assert not defined & {"_PHASES", "_PhaseEntry"}, defined
 
 
+def test_cli_parses_every_point_at_the_ladders_point_bits():
+    # hankel owns every bit count of a run: the CLI parses a phase point only
+    # in _phase_params, at hankel.point_bits, and works out no bits of its own
+    tree = ast.parse((ROOT / "src" / "sixvertex" / "cli.py").read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def calls(node, name):
+        return [call for call in ast.walk(node)
+                if isinstance(call, ast.Call) and ast.unparse(call.func) == name]
+
+    parse = functions["_phase_params"]
+    assert [ast.unparse(call.args[0]) for call in calls(parse, "mp.workprec")] == [
+        "hankel.point_bits(size, args.bits)"
+    ]
+    # each caller hands over its size flag, not bits
+    sizes = {name: [ast.unparse(call.args[1]) for call in calls(node, "_phase_params")]
+             for name, node in functions.items() if calls(node, "_phase_params")}
+    assert sizes == {"_on_ladder": ["size"], "cmd_toda": ["args.n"]}
+    assert len(calls(tree, "hankel.point_bits")) == 1
+    assert len(calls(tree, "PhaseParams")) == len(calls(parse, "PhaseParams")) == 1
+
+
 @pytest.mark.parametrize(
     "params", [["--phase", "af", "--t", "0.1", "--gamma", "1"],
                ["--phase", "critical-fd", "--alpha", "3"]],
