@@ -15,10 +15,9 @@ import sys
 
 from mpmath import mp
 
-import sixvertex as sv
-from sixvertex import cli
+from sixvertex import cli, hankel
 
-PI_OVER_3 = "pi/3"  # replaced by a decimal literal good to every rung's guard bits
+PI_OVER_3 = "pi/3"  # replaced by a decimal literal good to the bits the CLI parses it at
 
 SWEEPS = [
     ("disordered", ["--t", "0", "--gamma", PI_OVER_3], 40),
@@ -35,14 +34,9 @@ def pi_over_3(bits):
 
 
 def run_sweep(name, params, nmax, outdir, bits):
-    # compare may climb its precision ladder; the literal serves the top rung
-    with mp.workprec(64):  # the point only sizes the ladder
-        point = sv.PhaseParams(cli._PHASE_FLAGS[name], **{
-            flag[2:]: mp.pi / 3 if value == PI_OVER_3 else mp.mpf(value)
-            for flag, value in zip(params[::2], params[1::2])
-        })
-    ladder = list(sv.contexts(point, nmax, bits))
-    params = [pi_over_3(ladder[-1].guard_bits) if p == PI_OVER_3 else p for p in params]
+    # the CLI parses the point at hankel.point_bits, above every rung's guard bits
+    params = [pi_over_3(hankel.point_bits(nmax, bits)) if p == PI_OVER_3 else p
+              for p in params]
     path = outdir / f"compare_{name}.csv"
     argv = ["compare", "--phase", name, *params, "--nmax", str(nmax), "--bits", str(bits),
             "--format", "csv", "--out", str(path)]
@@ -51,7 +45,7 @@ def run_sweep(name, params, nmax, outdir, bits):
         sys.exit(code)
     with open(path, newline="") as fh:
         final = list(csv.reader(fh))[-1][-1]
-    print(f"{name:12s} nmax={nmax:3d} bits>={ladder[0].bits:5d} "
+    print(f"{name:12s} nmax={nmax:3d} bits={bits:5d} "
           f"final ratio={mp.nstr(mp.mpf(final), 10)} -> {path}")
 
 

@@ -18,7 +18,10 @@ on which its base and guard runs agreed; toda runs at exactly --bits.  Every
 command parses its point once, at ``hankel.point_bits(size, --bits)``: hankel
 owns every bit count, and the CLI works out none of its own.
 
-All numeric output is emitted as decimal strings at the run's precision.
+All numeric output is emitted as decimal strings.  compare, fit and norms
+compute every row past the Hankel runs (log Z_n, the law, the ratio, the fits)
+at ``hankel.report_context`` of the rung that passed, claim + 32 bits, and
+print its digits; toda prints the digits of --bits.
 Only compare has a table: --format csv on any other command exits 2 before
 it computes anything.
 Exit codes: 0 success, 2 parameter-domain error (a request too large to
@@ -111,7 +114,9 @@ def _exact_str(x) -> str:
 
 
 def _nstr(x, ctx: PrecisionContext) -> str:
-    """x, an mpf at the guard precision of ctx, to ctx.dps digits."""
+    """x, an mpf held at the guard precision of ctx, to ctx.dps digits: a
+    compare, fit or norms value at its ``hankel.report_context``, a toda
+    residual at exactly --bits."""
     return mp.nstr(x, ctx.dps)
 
 
@@ -204,18 +209,21 @@ def cmd_compare(args) -> None:
 def _compare_rows(args, params: PhaseParams, ctx: PrecisionContext) -> list:
     predict = asymptotics._predictor(params)  # refuses a phase without a law, before any run
     series = hankel.zn_series(params, args.nmax, ctx)
+    report = hankel.report_context(ctx)
     rows = []
-    with ctx.guardprec():
+    with report.guardprec():
         for res in series:
-            pred = predict(res.n, ctx)
-            ratio = mp.exp(res.log_zn - pred.log_prediction)
+            zn = +res.zn  # rounded once, to the report's guard bits
+            log_zn = mp.log(zn)
+            pred = predict(res.n, report)
+            ratio = mp.exp(log_zn - pred.log_prediction)
             rows.append(
                 [
                     str(res.n),
-                    _nstr(res.zn, ctx),
-                    _nstr(res.log_zn, ctx),
-                    _nstr(pred.log_prediction, ctx),
-                    _nstr(ratio, ctx),
+                    _nstr(zn, report),
+                    _nstr(log_zn, report),
+                    _nstr(pred.log_prediction, report),
+                    _nstr(ratio, report),
                 ]
             )
     return rows
@@ -248,7 +256,9 @@ def cmd_fit(args) -> None:
 
 def _fit_report(args, params: PhaseParams, ctx: PrecisionContext) -> dict:
     series = hankel.zn_series(params, args.nmax, ctx)
-    pts = [(r.n, r.log_zn) for r in series]
+    report = hankel.report_context(ctx)
+    with report.guardprec():  # the fits run 64 bits past their inputs' bits
+        pts = [(r.n, mp.log(r.zn)) for r in series]
     f_fit = asymptotics.fit_free_energy(pts, window=args.window)
     obj = {
         "phase": params.phase.value,
@@ -257,15 +267,15 @@ def _fit_report(args, params: PhaseParams, ctx: PrecisionContext) -> dict:
         "claim_bits": ctx.claim_bits,
         "guard_bits": ctx.guard_bits,
         "agreement_bits": series[-1].agreement_bits,
-        "free_energy": f_fit.to_json(ctx.dps),
+        "free_energy": f_fit.to_json(report.dps),
     }
     # kappa is regressed where the law has n^kappa, on the law's own log F and G
     if params.phase in asymptotics._KAPPA_LAWS:
-        pred = asymptotics._predictor(params)(args.nmax, ctx)
+        pred = asymptotics._predictor(params)(args.nmax, report)
         law = pred.law
         k_fit = asymptotics.fit_kappa(pts, law.log_f, law.log_g, law.g_mode, args.window)
-        obj["kappa"] = k_fit.to_json(ctx.dps)
-        obj["predicted"] = pred.to_json(ctx.dps)
+        obj["kappa"] = k_fit.to_json(report.dps)
+        obj["predicted"] = pred.to_json(report.dps)
     return obj
 
 
@@ -277,17 +287,19 @@ def _norms_report(args, params: PhaseParams, ctx: PrecisionContext) -> dict:
     moments = specfun._WEIGHT_MOMENTS[params.phase](params, 2 * args.n - 2, ctx)
     norms = orthopoly.norms_from_moments(moments, args.n)
     ratios = orthopoly.recurrence_r(norms)
-    return {
-        "phase": params.phase.value,
-        "family": norms.family.value,
-        "n": args.n,
-        "bits": ctx.bits,
-        "claim_bits": ctx.claim_bits,
-        "guard_bits": ctx.guard_bits,
-        "agreement_bits": norms.agreement_bits,
-        "h": [_nstr(v, ctx) for v in norms.h],
-        "r": [_nstr(v, ctx) for v in ratios],
-    }
+    report = hankel.report_context(ctx)
+    with report.guardprec():  # each value rounded once, to the report's guard bits
+        return {
+            "phase": params.phase.value,
+            "family": norms.family.value,
+            "n": args.n,
+            "bits": ctx.bits,
+            "claim_bits": ctx.claim_bits,
+            "guard_bits": ctx.guard_bits,
+            "agreement_bits": norms.agreement_bits,
+            "h": [_nstr(+v, report) for v in norms.h],
+            "r": [_nstr(+v, report) for v in ratios],
+        }
 
 
 def _weight_flags(p) -> None:

@@ -42,6 +42,11 @@ def predicted_loss(p: PhaseParams, n: int) -> float:
     return _PHASE_RULES[p.phase].loss(p) * n if n > 0 else 0.0
 
 
+# bits past the claim (and past the predicted loss) that a first rung carries,
+# and bits past the claim at which a verified result is reported
+_MARGIN_BITS = 32
+
+
 def contexts(p: PhaseParams, n: int, bits: int = 256) -> Iterator[PrecisionContext]:
     """The precision ladder for size-n runs at p that serve the request
     ``PrecisionContext(bits)``, which checks bits and sets the claim: a first
@@ -51,11 +56,21 @@ def contexts(p: PhaseParams, n: int, bits: int = 256) -> Iterator[PrecisionConte
     and a run passes when its base and guard runs agree to the claim."""
     claim, top = PrecisionContext(bits).claim_bits, max(bits, 24 * n)
     loss = math.ceil(min(predicted_loss(p, n), 2 * top))  # capped first: it may be inf
-    ctx = PrecisionContext(min(claim + loss + 32, 2 * top), claim=claim)
+    ctx = PrecisionContext(min(claim + loss + _MARGIN_BITS, 2 * top), claim=claim)
     yield ctx
     while ctx.bits < top:
         ctx = PrecisionContext(2 * ctx.bits, claim=claim)
         yield ctx
+
+
+def report_context(ctx: PrecisionContext) -> PrecisionContext:
+    """The context at which a result verified at ctx is reported: claim + 32
+    bits, with ctx's claim.  What is derived from a verified value (its log,
+    the law, the ratio, the fits) is computed at its guard precision, claim +
+    96 bits, and printed to its dps, the digits of claim + 32 bits.  Only the
+    norms lose bits with n, so only their runs need the rung's bits."""
+    claim = ctx.claim_bits
+    return PrecisionContext(claim + _MARGIN_BITS, claim=claim)
 
 
 def point_bits(n: int, bits: int) -> int:

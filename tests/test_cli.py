@@ -10,6 +10,8 @@ import re
 import resource
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from mpmath import mp
 import sixvertex
 from sixvertex import cli
 
+import oracles
 from conftest import rel_to
 
 
@@ -269,7 +272,9 @@ def test_compare_critical_fd_evaluates_zeta_once_per_precision(capsys, monkeypat
     law.cache_clear()
     assert cli.run(["compare", "--phase", "critical-fd", "--alpha", "3", "--nmax", "6"]) == 0
     capsys.readouterr()
-    ctx = next(sixvertex.contexts(sixvertex.PhaseParams(sixvertex.Phase.CRITICAL_FD, alpha=3), 6))
+    # the law is evaluated at the report context of the rung, not on the rung
+    rung = next(sixvertex.contexts(sixvertex.PhaseParams(sixvertex.Phase.CRITICAL_FD, alpha=3), 6))
+    ctx = sixvertex.hankel.report_context(rung)
     assert calls == [ctx]
     assert (law.cache_info().misses, law.cache_info().hits) == (1, 5)
     point = (sixvertex.Phase.CRITICAL_FD, (mp.mpf(3),), ctx)
@@ -290,7 +295,7 @@ def test_compare_ferro_evaluates_its_law_once_per_precision(capsys, monkeypatch)
     assert cli.run(argv) == 0
     capsys.readouterr()
     ferro = sixvertex.PhaseParams(sixvertex.Phase.FERROELECTRIC, t=2, gamma=mp.mpf("0.625"))
-    ctx = next(sixvertex.contexts(ferro, 24))
+    ctx = sixvertex.hankel.report_context(next(sixvertex.contexts(ferro, 24)))
     assert calls == [ctx]
     point = (sixvertex.Phase.FERROELECTRIC, (mp.mpf(2), mp.mpf("0.625")), ctx)
     cached = law(*point)
@@ -546,7 +551,9 @@ def test_csv_rejected_before_any_computation(capsys, monkeypatch):
 
 def test_printed_cells_carry_at_most_the_guard_bits(capsys, monkeypatch):
     # _nstr rounds each cell once, to ctx.dps digits, so what it is given must
-    # already be an mpf held at the guard precision of its run
+    # already be an mpf held at the guard precision of the context it prints
+    # at: the report context of the rung for compare and norms, whose Z_n and
+    # h_k are rounded to it first, and --bits for toda
     cells = []
     nstr = cli._nstr
     monkeypatch.setattr(cli, "_nstr", lambda x, ctx: cells.append((x, ctx)) or nstr(x, ctx))
@@ -564,6 +571,136 @@ def test_printed_cells_carry_at_most_the_guard_bits(capsys, monkeypatch):
         for x, ctx in cells:
             assert isinstance(x, mp.mpf), (argv, x)
             assert x._mpf_[3] <= ctx.guard_bits, (argv, x._mpf_[3], ctx.guard_bits)
+
+
+# the printed report at a critical-fd point whose alpha is not dyadic; each
+# value is rebuilt from exact rationals and mpmath's own zeta, sharing no code
+# with the library
+REPORT_ALPHA, REPORT_NMAX, REPORT_BITS = Fraction("3.17"), 24, 1024
+REPORT_POINT = ["--phase", "critical-fd", "--alpha", "3.17"]
+
+
+def at_report_bits(x):
+    """An exact Fraction, a printed cell or an mpf as an mpf at REPORT_BITS."""
+    with mp.workprec(REPORT_BITS):
+        return mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
+
+
+@pytest.fixture(scope="module")
+def exact_report():
+    """h_0..h_{nmax-1} and Z_1..Z_nmax at alpha = 3.17, as Fractions, and the
+    critical-fd law's log F = log b and log G = -zeta(3/2) sqrt(a / pi), with
+    a, b = (alpha -+ 1)/2, at REPORT_BITS."""
+    h = oracles.fraction_free_norms(
+        oracles.crit_fd_exact_moments(REPORT_ALPHA, 2 * REPORT_NMAX - 2))
+    zs, tau, superfactorial = [], Fraction(1), 1
+    for n in range(1, REPORT_NMAX + 1):
+        tau *= h[n - 1]
+        superfactorial *= factorial(n - 1)
+        zs.append(((REPORT_ALPHA + 1) / 2) ** (n * n) * tau / superfactorial**2)
+    with mp.workprec(REPORT_BITS):
+        a, b = (at_report_bits((REPORT_ALPHA + s) / 2) for s in (-1, 1))
+        return h, zs, mp.log(b), -mp.zeta(1.5) * mp.sqrt(a / mp.pi)
+
+
+def significant_digits(cell: str) -> int:
+    return len(cell.lstrip("-").split("e")[0].replace(".", "").strip("0"))
+
+
+def check_digits(cells: dict, report, exact: dict = None) -> None:
+    """Every cell carries report.dps significant digits less the trailing
+    zeros that nstr drops: none carries more and the longest of each field
+    carries exactly dps.  A cell shorter by four digits or more, which a
+    value that does not terminate has odds of about 1e-4 to print, must be
+    its exact value: exact[field][i] is that of cells[field][i], or None."""
+    for field, values in cells.items():
+        digits = [significant_digits(v) for v in values]
+        assert max(digits) == report.dps, (field, digits)
+        for i, (cell, d) in enumerate(zip(values, digits)):
+            short = d <= report.dps - 4
+            assert not short or Fraction(cell) == exact[field][i], (field, i, cell)
+
+
+def test_printed_report_matches_exact_references(capsys, exact_report):
+    # compare, norms and fit print every value to the report context's digits,
+    # and each agrees with its exact reference to the claim
+    h, zs, log_f, log_g = exact_report
+    p = sixvertex.PhaseParams(sixvertex.Phase.CRITICAL_FD, alpha=mp.mpf("3.17"))
+    rung = next(sixvertex.contexts(p, REPORT_NMAX))
+    report = sixvertex.hankel.report_context(rung)
+    assert (report.claim_bits, report.dps) == (128, 50)  # 50 digits carry 160 bits
+    tol = mp.mpf(2) ** -report.claim_bits
+
+    def agrees(cell, want, scale=None):
+        """|cell - want| <= 2^-claim scale, with scale |want| by default."""
+        with mp.workprec(REPORT_BITS):
+            want = at_report_bits(want)
+            scale = abs(want) if scale is None else scale
+            return abs(at_report_bits(cell) - want) <= tol * scale
+
+    with mp.workprec(REPORT_BITS):
+        log_z = [None] + [mp.log(at_report_bits(z)) for z in zs]  # log_z[n] = log Z_n
+        law = [None] + [n * n * log_f + mp.sqrt(n) * log_g + mp.log(n) / 4
+                        for n in range(1, REPORT_NMAX + 1)]
+
+    rows = run_json(capsys, ["compare", *REPORT_POINT, "--nmax", str(REPORT_NMAX)])
+    assert [int(r["n"]) for r in rows] == list(range(1, REPORT_NMAX + 1))
+    for n, r in enumerate(rows, start=1):
+        assert agrees(r["zn"], zs[n - 1]), (n, r["zn"])
+        assert agrees(r["log_zn"], log_z[n], max(1, abs(log_z[n]))), (n, r["log_zn"])
+        assert agrees(r["log_prediction"], law[n], max(1, abs(law[n]))), (n, r)
+        with mp.workprec(REPORT_BITS):
+            ratio = mp.exp(at_report_bits(r["log_zn"]) - at_report_bits(r["log_prediction"]))
+        assert agrees(r["ratio"], ratio), (n, r["ratio"])
+    # Z_n is a polynomial in a = 1.085 and b = 2.085, so Z_1..Z_4 terminate,
+    # and log Z_1 = log 1 = 0
+    check_digits({k: [r[k] for r in rows] for k in rows[0] if k != "n"}, report,
+                 {"zn": zs, "log_zn": [0] + [None] * (REPORT_NMAX - 1)})
+
+    obj = run_json(capsys, ["norms", *REPORT_POINT, "--n", str(REPORT_NMAX)])
+    assert (obj["bits"], obj["guard_bits"]) == (rung.bits, rung.guard_bits)  # the rung's
+    assert len(obj["h"]) == REPORT_NMAX
+    for k, cell in enumerate(obj["h"]):
+        assert agrees(cell, h[k]), (k, cell)
+    for k, cell in enumerate(obj["r"], start=1):
+        assert agrees(cell, h[k] / h[k - 1]), (k, cell)
+    check_digits({"h": obj["h"], "r": obj["r"]}, report)
+
+    obj = run_json(capsys, ["fit", *REPORT_POINT, "--nmax", str(REPORT_NMAX)])
+    assert (obj["bits"], obj["guard_bits"]) == (rung.bits, rung.guard_bits)
+    with mp.workprec(REPORT_BITS):
+        f_est = {n: (log_z[n + 1] - 2 * log_z[n] + log_z[n - 1]) / 2
+                 for n in range(2, REPORT_NMAX)}
+        resid = {n: log_z[n] - n * n * log_f - mp.sqrt(n) * log_g
+                 for n in range(1, REPORT_NMAX + 1)}
+        k_est = {n: (resid[n] - resid[n - 1]) / (mp.log(n) - mp.log(n - 1))
+                 for n in range(2, REPORT_NMAX + 1)}
+        # the default windows: a third of the points, 7 of 22 estimates and 8 of 24
+        f_tail = [f_est[n] for n in range(17, REPORT_NMAX)]
+        f_mean = mp.fsum(f_tail) / len(f_tail)
+        f_rms = mp.sqrt(mp.fsum((v - f_mean) ** 2 for v in f_tail) / len(f_tail))
+        # the least-squares line through (log n, resid[n]) over its window
+        window = range(17, REPORT_NMAX + 1)
+        (log_c, slope), k_norm = mp.qr_solve(mp.matrix([[1, mp.log(n)] for n in window]),
+                                             mp.matrix([resid[n] for n in window]))
+        k_rms = k_norm / mp.sqrt(len(window))
+    fe, ka, pred = obj["free_energy"], obj["kappa"], obj["predicted"]
+    assert [n for n, _ in fe["per_n"]] == list(f_est) and fe["window"] == [17, REPORT_NMAX - 1]
+    for n, cell in fe["per_n"]:
+        assert agrees(cell, f_est[n], max(1, abs(f_est[n]))), (n, cell)
+    assert agrees(fe["extrapolated"], f_mean) and agrees(fe["residual_norm"], f_rms, 1)
+    assert [n for n, _ in ka["per_n"]] == list(k_est) and ka["window"] == [17, REPORT_NMAX]
+    for n, cell in ka["per_n"]:
+        assert agrees(cell, k_est[n], max(1, abs(k_est[n]))), (n, cell)
+    assert agrees(ka["extrapolated"], slope) and agrees(ka["log_c"], log_c)
+    assert agrees(ka["residual_norm"], k_rms, 1)
+    assert agrees(pred["f"], (REPORT_ALPHA + 1) / 2) and pred["kappa"] == "0.25"
+    with mp.workprec(REPORT_BITS):
+        g = mp.exp(log_g)
+    assert agrees(pred["g"], g) and agrees(pred["log_prediction"], law[REPORT_NMAX])
+    check_digits({"free_energy": [c for _, c in fe["per_n"]] + [fe["extrapolated"]],
+                  "kappa": [c for _, c in ka["per_n"]] + [ka["extrapolated"], ka["log_c"]],
+                  "predicted": [pred["g"], pred["log_prediction"]]}, report)
 
 
 EXACT_ARGV = ["exact", "--n", "3", "--a", "1", "--b", "1", "--c", "1"]

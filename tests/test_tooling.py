@@ -171,7 +171,10 @@ def test_cli_parses_every_point_at_the_ladders_point_bits():
 )
 def test_traced_compare_reaches_every_layer(tracer, capsys, params):
     # the CLI calls predictors, kernels and moments through module attributes,
-    # where the tracer binds its wrappers
+    # where the tracer binds its wrappers.  The law is cached per report
+    # context, which an earlier run at the same point and --bits shares, so
+    # the cache is cleared for the law's kernels to run here
+    asymptotics._law.cache_clear()
     assert cli.run(["compare", *params, "--nmax", "4"]) == 0
     capsys.readouterr()
     for counter in ("asymptotics.predict_calls", "specfun.kernel_calls",
