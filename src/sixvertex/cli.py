@@ -61,15 +61,17 @@ _PHASE_FLAGS = {"disordered": Phase.DISORDERED, "ferro": Phase.FERROELECTRIC,
 
 
 def _on_ladder(args, body: Callable):
-    """body(args, params, ctx) on the precision ladder of the phase point,
-    the command's size (nmax or n) and --bits.  A size below 1 is refused
-    by the flag that set it."""
+    """body(args, params, ctx, report) on the precision ladder of the phase
+    point, the command's size (nmax or n) and --bits, with report the
+    ``hankel.report_context`` of the rung ctx.  A size below 1 is refused by
+    the flag that set it."""
     flag = "nmax" if "nmax" in vars(args) else "n"  # each subcommand has one
     size = getattr(args, flag)
     if size < 1:
         raise ParameterDomainError(f"--{flag} >= 1 required, got {size}")
     params = _phase_params(args, size)
-    return hankel.on_ladder(params, size, args.bits, lambda ctx: body(args, params, ctx))
+    return hankel.on_ladder(params, size, args.bits,
+                            lambda ctx: body(args, params, ctx, hankel.report_context(ctx)))
 
 
 def _phase_params(args, size: int) -> PhaseParams:
@@ -120,17 +122,16 @@ def _nstr(x, ctx: PrecisionContext) -> str:
     return mp.nstr(x, ctx.dps)
 
 
-def _emit(args, obj=None, rows=None, fieldnames=None) -> None:
-    """Write the JSON object or the CSV table (rows of string cells)."""
+def _emit(args, obj) -> None:
+    """Write obj as JSON, or for --format csv as the table of obj, a list of
+    row dicts of string cells headed by the first row's keys."""
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(fieldnames)
-        writer.writerows(rows)
+        writer = csv.DictWriter(buf, fieldnames=list(obj[0]))
+        writer.writeheader()
+        writer.writerows(obj)
         text = buf.getvalue()
     else:
-        if obj is None:
-            obj = [dict(zip(fieldnames, r)) for r in rows]
         text = json.dumps(obj, indent=2) + "\n"
     if args.out and args.out != "-":
         try:
@@ -171,24 +172,21 @@ def _parse_real(s: str, name: str):
     return x
 
 
-def cmd_phase(args) -> None:
+def cmd_phase(args) -> dict:
     w = Weights(*(_parse_weight(getattr(args, k), k) for k in "abc"))
     ctx = PrecisionContext(args.bits)
     res = classify(w, ctx)
-    _emit(
-        args,
-        obj={
-            "a": _fraction_str(Fraction(w.a), ctx.dps),
-            "b": _fraction_str(Fraction(w.b), ctx.dps),
-            "c": _fraction_str(Fraction(w.c), ctx.dps),
-            "delta": _fraction_str(res.delta, ctx.dps),
-            "phase": res.phase.value,
-            "borderline": res.borderline,
-        },
-    )
+    return {
+        "a": _fraction_str(Fraction(w.a), ctx.dps),
+        "b": _fraction_str(Fraction(w.b), ctx.dps),
+        "c": _fraction_str(Fraction(w.c), ctx.dps),
+        "delta": _fraction_str(res.delta, ctx.dps),
+        "phase": res.phase.value,
+        "borderline": res.borderline,
+    }
 
 
-def cmd_exact(args) -> None:
+def cmd_exact(args) -> dict:
     w = Weights(*(_parse_weight(getattr(args, k), k) for k in "abc"))
     if args.method == "transfer":
         z = lattice.transfer_matrix_zn(args.n, w, exact=True)
@@ -198,18 +196,13 @@ def cmd_exact(args) -> None:
     obj = {"n": args.n, "method": args.method, "zn": _exact_str(z)}
     if count is not None:
         obj["count"] = count
-    _emit(args, obj=obj)
+    return obj
 
 
-def cmd_compare(args) -> None:
-    rows = _on_ladder(args, _compare_rows)
-    _emit(args, rows=rows, fieldnames=["n", "zn", "log_zn", "log_prediction", "ratio"])
-
-
-def _compare_rows(args, params: PhaseParams, ctx: PrecisionContext) -> list:
+def _compare_rows(args, params: PhaseParams, ctx: PrecisionContext,
+                  report: PrecisionContext) -> list:
     predict = asymptotics._predictor(params)  # refuses a phase without a law, before any run
     series = hankel.zn_series(params, args.nmax, ctx)
-    report = hankel.report_context(ctx)
     rows = []
     with report.guardprec():
         for res in series:
@@ -217,48 +210,39 @@ def _compare_rows(args, params: PhaseParams, ctx: PrecisionContext) -> list:
             log_zn = mp.log(zn)
             pred = predict(res.n, report)
             ratio = mp.exp(log_zn - pred.log_prediction)
-            rows.append(
-                [
-                    str(res.n),
-                    _nstr(zn, report),
-                    _nstr(log_zn, report),
-                    _nstr(pred.log_prediction, report),
-                    _nstr(ratio, report),
-                ]
-            )
+            rows.append({
+                "n": str(res.n),
+                "zn": _nstr(zn, report),
+                "log_zn": _nstr(log_zn, report),
+                "log_prediction": _nstr(pred.log_prediction, report),
+                "ratio": _nstr(ratio, report),
+            })
     return rows
 
 
-def cmd_toda(args) -> None:
+def cmd_toda(args) -> dict:
     # exactly --bits: the residual shows a too-small --bits as exit 3
     ctx = PrecisionContext(args.bits)
     params = _phase_params(args, args.n)
     with ctx.guardprec():
         step = _parse_real(args.h, "h")
     residual = hankel.toda_residual(params, args.n, step, ctx)
-    _emit(
-        args,
-        obj={
-            "phase": params.phase.value,
-            "t": args.t,
-            "gamma": args.gamma,
-            "n": args.n,
-            "h": args.h,
-            "bits": args.bits,
-            "residual": _nstr(residual, ctx),
-        },
-    )
+    return {
+        "phase": params.phase.value,
+        "t": args.t,
+        "gamma": args.gamma,
+        "n": args.n,
+        "h": args.h,
+        "bits": args.bits,
+        "residual": _nstr(residual, ctx),
+    }
 
 
-def cmd_fit(args) -> None:
-    _emit(args, obj=_on_ladder(args, _fit_report))
-
-
-def _fit_report(args, params: PhaseParams, ctx: PrecisionContext) -> dict:
+def _fit_report(args, params: PhaseParams, ctx: PrecisionContext,
+                report: PrecisionContext) -> dict:
     series = hankel.zn_series(params, args.nmax, ctx)
-    report = hankel.report_context(ctx)
     with report.guardprec():  # the fits run 64 bits past their inputs' bits
-        pts = [(r.n, mp.log(r.zn)) for r in series]
+        pts = [(r.n, mp.log(+r.zn)) for r in series]  # as compare: Z_n rounded once
     f_fit = asymptotics.fit_free_energy(pts, window=args.window)
     obj = {
         "phase": params.phase.value,
@@ -279,15 +263,11 @@ def _fit_report(args, params: PhaseParams, ctx: PrecisionContext) -> dict:
     return obj
 
 
-def cmd_norms(args) -> None:
-    _emit(args, obj=_on_ladder(args, _norms_report))
-
-
-def _norms_report(args, params: PhaseParams, ctx: PrecisionContext) -> dict:
+def _norms_report(args, params: PhaseParams, ctx: PrecisionContext,
+                  report: PrecisionContext) -> dict:
     moments = specfun._WEIGHT_MOMENTS[params.phase](params, 2 * args.n - 2, ctx)
     norms = orthopoly.norms_from_moments(moments, args.n)
     ratios = orthopoly.recurrence_r(norms)
-    report = hankel.report_context(ctx)
     with report.guardprec():  # each value rounded once, to the report's guard bits
         return {
             "phase": params.phase.value,
@@ -332,7 +312,7 @@ def _fit_flags(p) -> None:
 
 
 class _Command(NamedTuple):
-    handler: Callable  # (args): computes and emits
+    handler: Callable  # (args): the value that run emits
     help: str
     add_flags: Callable  # (subparser): the command's own flags
     tabular: bool  # it has a table for --format csv
@@ -341,11 +321,14 @@ class _Command(NamedTuple):
 _COMMANDS = {
     "phase": _Command(cmd_phase, "classify a weight triple", _weight_flags, False),
     "exact": _Command(cmd_exact, "exact Z_n for rational weights", _exact_flags, False),
-    "compare": _Command(cmd_compare, "exact Z_n against the asymptotic predictor",
+    "compare": _Command(lambda args: _on_ladder(args, _compare_rows),
+                        "exact Z_n against the asymptotic predictor",
                         lambda p: _point_flags(p, "nmax"), True),
     "toda": _Command(cmd_toda, "Toda-equation finite-difference residual", _toda_flags, False),
-    "fit": _Command(cmd_fit, "fit F, kappa, C from an exact series", _fit_flags, False),
-    "norms": _Command(cmd_norms, "orthogonal polynomial norms h_k",
+    "fit": _Command(lambda args: _on_ladder(args, _fit_report),
+                    "fit F, kappa, C from an exact series", _fit_flags, False),
+    "norms": _Command(lambda args: _on_ladder(args, _norms_report),
+                      "orthogonal polynomial norms h_k",
                       lambda p: _point_flags(p, "n"), False),
 }
 
@@ -388,7 +371,7 @@ def run(argv=None) -> int:
             raise ParameterDomainError(
                 f"command {args.command!r} has no tabular form; use --format json"
             )
-        command.handler(args)
+        _emit(args, command.handler(args))
     except (ParameterDomainError, PrecisionFailureError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2 if isinstance(exc, ParameterDomainError) else 3

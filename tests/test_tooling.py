@@ -165,6 +165,24 @@ def test_cli_parses_every_point_at_the_ladders_point_bits():
     assert len(calls(tree, "PhaseParams")) == len(calls(parse, "PhaseParams")) == 1
 
 
+def test_cli_has_one_output_path_and_one_report_context():
+    # every handler returns the value it prints: run is the one caller of
+    # _emit, and _on_ladder gives each ladder body its rung's report context
+    tree = ast.parse((ROOT / "src" / "sixvertex" / "cli.py").read_text())
+
+    def callers(name):
+        """The top-level function around each call of name (None outside one)."""
+        found = []
+        for node in tree.body:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and ast.unparse(call.func) == name:
+                    found.append(node.name if isinstance(node, ast.FunctionDef) else None)
+        return found
+
+    assert callers("_emit") == ["run"]
+    assert callers("hankel.report_context") == ["_on_ladder"]
+
+
 @pytest.mark.parametrize(
     "params", [["--phase", "af", "--t", "0.1", "--gamma", "1"],
                ["--phase", "critical-fd", "--alpha", "3"]],
