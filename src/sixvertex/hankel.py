@@ -15,7 +15,6 @@ hold from n = 1.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import accumulate, count
 from operator import mul
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
@@ -104,7 +103,11 @@ class HankelResult(NamedTuple):
     agreement_bits: int
 
 
-class _ZnFields(NamedTuple):
+class ZnResult(NamedTuple):
+    """Partition function value with its provenance and precision: the
+    context of the run and the fewest bits on which the base and guard runs
+    agreed over the norms behind it."""
+
     n: int
     zn: object
     phase: Phase
@@ -112,21 +115,13 @@ class _ZnFields(NamedTuple):
     ctx: PrecisionContext
     agreement_bits: int
 
-
-class ZnResult(_ZnFields):
-    """Partition function value with its provenance and precision: the
-    context of the run and the fewest bits on which the base and guard runs
-    agreed over the norms behind it."""
-
-    # no __slots__: the instance dict holds log_zn once it is read
-
     @property
     def bits(self) -> int:
         return self.ctx.bits
 
-    @cached_property
+    @property
     def log_zn(self):
-        """log Z_n at the run's guard precision, taken on first read."""
+        """log Z_n at the run's guard precision, taken at each read."""
         with self.ctx.guardprec():
             return mp.log(self.zn)
 

@@ -1011,14 +1011,17 @@ def test_zn_ik_rejects_the_moments_of_another_point():
 
 
 def test_zn_ik_takes_one_log(monkeypatch):
-    # zn_ik returns only Z_n, so only its log is taken, once, when read
+    # zn_ik returns only Z_n, so a read of log_zn takes only Z_n's log
     calls = []
     log = mp.log
     monkeypatch.setattr(mp, "log", lambda *a, **k: calls.append(a) or log(*a, **k))
     p = sv.PhaseParams(sv.Phase.DISORDERED, t=0.3, gamma=1.1)
     res = sv.zn_ik(p, 48, next(sv.contexts(p, 48)))
-    assert res.log_zn == res.log_zn
-    assert len(calls) <= 1
+    assert calls == []
+    log_zn = res.log_zn
+    assert calls == [(res.zn,)]
+    with res.ctx.guardprec():
+        assert log_zn == log(res.zn)
 
 
 @pytest.mark.parametrize("ctx", [None, CTX256])

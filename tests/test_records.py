@@ -64,12 +64,6 @@ def test_repr_names_the_class(rec, field):
     assert f"{field}=" in repr(rec)
 
 
-def test_zn_result_keeps_log_zn_once_read():
-    r = sv.zn_series(FERRO, 3, CTX256)[-1]
-    assert r.log_zn is r.log_zn
-    assert copy.copy(r).log_zn is r.log_zn
-
-
 @pytest.mark.parametrize(
     "rec,good,bad",
     [
