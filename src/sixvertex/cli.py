@@ -18,10 +18,14 @@ on which its base and guard runs agreed; toda runs at exactly --bits.  Every
 command parses its point once, at ``hankel.point_bits(size, --bits)``: hankel
 owns every bit count, and the CLI works out none of its own.
 
-All numeric output is emitted as decimal strings.  compare, fit and norms
-compute every row past the Hankel runs (log Z_n, the law, the ratio, the fits)
-at ``hankel.report_context`` of the rung that passed, claim + 32 bits, and
-print its digits; toda prints the digits of --bits.
+Every command returns its result and ``run`` writes it, as JSON or, for
+compare, as a CSV table.  All numeric output is emitted as decimal strings.
+compare, fit and norms compute every row past the Hankel runs (log Z_n, the
+law, the ratio, the fits) at ``hankel.report_context`` of the rung that
+passed, claim + 32 bits, which ``_on_ladder`` hands to each, and print its
+dps digits; toda prints the digits of --bits.  log Z_n is the log of a Z_n
+verified to a relative error, so its own error is absolute: compare prints
+it to the digit of 10^-dps, which below 0.1 takes fewer than dps digits.
 Only compare has a table: --format csv on any other command exits 2 before
 it computes anything.
 Exit codes: 0 success, 2 parameter-domain error (a request too large to
@@ -40,6 +44,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from mpmath import mp
+from mpmath.libmp import to_digits_exp
 
 from . import asymptotics, hankel, lattice, orthopoly, specfun
 from .errors import ParameterDomainError, PrecisionFailureError
@@ -115,11 +120,16 @@ def _exact_str(x) -> str:
         raise ParameterDomainError(f"exact value too long to print: {exc}")
 
 
-def _nstr(x, ctx: PrecisionContext) -> str:
+def _nstr(x, ctx: PrecisionContext, absolute: bool = False) -> str:
     """x, an mpf held at the guard precision of ctx, to ctx.dps digits: a
     compare, fit or norms value at its ``hankel.report_context``, a toda
-    residual at exactly --bits."""
-    return mp.nstr(x, ctx.dps)
+    residual at exactly --bits.  An absolute x, whose error scales with
+    max(1, |x|), is printed below 1 to the digit of 10^-dps: ctx.dps digits
+    plus its decimal exponent E, with |x| = 0.d... 10^E, and at least one."""
+    digits = ctx.dps
+    if absolute and x and abs(x) < 1:
+        digits += min(to_digits_exp(x._mpf_, ctx.dps)[2] + 1, 0)  # x = d.d... 10^(E - 1)
+    return mp.nstr(x, max(digits, 1))
 
 
 def _emit(args, obj) -> None:
@@ -213,7 +223,7 @@ def _compare_rows(args, params: PhaseParams, ctx: PrecisionContext,
             rows.append({
                 "n": str(res.n),
                 "zn": _nstr(zn, report),
-                "log_zn": _nstr(log_zn, report),
+                "log_zn": _nstr(log_zn, report, absolute=True),
                 "log_prediction": _nstr(pred.log_prediction, report),
                 "ratio": _nstr(ratio, report),
             })

@@ -556,7 +556,8 @@ def test_printed_cells_carry_at_most_the_guard_bits(capsys, monkeypatch):
     # h_k are rounded to it first, and --bits for toda
     cells = []
     nstr = cli._nstr
-    monkeypatch.setattr(cli, "_nstr", lambda x, ctx: cells.append((x, ctx)) or nstr(x, ctx))
+    monkeypatch.setattr(cli, "_nstr",
+                        lambda x, ctx, **kw: cells.append((x, ctx)) or nstr(x, ctx, **kw))
     runs = [["compare", "--phase", FLAGS[phase],
              *[arg for k, v in point.items() for arg in (f"--{k}", str(v))], "--nmax", "6"]
             for phase, point in PHASE_POINTS.items()]
@@ -701,6 +702,31 @@ def test_printed_report_matches_exact_references(capsys, exact_report):
     check_digits({"free_energy": [c for _, c in fe["per_n"]] + [fe["extrapolated"]],
                   "kappa": [c for _, c in ka["per_n"]] + [ka["extrapolated"], ka["log_c"]],
                   "predicted": [pred["g"], pred["log_prediction"]]}, report)
+
+
+def test_compare_prints_a_small_log_zn_to_the_digit_of_ten_to_the_minus_dps(capsys):
+    # Z_n is verified to a relative error, so log Z_n to an absolute one: below
+    # 1 it is printed to the digit of 10^-dps and no further.  At alpha = 1 +
+    # 1e-31 the critical-fd weights a, b, c = (alpha - 1)/2, (alpha + 1)/2, 1
+    # give Z_2 = (alpha^2 + 1)/2, and log Z_2..log Z_4 are near 1e-31; each is
+    # checked against Z_n of the transfer matrix in exact rationals
+    literal = "1.0000000000000000000000000000001"
+    alpha = Fraction(literal)
+    weights = sixvertex.Weights((alpha - 1) / 2, (alpha + 1) / 2, 1)
+    rows = run_json(capsys, ["compare", "--phase", "critical-fd", "--alpha", literal,
+                             "--nmax", "4"])
+    report = sixvertex.hankel.report_context(sixvertex.PrecisionContext(256))
+    dps = report.dps
+    assert sixvertex.transfer_matrix_zn(2, weights, exact=True) == (alpha**2 + 1) / 2
+    assert rows[0]["log_zn"] == "0.0"  # Z_1 = c = 1
+    for n, r in enumerate(rows[1:], start=2):
+        zn = at_report_bits(sixvertex.transfer_matrix_zn(n, weights, exact=True))
+        with mp.workprec(1024):
+            assert abs(mp.mpf(r["zn"]) / zn - 1) <= mp.mpf(2) ** -report.claim_bits, n
+            log_zn = mp.log(zn)
+            assert abs(mp.mpf(r["log_zn"]) - log_zn) <= mp.mpf(10) ** -dps, (n, r["log_zn"])
+            exponent = int(mp.floor(mp.log10(log_zn))) + 1  # log Z_n = 0.d... 10^exponent
+        assert significant_digits(r["log_zn"]) <= dps + exponent, (n, r["log_zn"])
 
 
 EXACT_ARGV = ["exact", "--n", "3", "--a", "1", "--b", "1", "--c", "1"]
