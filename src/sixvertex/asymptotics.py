@@ -57,21 +57,6 @@ class AsymptoticPrediction(NamedTuple):
     theta_factor: Optional[object] = None
     law: Optional[_Law] = None
 
-    def to_json(self, dps: int = 30) -> dict:
-        out = {
-            "phase": self.phase.value,
-            "n": self.n,
-            "f": mp.nstr(self.f, dps),
-            "log_prediction": mp.nstr(self.log_prediction, dps),
-        }
-        for name in ("kappa", "g", "c", "theta_factor"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = mp.nstr(v, dps)
-        if self.g_mode:
-            out["g_mode"] = self.g_mode
-        return out
-
 
 class FitResult(NamedTuple):
     """Per-n estimates plus a window extrapolation for one fitted target."""
@@ -82,18 +67,6 @@ class FitResult(NamedTuple):
     window: Tuple[int, int]
     residual_norm: object
     log_c: Optional[object] = None
-
-    def to_json(self, dps: int = 30) -> dict:
-        out = {
-            "target": self.target,
-            "per_n": [[n, mp.nstr(v, dps)] for n, v in self.per_n_estimates],
-            "extrapolated": mp.nstr(self.extrapolated, dps),
-            "window": list(self.window),
-            "residual_norm": mp.nstr(self.residual_norm, dps),
-        }
-        if self.log_c is not None:
-            out["log_c"] = mp.nstr(self.log_c, dps)
-        return out
 
 
 def predict_disordered(

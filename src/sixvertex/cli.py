@@ -89,9 +89,9 @@ def _phase_params(args, size: int) -> PhaseParams:
         )
 
 
-def _fraction_str(fr: Fraction, dps: int) -> str:
+def _fraction_str(fr: Fraction, ctx: PrecisionContext) -> str:
     """Decimal string of a rational: exact when the expansion terminates,
-    rounded to dps significant digits otherwise."""
+    rounded to ctx.dps significant digits otherwise."""
     den = fr.denominator
     d = den
     twos = fives = 0
@@ -107,8 +107,8 @@ def _fraction_str(fr: Fraction, dps: int) -> str:
         s = _exact_str(digits).rjust(k + 1, "0")
         sign = "-" if fr < 0 else ""
         return sign + (s[:-k] + "." + s[-k:] if k else s)
-    with mp.workprec(int(dps * 3.33) + 16):
-        return mp.nstr(to_mpf(fr), dps)
+    with ctx.guardprec():
+        return _nstr(to_mpf(fr), ctx)
 
 
 def _exact_str(x) -> str:
@@ -187,10 +187,10 @@ def cmd_phase(args) -> dict:
     ctx = PrecisionContext(args.bits)
     res = classify(w, ctx)
     return {
-        "a": _fraction_str(Fraction(w.a), ctx.dps),
-        "b": _fraction_str(Fraction(w.b), ctx.dps),
-        "c": _fraction_str(Fraction(w.c), ctx.dps),
-        "delta": _fraction_str(res.delta, ctx.dps),
+        "a": _fraction_str(Fraction(w.a), ctx),
+        "b": _fraction_str(Fraction(w.b), ctx),
+        "c": _fraction_str(Fraction(w.c), ctx),
+        "delta": _fraction_str(res.delta, ctx),
         "phase": res.phase.value,
         "borderline": res.borderline,
     }
@@ -261,16 +261,40 @@ def _fit_report(args, params: PhaseParams, ctx: PrecisionContext,
         "claim_bits": ctx.claim_bits,
         "guard_bits": ctx.guard_bits,
         "agreement_bits": series[-1].agreement_bits,
-        "free_energy": f_fit.to_json(report.dps),
+        "free_energy": _fit_cells(f_fit, report),
     }
     # kappa is regressed where the law has n^kappa, on the law's own log F and G
     if params.phase in asymptotics._KAPPA_LAWS:
         pred = asymptotics._predictor(params)(args.nmax, report)
         law = pred.law
         k_fit = asymptotics.fit_kappa(pts, law.log_f, law.log_g, law.g_mode, args.window)
-        obj["kappa"] = k_fit.to_json(report.dps)
-        obj["predicted"] = pred.to_json(report.dps)
+        obj["kappa"] = _fit_cells(k_fit, report)
+        obj["predicted"] = _prediction_cells(pred, report)
     return obj
+
+
+def _fit_cells(fit: asymptotics.FitResult, report: PrecisionContext) -> dict:
+    """The block of a fit, each value rounded once to the report's guard bits."""
+    with report.guardprec():
+        cell = lambda v: _nstr(+v, report)
+        obj = {"target": fit.target, "per_n": [[n, cell(v)] for n, v in fit.per_n_estimates],
+               "extrapolated": cell(fit.extrapolated), "window": list(fit.window),
+               "residual_norm": cell(fit.residual_norm)}
+        if fit.log_c is not None:
+            obj["log_c"] = cell(fit.log_c)
+    return obj
+
+
+def _prediction_cells(pred: asymptotics.AsymptoticPrediction,
+                      report: PrecisionContext) -> dict:
+    """The terms of a prediction's law, each value rounded once to the report's
+    guard bits."""
+    obj = {"phase": pred.phase.value, "n": pred.n}
+    with report.guardprec():
+        for name in ("f", "log_prediction", "kappa", "g", "c", "theta_factor"):
+            if getattr(pred, name) is not None:
+                obj[name] = _nstr(+getattr(pred, name), report)
+    return {**obj, "g_mode": pred.g_mode} if pred.g_mode else obj
 
 
 def _norms_report(args, params: PhaseParams, ctx: PrecisionContext,

@@ -146,15 +146,6 @@ def test_predict_af_f_positive_property(gamma, frac):
     assert pred.f > 0
 
 
-def test_prediction_json_round_trip():
-    pred = sv.predict_ferro(2, 1, 3, CTX256)
-    blob = pred.to_json(40)
-    assert blob["phase"] == "ferroelectric"
-    assert blob["g_mode"] == "n"
-    with CTX256.guardprec():
-        assert rel_to(mp.mpf(blob["f"]), pred.f, prec=512) < mp.mpf("1e-35")
-
-
 PREDICTORS = [
     lambda n: sv.predict_disordered(mp.mpf("0.3"), mp.mpf("1.1"), n, CTX256),
     lambda n: sv.predict_ferro(2, 1, n, CTX256),

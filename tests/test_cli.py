@@ -552,8 +552,9 @@ def test_csv_rejected_before_any_computation(capsys, monkeypatch):
 def test_printed_cells_carry_at_most_the_guard_bits(capsys, monkeypatch):
     # _nstr rounds each cell once, to ctx.dps digits, so what it is given must
     # already be an mpf held at the guard precision of the context it prints
-    # at: the report context of the rung for compare and norms, whose Z_n and
-    # h_k are rounded to it first, and --bits for toda
+    # at: the report context of the rung for compare, fit and norms, whose
+    # Z_n, fits, law terms and h_k are rounded to it first, and --bits for
+    # toda.  A disordered fit prints F, kappa and the prediction
     cells = []
     nstr = cli._nstr
     monkeypatch.setattr(cli, "_nstr",
@@ -564,6 +565,7 @@ def test_printed_cells_carry_at_most_the_guard_bits(capsys, monkeypatch):
     runs += [["norms", *point, "--n", "5"] for point, _ in FAMILY_POINTS]
     runs.append(["toda", "--phase", "disordered", "--t", "0.2", "--gamma", "1", "--n", "3",
                  "--h", "1e-10", "--bits", "512"])
+    runs.append(["fit", "--phase", "disordered", "--t", "0.3", "--gamma", "1.1", "--nmax", "8"])
     for argv in runs:
         cells.clear()
         assert cli.run(argv) == 0, argv
@@ -686,6 +688,10 @@ def test_printed_report_matches_exact_references(capsys, exact_report):
                                              mp.matrix([resid[n] for n in window]))
         k_rms = k_norm / mp.sqrt(len(window))
     fe, ka, pred = obj["free_energy"], obj["kappa"], obj["predicted"]
+    assert list(fe) == ["target", "per_n", "extrapolated", "window", "residual_norm"]
+    assert list(ka) == [*fe, "log_c"]
+    assert list(pred) == ["phase", "n", "f", "log_prediction", "kappa", "g", "g_mode"]
+    assert (pred["phase"], pred["n"], pred["g_mode"]) == ("critical-fd", REPORT_NMAX, "sqrt_n")
     assert [n for n, _ in fe["per_n"]] == list(f_est) and fe["window"] == [17, REPORT_NMAX - 1]
     for n, cell in fe["per_n"]:
         assert agrees(cell, f_est[n], max(1, abs(f_est[n]))), (n, cell)

@@ -183,6 +183,23 @@ def test_cli_has_one_output_path_and_one_report_context():
     assert callers("hankel.report_context") == ["_on_ladder"]
 
 
+def test_cli_nstr_is_the_one_printer_of_a_number():
+    # every number the package prints goes through cli._nstr, so one digit
+    # rule covers every command, and no record carries a serializer of its own
+    nstr_callers = []
+    for path in sorted((ROOT / "src" / "sixvertex").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                assert "to_json" not in [f.name for f in node.body
+                                         if isinstance(f, ast.FunctionDef)], (path.name, node.name)
+        for top in tree.body:
+            for call in ast.walk(top):
+                if isinstance(call, ast.Call) and ast.unparse(call.func).endswith(".nstr"):
+                    nstr_callers.append((path.name, getattr(top, "name", None)))
+    assert nstr_callers == [("cli.py", "_nstr")]
+
+
 @pytest.mark.parametrize(
     "params", [["--phase", "af", "--t", "0.1", "--gamma", "1"],
                ["--phase", "critical-fd", "--alpha", "3"]],
