@@ -19,13 +19,15 @@ command parses its point once, at ``hankel.point_bits(size, --bits)``: hankel
 owns every bit count, and the CLI works out none of its own.
 
 Every command returns its result and ``run`` writes it, as JSON or, for
-compare, as a CSV table.  All numeric output is emitted as decimal strings.
+compare, as a CSV table.  Numbers are printed as decimal strings, each
+inexact one by ``_nstr``.
 compare, fit and norms compute every row past the Hankel runs (log Z_n, the
 law, the ratio, the fits) at ``hankel.report_context`` of the rung that
 passed, claim + 32 bits, which ``_on_ladder`` hands to each, and print its
 dps digits; toda prints the digits of --bits.  log Z_n is the log of a Z_n
 verified to a relative error, so its own error is absolute: compare prints
-it to the digit of 10^-dps, which below 0.1 takes fewer than dps digits.
+it, and fit every cell derived from it, to the digit of 10^-dps, which
+below 0.1 takes fewer than dps digits; fit's law terms keep dps digits.
 Only compare has a table: --format csv on any other command exits 2 before
 it computes anything.
 Exit codes: 0 success, 2 parameter-domain error (a request too large to
@@ -274,9 +276,10 @@ def _fit_report(args, params: PhaseParams, ctx: PrecisionContext,
 
 
 def _fit_cells(fit: asymptotics.FitResult, report: PrecisionContext) -> dict:
-    """The block of a fit, each value rounded once to the report's guard bits."""
+    """The block of a fit, each value rounded once to the report's guard bits
+    and, derived from log Z_n, printed to the digit of 10^-dps."""
     with report.guardprec():
-        cell = lambda v: _nstr(+v, report)
+        cell = lambda v: _nstr(+v, report, absolute=True)
         obj = {"target": fit.target, "per_n": [[n, cell(v)] for n, v in fit.per_n_estimates],
                "extrapolated": cell(fit.extrapolated), "window": list(fit.window),
                "residual_norm": cell(fit.residual_norm)}
@@ -285,8 +288,7 @@ def _fit_cells(fit: asymptotics.FitResult, report: PrecisionContext) -> dict:
     return obj
 
 
-def _prediction_cells(pred: asymptotics.AsymptoticPrediction,
-                      report: PrecisionContext) -> dict:
+def _prediction_cells(pred: asymptotics.AsymptoticPrediction, report: PrecisionContext) -> dict:
     """The terms of a prediction's law, each value rounded once to the report's
     guard bits."""
     obj = {"phase": pred.phase.value, "n": pred.n}

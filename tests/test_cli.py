@@ -10,6 +10,7 @@ import re
 import resource
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -705,6 +706,12 @@ def test_printed_report_matches_exact_references(capsys, exact_report):
     with mp.workprec(REPORT_BITS):
         g = mp.exp(log_g)
     assert agrees(pred["g"], g) and agrees(pred["log_prediction"], law[REPORT_NMAX])
+    # every fit cell is derived from log Z_n, whose error is absolute: none is
+    # printed past the digit of 10^-dps
+    fit_cells = [c for block in (fe, ka) for _, c in block["per_n"]]
+    fit_cells += [block[k] for block in (fe, ka)
+                  for k in ("extrapolated", "residual_norm", "log_c") if k in block]
+    assert min(Decimal(c).as_tuple().exponent for c in fit_cells) >= -report.dps
     check_digits({"free_energy": [c for _, c in fe["per_n"]] + [fe["extrapolated"]],
                   "kappa": [c for _, c in ka["per_n"]] + [ka["extrapolated"], ka["log_c"]],
                   "predicted": [pred["g"], pred["log_prediction"]]}, report)
