@@ -3,19 +3,25 @@ function phi, moment sequences for all five weight families, Jacobi theta
 functions (theta_1 by its series, theta_4 and theta_1'(0) by mp.jtheta) and
 zeta(3/2).
 
-Derivatives of phi are generated through the decomposition
-phi = s (x(gamma - t) + x(gamma + t)) of the bulk chart (``model.BulkChart``):
+Derivatives of phi = c/P, P = ab, come from Leibniz's rule on P phi = c
+(the recurrence for the reciprocal of a power series; R. P. Brent and
+H. T. Kung, J. ACM 25 (1978) 581-595):
 
-    disordered          phi = cot(gamma - t)  + cot(gamma + t)
-    ferroelectric       phi = -coth(gamma - t) - coth(gamma + t)
-    antiferroelectric   phi = coth(gamma - t) + coth(gamma + t)
+    phi^(m) = -sum_{i=1..m} C(m, i) r_i phi^(m-i),   r_i = P^(i)/P.
 
-Since x = cot or coth obeys the Riccati equation x' = sigma - x^2, its
-Taylor coefficients c_k at the two arguments follow from a quadratic
-recurrence, and phi^(k) = s k! (c_k(gamma + t) + (-1)^k c_k(gamma - t));
-no numerical differentiation is involved.  The recurrence runs on integer
-mantissas (``_linalg._split``): each c_k is formed exactly from its
-convolution and rounded once, and so is each phi^(k).
+On the bulk chart (``model.BulkChart``) P = s f(gamma - t) f(gamma + t), and
+with u = x(gamma + t), v = x(gamma - t) the ratios are
+r_i = sigma^floor((i-1)/2) 2^(i-1) (u - v) for odd i and
+sigma^floor((i-1)/2) 2^(i-1) (sigma - uv) for even i, all O(1) however large
+|t| or gamma is.  phi itself is s (u + v) where u and v share a sign.
+Where they differ (always when ferroelectric, and when disordered past
+gamma + |t| = pi/2) that sum cancels, so phi is c/(ab) from f, with 2 gamma
+exact; a sum that is an exact zero, where x rounds to +-1 at both points,
+stays 0 and its norms fail at once, with no f at a huge argument.  Each
+step sums its odd-i and even-i terms exactly on integer mantissas
+(``_linalg._split``), multiplies each sum once by u - v or sigma - uv and
+rounds once; a term whose phi is an exact zero is skipped, so at t = 0,
+where u - v = 0, every odd phi^(m) is an exact zero.
 
 In the ferroelectric and antiferroelectric phases phi is the Laplace
 transform of a measure on the integers, so the discrete moments are the
@@ -32,7 +38,7 @@ from typing import Optional, Tuple
 
 from mpmath import mp
 
-from ._linalg import _div, _split
+from ._linalg import _div, _round, _split
 from .errors import ParameterDomainError, PrecisionFailureError
 from .model import (
     DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, _SlotRecord, bulk_chart, exact_or_mpf,
@@ -85,35 +91,6 @@ class MomentSequence(_SlotRecord):
         return (self.family, self.params) == (_PHI_FAMILY.get(p.phase), (p.t, p.gamma))
 
 
-# ---------------------------------------------------------------------------
-# Taylor coefficients of x = cot or coth by the Riccati equation
-# x' = sigma - x^2 (sigma = -1 for cot, +1 for coth): with
-# x(u + h) = sum_j c_j h^j, (j + 1) c_{j+1} = sigma [j = 0] -
-# sum_{i<=j} c_i c_{j-i}, and (d/du)^k x(u) = k! c_k.
-
-
-def _taylor(x0, sigma: int, kmax: int) -> list:
-    """c_0..c_kmax of x(u + h) for x(u) = x0, at ambient precision P, as
-    integer (man, exp) pairs (``_linalg._split``).  The convolution is
-    symmetric: its half products m_i m_{j-i} at exponent e_i + e_{j-i} are
-    aligned to the smallest exponent and summed exactly, then doubled and
-    joined by the middle square and sigma, so each c_{j+1} costs one
-    rounding to P bits, taken together with the division by j + 1."""
-    prec = mp.prec
-    c = [_split(x0)]
-    for j in range(kmax):
-        # doubled half products (exponent + 1), the middle square, sigma
-        terms = [(m1 * m2, e1 + e2 + 1) for (m1, e1), (m2, e2) in zip(c, c[j : j // 2 : -1])]
-        if j % 2 == 0:
-            m, f = c[j // 2]
-            terms.append((m * m, 2 * f))
-        if j == 0:
-            terms.append((-sigma, 0))
-        e = min(f for _, f in terms)
-        c.append(_div(-sum(m << (f - e) for m, f in terms), e, j + 1, prec))
-    return c
-
-
 def phi_derivatives(
     p: PhaseParams, kmax: int, ctx: Optional[PrecisionContext] = None
 ) -> MomentSequence:
@@ -127,24 +104,46 @@ def phi_derivatives(
     return MomentSequence(_PHI_FAMILY[p.phase], (p.t, p.gamma), values, ctx)
 
 
+def _sum(terms) -> Tuple[int, int]:
+    """The exact sum of (man, exp) pairs, as (man, exp) at their smallest
+    exponent."""
+    e = min((f for _, f in terms), default=0)
+    return sum(m << (f - e) for m, f in terms), e
+
+
 def _phi_values(p: PhaseParams, kmax: int, ctx: PrecisionContext) -> Tuple:
-    """phi^(k)(t) for k = 0..kmax at the guard precision of ctx."""
+    """phi^(k)(t) for k = 0..kmax at the guard precision of ctx, by the
+    Leibniz recurrence of the module docstring."""
     chart = bulk_chart(p)
     if kmax < 0:
         raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
     with ctx.guardprec():
+        prec = mp.prec
         t, g = to_mpf(p.t), to_mpf(p.gamma)
-        cp = _taylor(chart.x(g + t), chart.sigma, kmax)
-        # at t = 0, gamma + t and gamma - t are the same mpf
-        cm = cp if t == 0 else _taylor(chart.x(g - t), chart.sigma, kmax)
-        values, fact = [], chart.s  # s k!
-        for k, ((m1, e1), (m2, e2)) in enumerate(zip(cp, cm)):
-            fact *= max(k, 1)
-            # each t-derivative of a function of gamma - t brings a factor -1
-            m2 = m2 if k % 2 == 0 else -m2
-            e = min(e1, e2)
-            values.append(mp.mpf((fact * ((m1 << (e1 - e)) + (m2 << (e2 - e))), e)))
-    return tuple(values)
+        u, v = chart.x(g + t), chart.x(g - t)
+        phi = u + v
+        if phi and (u < 0) != (v < 0):  # u + v cancels: take c/(ab) itself
+            phi = chart.f(mp.ldexp(g, 1)) / (chart.f(g - t) * chart.f(g + t))
+        phis = [_split(chart.s * phi)]
+        # P'/P = u - v and P''/P = 2 (sigma - uv), each rounded once
+        rs = ((1, _split(u - v)), (2, _split(mp.fsub(chart.sigma, mp.fmul(u, v, exact=True)))))
+        row = [1]
+        for m in range(1, kmax + 1):
+            row = [1, *(x + y for x, y in zip(row, row[1:])), 1]  # C(m, i)
+            parts = []
+            for first, (rm, re) in rs:
+                terms = []
+                for i in range(first, m + 1, 2):
+                    pm, pe = phis[m - i]
+                    if pm:  # C(m, i) sigma^floor((i-1)/2) 2^(i-1) phi^(m-i)
+                        c = -row[i] if chart.sigma < 0 and (i - 1) & 2 else row[i]
+                        terms.append((c * pm, pe + i - 1))
+                s, e = _sum(terms)
+                if s and rm:
+                    parts.append((s * rm, e + re))
+            s, e = _sum(parts)
+            phis.append(_round(-s, e, prec))
+        return tuple(map(mp.mpf, phis))
 
 
 # ---------------------------------------------------------------------------
