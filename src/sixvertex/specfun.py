@@ -211,19 +211,24 @@ def _critical_moments(
 ) -> MomentSequence:
     """mu_0..mu_kmax of a critical line at the guard precision of ctx, from a
     running int k! and a running power of q, each step rounding q^(k+1)
-    once, so its error grows by at most about one ulp per k.  A rational
-    alpha gives q = (alpha - 1)/(alpha + 1) exactly, rounded once."""
+    once, so its error grows by at most about one ulp per k.  On the fd line
+    (q > 0) 1 - q^(k+1) is (1 - q)(1 + q + ... + q^k), with 1 - q = 2/(alpha
+    + 1) and a running sum of positive terms, so nothing cancels as
+    alpha -> inf.  The afd line (q < 0) takes 1 - q^(k+1) as it is, which
+    keeps its bits as alpha -> -1.  A rational alpha gives q and 1 - q
+    exactly, each rounded once."""
     PhaseParams(phase, alpha=alpha)
     if kmax < 0:
         raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         a = exact_or_mpf(alpha)
-        q = to_mpf((a - 1) / (a + 1))
-        vals, fact, power = [], 1, q
+        q, one_minus_q = to_mpf((a - 1) / (a + 1)), to_mpf(2 / (a + 1))
+        vals, fact, power, geo = [], 1, q, 1  # geo = 1 + q + ... + q^k
         for k in range(kmax + 1):
             fact *= max(k, 1)
-            vals.append(fact * (1 - power))
+            vals.append(fact * (one_minus_q * geo if q > 0 else 1 - power))
+            geo += power
             power *= q
     return MomentSequence(family, (alpha,), tuple(vals), ctx)
 

@@ -477,7 +477,8 @@ def test_ladder_series_meets_its_claim_against_closed_forms():
 
 @pytest.mark.parametrize(
     "phase,alpha",
-    [(sv.Phase.CRITICAL_FD, Fraction(5, 2)), (sv.Phase.CRITICAL_AFD, Fraction(-1, 2))],
+    [(sv.Phase.CRITICAL_FD, Fraction(5, 2)), (sv.Phase.CRITICAL_AFD, Fraction(-1, 2)),
+     (sv.Phase.CRITICAL_FD, Fraction(10**90))],
 )
 def test_ladder_series_meets_its_claim_against_the_lattice(phase, alpha):
     w = sv.Weights(abs(alpha - 1) / 2, (1 + alpha) / 2, Fraction(1))
@@ -486,6 +487,26 @@ def test_ladder_series_meets_its_claim_against_the_lattice(phase, alpha):
         with mp.workprec(4096):
             exact = sv.to_mpf(sv.transfer_matrix_zn(r.n, w, exact=True))
         assert_meets_the_claim(r, rel_to(r.zn, exact))
+
+
+@pytest.mark.parametrize("distance", ["1e-20", "1e-33", "1e-45", "1e-60"])
+@pytest.mark.parametrize("phase", [sv.Phase.FERROELECTRIC, sv.Phase.DISORDERED],
+                         ids=lambda phase: phase.value)
+def test_ladder_series_meets_its_claim_where_c_is_tiny(phase, distance):
+    # ferro gamma -> 0 and disordered gamma -> pi/2 put c = f(2 gamma) far
+    # below a and b, where phi = s (x(gamma - t) + x(gamma + t)) cancels; the
+    # reference is the transfer matrix on weights formed here from the point
+    with mp.workprec(8000):
+        if phase is sv.Phase.FERROELECTRIC:
+            t, gamma, f, s = mp.mpf(2), mp.mpf(distance), mp.sinh, -1
+        else:
+            t, gamma, f, s = mp.mpf("0.3"), mp.pi / 2 - mp.mpf(distance), mp.sin, 1
+        p = sv.PhaseParams(phase, t=t, gamma=gamma)
+    with mp.workprec(8192):
+        w = sv.Weights(s * f(gamma - t), f(gamma + t), f(2 * gamma))
+    for r in sv.zn_series(p, 4):
+        ref = sv.transfer_matrix_zn(r.n, w, ctx=sv.PrecisionContext(4096))
+        assert_meets_the_claim(r, rel_to(r.zn, ref))
 
 
 def exact_zn(base, norms):
