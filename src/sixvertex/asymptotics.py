@@ -136,7 +136,11 @@ def _law(phase: Phase, point: tuple, ctx: PrecisionContext) -> _Law:
 def _disordered_law(tt, g, ctx) -> _Law:
     a, b = mp.sin(g - tt), mp.sin(g + tt)
     f = mp.pi * a * b / (2 * g * mp.cos(mp.pi * tt / (2 * g)))
-    kappa = mp.mpf(1) / 12 - 2 * g * g / (3 * mp.pi * (mp.pi - 2 * g))
+    # pi - 2 gamma = 2 (pi/2 - gamma), formed past gamma's own bits as
+    # model._below_half_pi forms it, so that it keeps its bits as gamma -> pi/2
+    with mp.workprec(mp.prec + g.bc):
+        edge = mp.pi / 2 - g
+    kappa = mp.mpf(1) / 12 - g * g / (3 * mp.pi * edge)
     return _Law(f, mp.log(f), kappa=kappa)
 
 
@@ -167,7 +171,8 @@ def _af_law(tt, g, ctx) -> _Law:
     q = mp.exp(-mp.pi**2 / (2 * g))
     omega = mp.pi / 2 * (1 + tt / g)
     a, b = mp.sinh(g - tt), mp.sinh(g + tt)
-    f = mp.pi * a * b * theta1_prime0(q, ctx) / (2 * g * theta1(omega, q, ctx))
+    # theta1(omega) = theta1(pi - omega), and pi - omega keeps its bits as t -> gamma
+    f = mp.pi * a * b * theta1_prime0(q, ctx) / (2 * g * theta1(mp.pi / 2 * (g - tt) / g, q, ctx))
     return _Law(f, mp.log(f), q=q, omega=omega)
 
 

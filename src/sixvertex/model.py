@@ -270,7 +270,9 @@ class BulkChart(NamedTuple):
 
     with f = sin or sinh, x = f'/f = cot or coth obeying x' = sigma - x^2, and
     s = -1 only on the ferroelectric (b > a + c) branch.  Then
-    phi = c/(ab) = s (x(gamma - t) + x(gamma + t)).
+    phi = c/(ab) = s (x(gamma - t) + x(gamma + t)).  With u = x(gamma + t) and
+    v = x(gamma - t), (ab)'/(ab) = u - v and (ab)''/(ab) = 2 (sigma - uv), the
+    two ratios from which ``specfun._phi_values`` builds every phi^(k).
     """
 
     f: Callable
@@ -341,7 +343,7 @@ def weights_from_params(
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         t, g = to_mpf(p.t), to_mpf(p.gamma)
-        return Weights(chart.s * chart.f(g - t), chart.f(g + t), chart.f(2 * g))
+        return Weights(chart.s * chart.f(g - t), chart.f(g + t), chart.f(mp.ldexp(g, 1)))
 
 
 def normalize(w: Weights, ctx: Optional[PrecisionContext] = None):

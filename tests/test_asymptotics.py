@@ -146,6 +146,29 @@ def test_predict_af_f_positive_property(gamma, frac):
     assert pred.f > 0
 
 
+# (predictor, phase, (t, gamma) at the ambient precision) next to a domain
+# edge: AF t -> gamma puts theta1(omega) next to its zero at pi, and
+# disordered gamma -> pi/2 makes kappa's pi - 2 gamma cancel
+EDGE_LAWS = {
+    "af": (sv.predict_af, sv.Phase.ANTIFERROELECTRIC,
+           lambda: (mp.mpf(1), 1 + mp.mpf(10) ** -45)),
+    "disordered": (sv.predict_disordered, sv.Phase.DISORDERED,
+                   lambda: (mp.mpf("0.3"), mp.pi / 2 - mp.mpf(10) ** -45)),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_LAWS)
+def test_law_at_the_report_context_keeps_its_bits_next_to_a_domain_edge(name):
+    predict, phase, point = EDGE_LAWS[name]
+    with mp.workprec(8000):
+        t, gamma = point()
+    first = next(sv.contexts(sv.PhaseParams(phase, t=t, gamma=gamma), 3))
+    report = sv.hankel.report_context(first)
+    law = predict(t, gamma, 3, report).log_prediction
+    ref = predict(t, gamma, 3, sv.PrecisionContext(4 * report.bits)).log_prediction
+    assert rel_to(law, ref) < mp.mpf(2) ** -report.bits
+
+
 PREDICTORS = [
     lambda n: sv.predict_disordered(mp.mpf("0.3"), mp.mpf("1.1"), n, CTX256),
     lambda n: sv.predict_ferro(2, 1, n, CTX256),

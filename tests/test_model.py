@@ -106,6 +106,17 @@ def test_weights_from_params_af():
         assert rel_to(w.c, mp.sinh(2)) < mp.mpf("1e-70")
 
 
+def test_weights_from_params_keeps_the_bits_of_c_as_gamma_nears_half_pi():
+    # c = sin(2 gamma) with 2 gamma rounded to the guard bits lost
+    # log2(1/(pi - 2 gamma)) of them
+    with mp.workprec(8000):
+        gamma = mp.pi / 2 - mp.mpf(10) ** -45
+        p = sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf("0.3"), gamma=gamma)
+        ref = mp.sin(2 * gamma)
+    c = sv.weights_from_params(p, CTX256).c
+    assert rel_to(c, ref, 8000) < mp.mpf(2) ** (2 - CTX256.guard_bits)  # within 2 ulps
+
+
 def test_weights_from_params_rejects_critical():
     p = sv.PhaseParams(sv.Phase.CRITICAL_FD, alpha=3)
     with pytest.raises(ParameterDomainError):
