@@ -125,13 +125,15 @@ def _phi_values(p: PhaseParams, kmax: int, ctx: PrecisionContext) -> Tuple:
         if phi and (u < 0) != (v < 0):  # u + v cancels: take c/(ab) itself
             phi = chart.f(mp.ldexp(g, 1)) / (chart.f(g - t) * chart.f(g + t))
         phis = [_split(chart.s * phi)]
-        # P'/P = u - v and P''/P = 2 (sigma - uv), each rounded once
-        rs = ((1, _split(u - v)), (2, _split(mp.fsub(chart.sigma, mp.fmul(u, v, exact=True)))))
+        # P'/P = u - v and P''/P = 2 (sigma - uv), each rounded once; the odd-i
+        # and even-i terms carry one each, and an exact zero drops its terms
+        ratios = ((1, u - v), (2, mp.fsub(chart.sigma, mp.fmul(u, v, exact=True))))
+        ratios = [(first, _split(r)) for first, r in ratios if r]
         row = [1]
         for m in range(1, kmax + 1):
             row = [1, *(x + y for x, y in zip(row, row[1:])), 1]  # C(m, i)
             parts = []
-            for first, (rm, re) in rs:
+            for first, (rm, re) in ratios:
                 terms = []
                 for i in range(first, m + 1, 2):
                     pm, pe = phis[m - i]
@@ -139,8 +141,7 @@ def _phi_values(p: PhaseParams, kmax: int, ctx: PrecisionContext) -> Tuple:
                         c = -row[i] if chart.sigma < 0 and (i - 1) & 2 else row[i]
                         terms.append((c * pm, pe + i - 1))
                 s, e = _sum(terms)
-                if s and rm:
-                    parts.append((s * rm, e + re))
+                parts.append((s * rm, e + re))
             s, e = _sum(parts)
             phis.append(_round(-s, e, prec))
         return tuple(map(mp.mpf, phis))
