@@ -136,10 +136,8 @@ def _law(phase: Phase, point: tuple, ctx: PrecisionContext) -> _Law:
 def _disordered_law(tt, g, ctx) -> _Law:
     a, b = mp.sin(g - tt), mp.sin(g + tt)
     f = mp.pi * a * b / (2 * g * mp.cos(mp.pi * tt / (2 * g)))
-    # pi - 2 gamma = 2 (pi/2 - gamma), formed past gamma's own bits as
-    # model._below_half_pi forms it, so that it keeps its bits as gamma -> pi/2
-    with mp.workprec(mp.prec + g.bc):
-        edge = mp.pi / 2 - g
+    with mp.workprec(mp.prec + g.bc):  # past gamma's bits, as model._below_half_pi
+        edge = mp.pi / 2 - g  # (pi - 2 gamma)/2, which keeps its bits as gamma -> pi/2
     kappa = mp.mpf(1) / 12 - g * g / (3 * mp.pi * edge)
     return _Law(f, mp.log(f), kappa=kappa)
 

@@ -3,25 +3,19 @@ function phi, moment sequences for all five weight families, Jacobi theta
 functions (theta_1 by its series, theta_4 and theta_1'(0) by mp.jtheta) and
 zeta(3/2).
 
-Derivatives of phi = c/P, P = ab, come from Leibniz's rule on P phi = c
-(the recurrence for the reciprocal of a power series; R. P. Brent and
-H. T. Kung, J. ACM 25 (1978) 581-595):
-
-    phi^(m) = -sum_{i=1..m} C(m, i) r_i phi^(m-i),   r_i = P^(i)/P.
-
-On the bulk chart (``model.BulkChart``) P = s f(gamma - t) f(gamma + t), and
-with u = x(gamma + t), v = x(gamma - t) the ratios are
-r_i = sigma^floor((i-1)/2) 2^(i-1) (u - v) for odd i and
-sigma^floor((i-1)/2) 2^(i-1) (sigma - uv) for even i, all O(1) however large
-|t| or gamma is.  phi itself is s (u + v) where u and v share a sign.
-Where they differ (always when ferroelectric, and when disordered past
-gamma + |t| = pi/2) that sum cancels, so phi is c/(ab) from f, with 2 gamma
-exact; a sum that is an exact zero, where x rounds to +-1 at both points,
-stays 0 and its norms fail at once, with no f at a huge argument.  Each
-step sums its odd-i and even-i terms exactly on integer mantissas
-(``_linalg._split``), multiplies each sum once by u - v or sigma - uv and
-rounds once; a term whose phi is an exact zero is skipped, so at t = 0,
-where u - v = 0, every odd phi^(m) is an exact zero.
+Derivatives of phi = c/P, P = ab, come from Leibniz's rule on P phi = c,
+the recurrence for the reciprocal of a power series (R. P. Brent and
+H. T. Kung, J. ACM 25 (1978) 581-595): phi^(m) = -sum_{i=1..m} C(m, i) r_i
+phi^(m-i), where r_i = P^(i)/P is sigma^floor((i-1)/2) 2^(i-1) times u - v
+for odd i and sigma - uv for even i, with u = x(gamma + t), v = x(gamma - t)
+on the bulk chart (``model.BulkChart``): O(1) at any point.  phi = s (u + v)
+where u and v share a sign; where they differ (ferroelectric, and disordered
+past gamma + |t| = pi/2) that sum cancels, and phi is c/(ab) from f, unless
+the sum is an exact zero (x = +-1 at a huge point), whose norms fail at once.
+Each step sums its odd-i and its even-i terms exactly on integer mantissas
+(``_linalg._split``), skipping exact-zero phi, multiplies each sum once by
+u - v or sigma - uv and rounds once; at t = 0, where u - v = 0, every odd
+phi^(m) is an exact zero.
 
 In the ferroelectric and antiferroelectric phases phi is the Laplace
 transform of a measure on the integers, so the discrete moments are the
@@ -33,7 +27,9 @@ to the moments of its orthogonality weight.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import accumulate
 from math import isqrt
+from operator import mul
 from typing import Optional, Tuple
 
 from mpmath import mp
@@ -211,27 +207,24 @@ def _critical_moments(
     family: MomentFamily, phase: Phase, kmax: int, alpha, ctx: Optional[PrecisionContext]
 ) -> MomentSequence:
     """mu_0..mu_kmax of a critical line at the guard precision of ctx, from a
-    running int k! and a running power of q, each step rounding q^(k+1)
-    once, so its error grows by at most about one ulp per k.  On the fd line
-    (q > 0) 1 - q^(k+1) is (1 - q)(1 + q + ... + q^k), with 1 - q = 2/(alpha
-    + 1) and a running sum of positive terms, so nothing cancels as
-    alpha -> inf.  The afd line (q < 0) takes 1 - q^(k+1) as it is, which
-    keeps its bits as alpha -> -1.  A rational alpha gives q and 1 - q
-    exactly, each rounded once."""
+    running int k! and running products of q, so the error grows by about one
+    ulp per k.  On the fd line (q > 0) 1 - q^(k+1) is the running sum of the
+    positive (1 - q) q^j, j <= k, with 1 - q = 2/(alpha + 1): nothing cancels
+    as alpha -> inf.  A rational alpha gives q and 1 - q exactly, rounded once."""
     PhaseParams(phase, alpha=alpha)
     if kmax < 0:
         raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
         a = exact_or_mpf(alpha)
-        q, one_minus_q = to_mpf((a - 1) / (a + 1)), to_mpf(2 / (a + 1))
-        vals, fact, power, geo = [], 1, q, 1  # geo = 1 + q + ... + q^k
-        for k in range(kmax + 1):
-            fact *= max(k, 1)
-            vals.append(fact * (one_minus_q * geo if q > 0 else 1 - power))
-            geo += power
-            power *= q
-    return MomentSequence(family, (alpha,), tuple(vals), ctx)
+        q = to_mpf((a - 1) / (a + 1))
+        if q > 0:
+            rests = accumulate(accumulate([to_mpf(2 / (a + 1))] + [q] * kmax, mul))
+        else:
+            rests = (1 - power for power in accumulate([q] * (kmax + 1), mul))
+        facts = accumulate(range(1, kmax + 1), mul, initial=1)
+        vals = tuple(fact * rest for fact, rest in zip(facts, rests))
+    return MomentSequence(family, (alpha,), vals, ctx)
 
 
 def crit_fd_moments(
