@@ -169,8 +169,10 @@ def _af_law(tt, g, ctx) -> _Law:
     q = mp.exp(-mp.pi**2 / (2 * g))
     omega = mp.pi / 2 * (1 + tt / g)
     a, b = mp.sinh(g - tt), mp.sinh(g + tt)
-    # theta1(omega) = theta1(pi - omega), and pi - omega keeps its bits as t -> gamma
-    f = mp.pi * a * b * theta1_prime0(q, ctx) / (2 * g * theta1(mp.pi / 2 * (g - tt) / g, q, ctx))
+    # theta1(omega) = theta1(pi - omega) at the smaller of the two,
+    # (pi/2)(gamma - |t|)/gamma, which keeps its bits as |t| -> gamma
+    edge = mp.pi / 2 * min(g - tt, g + tt) / g
+    f = mp.pi * a * b * theta1_prime0(q, ctx) / (2 * g * theta1(edge, q, ctx))
     return _Law(f, mp.log(f), q=q, omega=omega)
 
 

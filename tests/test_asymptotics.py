@@ -147,13 +147,15 @@ def test_predict_af_f_positive_property(gamma, frac):
 
 
 # (predictor, phase, (t, gamma) at the ambient precision) next to a domain
-# edge: AF t -> gamma puts theta1(omega) next to its zero at pi, and
-# disordered gamma -> pi/2 makes kappa's pi - 2 gamma cancel
+# edge: |t| -> gamma puts the AF theta1(omega) next to its zero at pi or 0,
+# and disordered gamma -> pi/2 makes kappa's pi - 2 gamma cancel
 EDGE_LAWS = {
-    "af": (sv.predict_af, sv.Phase.ANTIFERROELECTRIC,
-           lambda: (mp.mpf(1), 1 + mp.mpf(10) ** -45)),
-    "disordered": (sv.predict_disordered, sv.Phase.DISORDERED,
-                   lambda: (mp.mpf("0.3"), mp.pi / 2 - mp.mpf(10) ** -45)),
+    "af-t-to-gamma": (sv.predict_af, sv.Phase.ANTIFERROELECTRIC,
+                      lambda: (mp.mpf(1), 1 + mp.mpf(10) ** -45)),
+    "af-t-to-minus-gamma": (sv.predict_af, sv.Phase.ANTIFERROELECTRIC,
+                            lambda: (mp.mpf(-1), 1 + mp.mpf(10) ** -45)),
+    "disordered-gamma-to-half-pi": (sv.predict_disordered, sv.Phase.DISORDERED,
+                                    lambda: (mp.mpf("0.3"), mp.pi / 2 - mp.mpf(10) ** -45)),
 }
 
 
