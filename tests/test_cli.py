@@ -742,14 +742,14 @@ def test_compare_prints_a_small_log_zn_to_the_digit_of_ten_to_the_minus_dps(caps
         assert significant_digits(r["log_zn"]) <= dps + exponent, (n, r["log_zn"])
 
 
-
 def test_compare_prints_z1_equal_to_c_at_a_huge_critical_fd_alpha(capsys):
-    # Z_1 = c = 1; 1 - q with q = (alpha - 1)/(alpha + 1) loses log2(alpha/2)
-    # bits when formed from q, so at alpha = 1e45 it printed 0.99999...944
+    # Z_1 = c = 1; formed from the rounded q = (alpha - 1)/(alpha + 1), 1 - q
+    # would lose log2(alpha/2) bits
     rows = run_json(capsys, ["compare", "--phase", "critical-fd", "--alpha", "1e45",
                              "--nmax", "1"])
     with mp.workprec(1024):
         assert mp.mpf(rows[0]["zn"]) == 1, rows[0]["zn"]
+
 
 EXACT_ARGV = ["exact", "--n", "3", "--a", "1", "--b", "1", "--c", "1"]
 

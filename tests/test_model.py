@@ -107,8 +107,8 @@ def test_weights_from_params_af():
 
 
 def test_weights_from_params_keeps_the_bits_of_c_as_gamma_nears_half_pi():
-    # c = sin(2 gamma) with 2 gamma rounded to the guard bits lost
-    # log2(1/(pi - 2 gamma)) of them
+    # rounding 2 gamma to the guard bits would lose log2(1/(pi - 2 gamma)) of
+    # the bits of c = sin(2 gamma)
     with mp.workprec(8000):
         gamma = mp.pi / 2 - mp.mpf(10) ** -45
         p = sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf("0.3"), gamma=gamma)
