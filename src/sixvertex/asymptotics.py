@@ -24,6 +24,7 @@ from mpmath import mp
 
 from .errors import ParameterDomainError
 from .model import _PHASE_RULES, DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, to_mpf
+from .model import _chart_args, _half_pi_edge, _t_edge
 from .specfun import theta1, theta1_prime0, theta4, zeta_three_halves
 
 # n^p for the power p of n on log G, by its name in g_mode
@@ -134,11 +135,9 @@ def _law(phase: Phase, point: tuple, ctx: PrecisionContext) -> _Law:
 
 
 def _disordered_law(tt, g, ctx) -> _Law:
-    a, b = mp.sin(g - tt), mp.sin(g + tt)
+    a, b = map(mp.sin, _chart_args(tt, g))
     f = mp.pi * a * b / (2 * g * mp.cos(mp.pi * tt / (2 * g)))
-    with mp.workprec(mp.prec + g.bc):  # past gamma's bits, as model._below_half_pi
-        edge = mp.pi / 2 - g  # (pi - 2 gamma)/2, which keeps its bits as gamma -> pi/2
-    kappa = mp.mpf(1) / 12 - g * g / (3 * mp.pi * edge)
+    kappa = mp.mpf(1) / 12 - g * g / (3 * mp.pi * _half_pi_edge(g))
     return _Law(f, mp.log(f), kappa=kappa)
 
 
@@ -148,13 +147,14 @@ def _ferro_law(tt, g, ctx) -> _Law:
     # Dedekind's eta transformation it is that plus log(pi / (2 gamma)) / 2 at
     # q = e^(-pi^2 / (2 gamma)).  Switching at gamma = pi/2 keeps q <= e^(-pi),
     # so every gamma takes a few terms.
-    f = mp.sinh(tt + g)
+    minus, plus = _chart_args(tt, g)
+    f = mp.sinh(plus)
     if g >= mp.pi / 2:
         q, log_c = mp.exp(-2 * g), g / 6
     else:
         q, log_c = mp.exp(-mp.pi**2 / (2 * g)), g / 6 + mp.log(mp.pi / (2 * g)) / 2
     log_c += mp.log(theta1_prime0(q, ctx) / 2) / 3
-    return _Law(f, mp.log(f), g=mp.exp(g - tt), log_g=g - tt, g_mode="n",
+    return _Law(f, mp.log(f), g=mp.exp(minus), log_g=+minus, g_mode="n",
                 c=mp.exp(log_c), log_c=log_c)
 
 
@@ -168,10 +168,9 @@ def _crit_fd_law(aa, ctx) -> _Law:
 def _af_law(tt, g, ctx) -> _Law:
     q = mp.exp(-mp.pi**2 / (2 * g))
     omega = mp.pi / 2 * (1 + tt / g)
-    a, b = mp.sinh(g - tt), mp.sinh(g + tt)
-    # theta1(omega) = theta1(pi - omega) at the smaller of the two,
-    # (pi/2)(gamma - |t|)/gamma, which keeps its bits as |t| -> gamma
-    edge = mp.pi / 2 * min(g - tt, g + tt) / g
+    a, b = map(mp.sinh, _chart_args(tt, g))
+    # theta1(omega) = theta1(pi - omega) at the smaller of the two, (pi/2)(gamma - |t|)/gamma
+    edge = mp.pi / 2 * _t_edge(tt, g) / g
     f = mp.pi * a * b * theta1_prime0(q, ctx) / (2 * g * theta1(edge, q, ctx))
     return _Law(f, mp.log(f), q=q, omega=omega)
 

@@ -281,11 +281,21 @@ class BulkChart(NamedTuple):
     s: int
 
 
-def _below_half_pi(g) -> bool:
-    """g < pi/2, decided 128 bits past g's own size: an mpf g is held exactly."""
+def _t_edge(t, gamma):
+    """gamma - |t| as min(gamma - t, gamma + t), whose sign no rounding changes."""
+    return min(gamma - t, gamma + t)
+
+
+def _half_pi_edge(g):
+    """pi/2 - g past the ambient precision and g's own bits: an mpf g is held exactly."""
     size = g.bc if isinstance(g, mp.mpf) else sum(map(int.bit_length, g.as_integer_ratio()))
-    with mp.workprec(128 + size):
-        return to_mpf(g) < mp.pi / 2
+    with mp.workprec(mp.prec + size):
+        return mp.pi / 2 - to_mpf(g)
+
+
+def _chart_args(t, gamma):
+    """gamma - t and gamma + t, the arguments of f and x on a bulk chart."""
+    return gamma - t, gamma + t
 
 
 class _PhaseRule(NamedTuple):
@@ -304,14 +314,14 @@ class _PhaseRule(NamedTuple):
 _PHASE_RULES = {
     Phase.DISORDERED: _PhaseRule(
         ("t", "gamma"), "0 < gamma < pi/2 and |t| < gamma",
-        lambda t, gamma: 0 < gamma and abs(t) < gamma and _below_half_pi(gamma),
+        lambda t, gamma: 0 < _t_edge(t, gamma) and 0 < _half_pi_edge(gamma),
         BulkChart(mp.sin, mp.cot, -1, 1)),
     Phase.FERROELECTRIC: _PhaseRule(
         ("t", "gamma"), "0 < gamma < t", lambda t, gamma: 0 < gamma < t,
         BulkChart(mp.sinh, mp.coth, 1, -1),
         lambda p: max(3.5, 2 * float(to_mpf(p.t) - to_mpf(p.gamma)) * math.log2(math.e) + 1)),
     Phase.ANTIFERROELECTRIC: _PhaseRule(
-        ("t", "gamma"), "gamma > 0 and |t| < gamma", lambda t, gamma: gamma > 0 and abs(t) < gamma,
+        ("t", "gamma"), "gamma > 0 and |t| < gamma", lambda t, gamma: 0 < _t_edge(t, gamma),
         BulkChart(mp.sinh, mp.coth, 1, 1)),
     Phase.CRITICAL_FD: _PhaseRule(("alpha",), "alpha > 1", lambda alpha: alpha > 1),
     Phase.CRITICAL_AFD: _PhaseRule(("alpha",), "-1 < alpha < 1", lambda alpha: -1 < alpha < 1),
@@ -342,8 +352,9 @@ def weights_from_params(
     chart = bulk_chart(p)
     ctx = ctx or DEFAULT_CONTEXT
     with ctx.guardprec():
-        t, g = to_mpf(p.t), to_mpf(p.gamma)
-        return Weights(chart.s * chart.f(g - t), chart.f(g + t), chart.f(mp.ldexp(g, 1)))
+        g = to_mpf(p.gamma)
+        minus, plus = _chart_args(to_mpf(p.t), g)
+        return Weights(chart.s * chart.f(minus), chart.f(plus), chart.f(mp.ldexp(g, 1)))
 
 
 def normalize(w: Weights, ctx: Optional[PrecisionContext] = None):

@@ -37,8 +37,8 @@ from mpmath import mp
 from ._linalg import _div, _round, _split
 from .errors import ParameterDomainError, PrecisionFailureError
 from .model import (
-    DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, _SlotRecord, bulk_chart, exact_or_mpf,
-    to_mpf,
+    DEFAULT_CONTEXT, Phase, PhaseParams, PrecisionContext, _chart_args, _SlotRecord, bulk_chart,
+    exact_or_mpf, to_mpf, weights_from_params,
 )
 
 
@@ -115,12 +115,12 @@ def _phi_values(p: PhaseParams, kmax: int, ctx: PrecisionContext) -> Tuple:
         raise ParameterDomainError(f"kmax >= 0 required, got {kmax}")
     with ctx.guardprec():
         prec = mp.prec
-        t, g = to_mpf(p.t), to_mpf(p.gamma)
-        u, v = chart.x(g + t), chart.x(g - t)
-        phi = u + v
+        v, u = map(chart.x, _chart_args(to_mpf(p.t), to_mpf(p.gamma)))
+        phi = chart.s * (u + v)
         if phi and (u < 0) != (v < 0):  # u + v cancels: take c/(ab) itself
-            phi = chart.f(mp.ldexp(g, 1)) / (chart.f(g - t) * chart.f(g + t))
-        phis = [_split(chart.s * phi)]
+            w = weights_from_params(p, ctx)
+            phi = w.c / (w.a * w.b)
+        phis = [_split(phi)]
         # P'/P = u - v and P''/P = 2 (sigma - uv), each rounded once; the odd-i
         # and even-i terms carry one each, and an exact zero drops its terms
         ratios = ((1, u - v), (2, mp.fsub(chart.sigma, mp.fmul(u, v, exact=True))))

@@ -200,6 +200,30 @@ def test_cli_nstr_is_the_one_printer_of_a_number():
     assert nstr_callers == [("cli.py", "_nstr")]
 
 
+def test_model_owns_the_edge_distances_and_the_chart_arguments():
+    # gamma - |t|, pi/2 - gamma and gamma -+ t are formed in model only: the
+    # phase rules take no abs, no law builder sets its own precision, and
+    # model is the one module that evaluates a chart's f
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "sixvertex").glob("*.py"))}
+
+    def calls(node):
+        return [ast.unparse(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)]
+
+    rules = next(node for node in trees["model.py"].body if isinstance(node, ast.Assign)
+                 and ast.unparse(node.targets[0]) == "_PHASE_RULES")
+    assert "abs" not in calls(rules)
+    builders = {law.__name__ for law in asymptotics._LAWS.values()}
+    laws = [node for node in trees["asymptotics.py"].body
+            if isinstance(node, ast.FunctionDef) and node.name in builders]
+    assert len(laws) == len(builders)
+    assert not [law.name for law in laws if any(c.endswith("workprec") for c in calls(law))]
+    f_callers = {name for name, tree in trees.items() if any(
+        isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute) and c.func.attr == "f"
+        for c in ast.walk(tree))}
+    assert f_callers == {"model.py"}
+
+
 @pytest.mark.parametrize(
     "params", [["--phase", "af", "--t", "0.1", "--gamma", "1"],
                ["--phase", "critical-fd", "--alpha", "3"]],
