@@ -142,6 +142,21 @@ def test_phase_params_domain_rejections(phase, kwargs):
         sv.PhaseParams(phase, **kwargs)
 
 
+@pytest.mark.parametrize("phase", [sv.Phase.DISORDERED, sv.Phase.ANTIFERROELECTRIC],
+                         ids=lambda phase: phase.value)
+def test_t_next_to_gamma_is_decided_without_rounding_t(phase):
+    # |t| < gamma holds for t = +-(1 - 2^-300) at gamma = 1 at any ambient
+    # precision; abs(t) rounded at 53 bits would read 1.0 and refuse it
+    with mp.workprec(400):
+        inside = [1 - mp.mpf(2) ** -300, mp.mpf(2) ** -300 - 1]
+    with mp.workprec(53):
+        for t in inside:
+            assert sv.PhaseParams(phase, t=t, gamma=1).t == t
+        for t in (mp.mpf(1), mp.mpf(-1)):
+            with pytest.raises(ParameterDomainError, match=r"\|t\| < gamma"):
+                sv.PhaseParams(phase, t=t, gamma=1)
+
+
 def _exact_fraction(x) -> Fraction:
     sign, man, exp, _ = x._mpf_
     return Fraction(-man if sign else man) * Fraction(2) ** exp
