@@ -136,7 +136,8 @@ def _law(phase: Phase, point: tuple, ctx: PrecisionContext) -> _Law:
 
 def _disordered_law(tt, g, ctx) -> _Law:
     a, b = map(mp.sin, _chart_args(tt, g))
-    f = mp.pi * a * b / (2 * g * mp.cos(mp.pi * tt / (2 * g)))
+    # cos(pi t / (2 gamma)) = sin((pi/2)(gamma - |t|)/gamma), which keeps its bits as |t| -> gamma
+    f = mp.pi * a * b / (2 * g * mp.sin(mp.pi / 2 * _t_edge(tt, g) / g))
     kappa = mp.mpf(1) / 12 - g * g / (3 * mp.pi * _half_pi_edge(g))
     return _Law(f, mp.log(f), kappa=kappa)
 

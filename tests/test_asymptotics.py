@@ -146,9 +146,17 @@ def test_predict_af_f_positive_property(gamma, frac):
     assert pred.f > 0
 
 
+def double_edge(sign, digits):
+    """The disordered point t = sign (gamma - 10^-digits gamma), gamma =
+    pi/2 - 10^-digits, at the ambient precision."""
+    gamma = mp.pi / 2 - mp.mpf(10) ** -digits
+    return sign * (gamma - mp.mpf(10) ** -digits * gamma), gamma
+
+
 # (predictor, phase, (t, gamma) at the ambient precision) next to a domain
-# edge: |t| -> gamma puts the AF theta1(omega) next to its zero at pi or 0,
-# and disordered gamma -> pi/2 makes kappa's pi - 2 gamma cancel
+# edge: |t| -> gamma puts the AF theta1(omega) and the disordered
+# cos(pi t / (2 gamma)) next to a zero, and disordered gamma -> pi/2 makes
+# kappa's pi - 2 gamma cancel
 EDGE_LAWS = {
     "af-t-to-gamma": (sv.predict_af, sv.Phase.ANTIFERROELECTRIC,
                       lambda: (mp.mpf(1), 1 + mp.mpf(10) ** -45)),
@@ -156,6 +164,15 @@ EDGE_LAWS = {
                             lambda: (mp.mpf(-1), 1 + mp.mpf(10) ** -45)),
     "disordered-gamma-to-half-pi": (sv.predict_disordered, sv.Phase.DISORDERED,
                                     lambda: (mp.mpf("0.3"), mp.pi / 2 - mp.mpf(10) ** -45)),
+    "disordered-t-to-gamma": (sv.predict_disordered, sv.Phase.DISORDERED,
+                              lambda: (1 - mp.mpf(10) ** -45, mp.mpf(1))),
+    "disordered-t-to-minus-gamma": (sv.predict_disordered, sv.Phase.DISORDERED,
+                                    lambda: (mp.mpf(10) ** -45 - 1, mp.mpf(1))),
+    # gamma -> pi/2 and |t| -> gamma at once, where gamma + |t| -> pi
+    "disordered-double-edge-minus": (sv.predict_disordered, sv.Phase.DISORDERED,
+                                     lambda: double_edge(-1, 45)),
+    "disordered-double-edge-plus": (sv.predict_disordered, sv.Phase.DISORDERED,
+                                    lambda: double_edge(1, 40)),
 }
 
 
