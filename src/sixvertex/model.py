@@ -294,8 +294,12 @@ def _half_pi_edge(g):
 
 
 def _chart_args(t, gamma):
-    """gamma - t and gamma + t, the arguments of f and x on a bulk chart."""
-    return gamma - t, gamma + t
+    """gamma - t and gamma + t, the arguments of f and x on a bulk chart, for
+    mpf t and gamma.  Rounded past the ambient precision and both operands'
+    bits, each is exact where t and gamma are of one size, as next to every
+    zero of f (gamma -+ t -> 0, gamma + t -> pi), so f and x reduce it exactly."""
+    prec = mp.prec + gamma.bc + t.bc
+    return mp.fsub(gamma, t, prec=prec), mp.fadd(gamma, t, prec=prec)
 
 
 class _PhaseRule(NamedTuple):

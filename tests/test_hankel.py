@@ -509,6 +509,22 @@ def test_ladder_series_meets_its_claim_where_c_is_tiny(phase, distance):
         assert_meets_the_claim(r, rel_to(r.zn, ref))
 
 
+@pytest.mark.parametrize("sign,digits", [(-1, 45), (1, 40)], ids=["minus", "plus"])
+def test_ladder_series_meets_its_claim_at_the_disordered_double_edge(sign, digits):
+    # gamma -> pi/2 and |t| -> gamma at once put gamma + |t| next to pi: c and
+    # one of a, b are tiny, and sin and cot of a rounded gamma + |t| would
+    # lose the bits of pi - gamma - |t| in both base and guard runs
+    with mp.workprec(8000):
+        gamma = mp.pi / 2 - mp.mpf(10) ** -digits
+        t = sign * (gamma - mp.mpf(10) ** -digits * gamma)
+        p = sv.PhaseParams(sv.Phase.DISORDERED, t=t, gamma=gamma)
+    with mp.workprec(8192):
+        w = sv.Weights(mp.sin(gamma - t), mp.sin(gamma + t), mp.sin(2 * gamma))
+    for r in sv.zn_series(p, 5):
+        ref = sv.transfer_matrix_zn(r.n, w, ctx=sv.PrecisionContext(4096))
+        assert_meets_the_claim(r, rel_to(r.zn, ref))
+
+
 def exact_zn(base, norms):
     """Z_1..Z_nmax from the norms h_0..h_{nmax-1} by Izergin-Korepin,
     Z_n = base^(n^2) prod_{k<n} h_k / (prod_{k<n} k!)^2: exact for Fractions,
