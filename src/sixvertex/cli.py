@@ -1,5 +1,5 @@
-"""Command-line front end: single evaluations, cross-method comparisons,
-sweeps, and fit reports in JSON, or CSV for the compare table.
+"""Command-line front end: single evaluations, cross-method comparisons and
+fit reports in JSON, or CSV for the compare table.
 
 Commands:
   phase     classify a weight triple (a, b, c)
@@ -27,7 +27,9 @@ passed, claim + 32 bits, which ``_on_ladder`` hands to each, and print its
 dps digits; toda prints the digits of --bits.  log Z_n is the log of a Z_n
 verified to a relative error, so its own error is absolute: compare prints
 it, and fit every cell derived from it, to the digit of 10^-dps, which
-below 0.1 takes fewer than dps digits; fit's law terms keep dps digits.
+below 0.1 takes fewer than dps digits.  So does log_prediction, a sum of
+logs, in compare's rows and fit's predicted block; the other law terms keep
+dps digits.
 Only compare has a table: --format csv on any other command exits 2 before
 it computes anything.
 Exit codes: 0 success, 2 parameter-domain error (a request too large to
@@ -226,7 +228,7 @@ def _compare_rows(args, params: PhaseParams, ctx: PrecisionContext,
                 "n": str(res.n),
                 "zn": _nstr(zn, report),
                 "log_zn": _nstr(log_zn, report, absolute=True),
-                "log_prediction": _nstr(pred.log_prediction, report),
+                "log_prediction": _nstr(pred.log_prediction, report, absolute=True),
                 "ratio": _nstr(ratio, report),
             })
     return rows
@@ -290,12 +292,12 @@ def _fit_cells(fit: asymptotics.FitResult, report: PrecisionContext) -> dict:
 
 def _prediction_cells(pred: asymptotics.AsymptoticPrediction, report: PrecisionContext) -> dict:
     """The terms of a prediction's law, each value rounded once to the report's
-    guard bits."""
+    guard bits; log_prediction, a sum of logs, to the digit of 10^-dps."""
     obj = {"phase": pred.phase.value, "n": pred.n}
     with report.guardprec():
         for name in ("f", "log_prediction", "kappa", "g", "c", "theta_factor"):
             if getattr(pred, name) is not None:
-                obj[name] = _nstr(+getattr(pred, name), report)
+                obj[name] = _nstr(+getattr(pred, name), report, absolute=name == "log_prediction")
     return {**obj, "g_mode": pred.g_mode} if pred.g_mode else obj
 
 

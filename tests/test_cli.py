@@ -742,6 +742,22 @@ def test_compare_prints_a_small_log_zn_to_the_digit_of_ten_to_the_minus_dps(caps
         assert significant_digits(r["log_zn"]) <= dps + exponent, (n, r["log_zn"])
 
 
+def test_log_prediction_is_printed_to_the_digit_of_ten_to_the_minus_dps(capsys):
+    # log_prediction is a sum of logs, so its error is absolute.  At the
+    # free-fermion point gamma = pi/4 the disordered law has F = 1 and
+    # kappa = 0, so log_prediction is 0 and what is left of it is rounding
+    # noise far below 10^-dps: compare and fit print one digit of it at most
+    with mp.workprec(800):
+        point = ["--phase", "disordered", "--t", "0.1104", "--gamma", mp.nstr(mp.pi / 4, 200)]
+    rows = run_json(capsys, ["compare", *point, "--nmax", "8"])
+    fit = run_json(capsys, ["fit", *point, "--nmax", "8"])
+    dps = sixvertex.hankel.report_context(sixvertex.PrecisionContext(256)).dps
+    cells = [r["log_prediction"] for r in rows] + [fit["predicted"]["log_prediction"]]
+    for cell in cells:
+        assert abs(mp.mpf(cell)) < mp.mpf(10) ** -dps, cell
+        assert significant_digits(cell) <= 1, cell
+
+
 def test_compare_prints_z1_equal_to_c_at_a_huge_critical_fd_alpha(capsys):
     # Z_1 = c = 1; formed from the rounded q = (alpha - 1)/(alpha + 1), 1 - q
     # would lose log2(alpha/2) bits
