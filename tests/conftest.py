@@ -1,6 +1,9 @@
 """Shared fixtures and numeric helpers for the test suite."""
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -20,6 +23,16 @@ settings.load_profile("sixvertex")
 
 CTX256 = sv.PrecisionContext(256)
 CTX512 = sv.PrecisionContext(512)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_file(path: Path, name: str):
+    """The module at path, a script or a benchmark file, imported as name."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def rel_to(x, ref, prec: int = 4096):

@@ -16,7 +16,9 @@ from sixvertex import _linalg, specfun
 from sixvertex.errors import ParameterDomainError, PrecisionFailureError
 from sixvertex.model import _PHASE_RULES, exact_or_mpf
 
-from conftest import CTX256, CTX512, RATIONAL_POINTS, _hyperbolic_point, rel_to
+from conftest import (
+    CTX256, CTX512, RATIONAL_POINTS, ROOT, _hyperbolic_point, load_file, rel_to,
+)
 from oracles import (
     agreement_bits,
     asm_count,
@@ -523,6 +525,46 @@ def test_ladder_series_meets_its_claim_at_the_disordered_double_edge(sign, digit
     for r in sv.zn_series(p, 5):
         ref = sv.transfer_matrix_zn(r.n, w, ctx=sv.PrecisionContext(4096))
         assert_meets_the_claim(r, rel_to(r.zn, ref))
+
+
+EDGE_SWEEP = load_file(ROOT / "scripts" / "edge_sweep.py", "edge_sweep")
+
+# points that lost bits next to an edge, at the sweep's point bits: c tiny
+# (ferro gamma -> 0, disordered gamma -> pi/2, critical-fd alpha -> inf), a
+# law next to a zero (|t| -> gamma), the double edge, the AF t the domain
+# rule once rounded onto gamma, and the free-fermion point, whose law is 0
+with mp.workprec(EDGE_SWEEP.POINT_BITS):
+    _D45, _D40, _HALF_PI = mp.mpf(10) ** -45, mp.mpf(10) ** -40, mp.pi / 2
+    EDGE_WITNESSES = [
+        sv.PhaseParams(sv.Phase.FERROELECTRIC, t=mp.mpf(2), gamma=_D45),
+        sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf("0.3"), gamma=_HALF_PI - _D45),
+        sv.PhaseParams(sv.Phase.CRITICAL_FD, alpha=mp.mpf(10) ** 90),
+        sv.PhaseParams(sv.Phase.ANTIFERROELECTRIC, t=mp.mpf(1), gamma=1 + _D45),
+        sv.PhaseParams(sv.Phase.ANTIFERROELECTRIC, t=mp.mpf(-1), gamma=1 + _D45),
+        sv.PhaseParams(sv.Phase.ANTIFERROELECTRIC, t=1 - mp.mpf(10) ** -80, gamma=mp.mpf(1)),
+        sv.PhaseParams(sv.Phase.DISORDERED, t=1 - _D45, gamma=mp.mpf(1)),
+        sv.PhaseParams(sv.Phase.DISORDERED, t=_D45 - 1, gamma=mp.mpf(1)),
+        sv.PhaseParams(sv.Phase.DISORDERED, t=-(_HALF_PI - _D45) * (1 - _D45),
+                       gamma=_HALF_PI - _D45),
+        sv.PhaseParams(sv.Phase.DISORDERED, t=(_HALF_PI - _D40) * (1 - _D40),
+                       gamma=_HALF_PI - _D40),
+        sv.PhaseParams(sv.Phase.DISORDERED, t=mp.mpf("0.1104"), gamma=mp.pi / 4),
+    ]
+
+
+def with_edge_witnesses(test):
+    """test with every edge witness as an explicit example."""
+    for point in EDGE_WITNESSES:
+        test = example(point=point)(test)
+    return test
+
+
+@given(point=st.randoms(use_true_random=False).map(EDGE_SWEEP.draw))
+@with_edge_witnesses
+def test_points_next_to_the_domain_edges_meet_their_claims(point):
+    # scripts/edge_sweep.py at n <= 6: each Z_n against the transfer matrix
+    # and each log_prediction against the law at four times its bits
+    assert EDGE_SWEEP.failures(point) == [], EDGE_SWEEP.describe(point)
 
 
 def exact_zn(base, norms):

@@ -4,14 +4,12 @@ scripts."""
 import ast
 import csv
 import importlib
-import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -21,17 +19,8 @@ from sixvertex import (
     model, transfer_matrix_zn, zn_ik,
 )
 
+from conftest import ROOT, load_file
 from oracles import asm_count
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def load_file(path: Path, name: str):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture
@@ -399,6 +388,20 @@ def test_toda_order_smoke(capsys):
     assert [row[0] for row in rows] == ["0.001", "0.0001"] + [f"1.0e-{k}" for k in range(5, 11)]
     # central differences: the residual falls as h^2
     assert all(abs(float(row[2]) - 2) < 0.05 for row in rows[1:])
+
+
+def test_edge_sweep_smoke(capsys, monkeypatch):
+    sweep = load_file(ROOT / "scripts" / "edge_sweep.py", "edge_sweep")
+    assert sweep.main(["--draws", "3", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"3 draws, seed 1: 0 failed in \d+\.\d s", lines[-1]), lines
+    # a failing draw is printed with its point and what it missed, and exits 1
+    monkeypatch.setattr(sweep, "failures", lambda p: ["Z_2 2^-90.0 off, claim 2^-128"])
+    assert sweep.main(["--draws", "2", "--seed", "1"]) == 1
+    *failed, last = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in failed] == ["draw 0", "draw 1"]
+    assert all(line.endswith(": Z_2 2^-90.0 off, claim 2^-128") for line in failed)
+    assert last.startswith("2 draws, seed 1: 2 failed in ")
 
 
 def test_job_digest_smoke(capsys, monkeypatch):
