@@ -8,10 +8,11 @@ the recurrence for the reciprocal of a power series (R. P. Brent and
 H. T. Kung, J. ACM 25 (1978) 581-595): phi^(m) = -sum_{i=1..m} C(m, i) r_i
 phi^(m-i), where r_i = P^(i)/P is sigma^floor((i-1)/2) 2^(i-1) times u - v
 for odd i and sigma - uv for even i, with u = x(gamma + t), v = x(gamma - t)
-on the bulk chart (``model.BulkChart``): O(1) at any point.  phi = s (u + v)
-where u and v share a sign; where they differ (ferroelectric, and disordered
-past gamma + |t| = pi/2) that sum cancels, and phi is c/(ab) from f, unless
-the sum is an exact zero (x = +-1 at a huge point), whose norms fail at once.
+on the bulk chart (``model.BulkChart``) at the model's chart arguments: O(1)
+at any point.  phi = s (u + v) where u and v share a sign; where they differ
+(ferroelectric, and disordered past gamma + |t| = pi/2) that sum cancels,
+and phi is c/(ab) from ``model.weights_from_params``, unless the sum is an
+exact zero (x = +-1 at a huge point), whose norms fail at once.
 Each step sums its odd-i and its even-i terms exactly on integer mantissas
 (``_linalg._split``), skipping exact-zero phi, multiplies each sum once by
 u - v or sigma - uv and rounds once; at t = 0, where u - v = 0, every odd

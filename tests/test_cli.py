@@ -488,6 +488,14 @@ def test_exit_code_huge_point_fails_before_its_weights(capsys, monkeypatch, poin
     assert "non-positive norm" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_compare_serves_an_af_t_next_to_gamma(capsys):
+    # the law re-checks the point at the report context's guard bits, where
+    # abs(t) rounded t = 1 - 10^-80 to 1.0 and refused a point the parse took
+    rows = run_json(capsys, ["compare", "--phase", "af", "--t", "0." + "9" * 80,
+                             "--gamma", "1", "--nmax", "2"])
+    assert [r["n"] for r in rows] == ["1", "2"]
+
+
 def test_exit_code_precision_failure(capsys):
     code = cli.run(
         ["toda", "--phase", "disordered", "--gamma", "1.2", "--t", "0.4",
