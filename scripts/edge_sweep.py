@@ -109,13 +109,13 @@ def _off(got, want, scale) -> float:
         return float(mp.log(err, 2)) if err else float("-inf")
 
 
-def failures(p: sv.PhaseParams, nmax: int = NMAX) -> list:
+def failures(p: sv.PhaseParams) -> list:
     """What p misses: each Z_n of its ladder series against the transfer
     matrix, and each log_prediction at the report context against the law at
     four times its bits."""
     out = []
     try:
-        series = sv.zn_series(p, nmax)
+        series = sv.zn_series(p, NMAX)
     except sv.PrecisionFailureError:
         series = []
     except sv.ParameterDomainError as exc:
@@ -131,7 +131,7 @@ def failures(p: sv.PhaseParams, nmax: int = NMAX) -> list:
     predict = asymptotics._predictor(p)
     report = hankel.report_context(sv.PrecisionContext(256))
     fine = sv.PrecisionContext(4 * report.bits)
-    for n in range(1, nmax + 1):
+    for n in range(1, NMAX + 1):
         try:
             law = predict(n, fine).log_prediction
             off = _off(predict(n, report).log_prediction, law, max(1, abs(law)))
@@ -143,6 +143,7 @@ def failures(p: sv.PhaseParams, nmax: int = NMAX) -> list:
 
 
 def describe(p: sv.PhaseParams) -> str:
+    """The phase and the parameters of p, to 50 digits."""
     values = ((k, getattr(p, k)) for k in ("t", "gamma", "alpha"))
     return " ".join([p.phase.value] + [f"{k}={mp.nstr(x, 50)}" for k, x in values
                                        if x is not None])
